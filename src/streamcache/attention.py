@@ -1,9 +1,13 @@
-"""Toy causal multi-head attention decoder with a per-token key/value store.
+"""Toy causal multi-head attention decoder with a slab key/value store.
 
-The engine processes one token at a time: the new token's query attends over
-every cached key/value plus itself, the new key/value pair is stored, and an
-exact multiply-add count is charged. Tokens can later be evicted from the
-middle of the store without touching the surviving entries.
+The engine processes one token at a time: the new token's key/value pair is
+written into the next free slot of one ``(layers, heads, cap, d/heads)`` slab,
+its query attends over every live slot, and an exact multiply-add count is
+charged. Tokens can later be evicted from the middle of the sequence: the
+tokens in the last live slots move into the holes, so an eviction touches only
+the evicted rows and the rows moved into them. Slot order is therefore not
+entry order; attention does not depend on it, since each slot keeps its entry
+position for the bias, and ``live_ids`` sorts by position.
 
 Two choices make mid-sequence eviction exact rather than approximate: the
 position signal is a relative bias on entry-position deltas (no re-indexing
@@ -19,8 +23,9 @@ stream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -87,42 +92,12 @@ def recompute_flop_cost(n_queries: int, n_prefix: int, d: int, layers: int) -> i
     return layers * (4 * d * d * n_queries + 2 * d * pair_terms)
 
 
-class _LayerStore:
-    """Per-layer key/value rows in entry order, with grow-in-place buffers."""
-
-    def __init__(self, d: int) -> None:
-        self.d = d
-        self.cap = 64
-        self.k = np.zeros((self.cap, d))
-        self.v = np.zeros((self.cap, d))
-        self.pos = np.zeros(self.cap, dtype=np.int64)
-        self.n = 0
-
-    def append(self, k_row: np.ndarray, v_row: np.ndarray, pos: int) -> None:
-        if self.n == self.cap:
-            self.cap *= 2
-            for name in ("k", "v"):
-                buf = np.zeros((self.cap, self.d))
-                buf[: self.n] = getattr(self, name)[: self.n]
-                setattr(self, name, buf)
-            pos_buf = np.zeros(self.cap, dtype=np.int64)
-            pos_buf[: self.n] = self.pos[: self.n]
-            self.pos = pos_buf
-        self.k[self.n] = k_row
-        self.v[self.n] = v_row
-        self.pos[self.n] = pos
-        self.n += 1
-
-    def remove_rows(self, keep_mask: np.ndarray) -> None:
-        kept = int(keep_mask.sum())
-        self.k[:kept] = self.k[: self.n][keep_mask]
-        self.v[:kept] = self.v[: self.n][keep_mask]
-        self.pos[:kept] = self.pos[: self.n][keep_mask]
-        self.n = kept
-
-
 class AttentionEngine:
-    """Incremental decoder state: per-layer K/V stores plus a flop counter."""
+    """Incremental decoder state: one K/V slab over all layers plus a flop counter.
+
+    Live tokens fill slots ``[0, n)`` of ``(layers, heads, cap, d/heads)`` K
+    and V slabs, with one entry position per slot; the slabs double when full.
+    """
 
     def __init__(self, d: int, heads: int, layers: int, vocab_size: int, seed: int) -> None:
         self.weights = init_weights(d, heads, layers, vocab_size, seed)
@@ -130,17 +105,24 @@ class AttentionEngine:
         self.heads = heads
         self.layers = layers
         self.vocab_size = vocab_size
-        self._stores = [_LayerStore(d) for _ in range(layers)]
-        self._order: List[int] = []  # token ids in entry order
-        self._row_of: Dict[int, int] = {}
+        w = self.weights
+        # every layer's K and V projections side by side: emb @ _w_kv is one matmul
+        self._w_kv = np.concatenate([w.w_k, w.w_v]).transpose(1, 0, 2).reshape(d, -1)
+        self._k = np.zeros((layers, heads, 64, d // heads))
+        self._v = np.zeros_like(self._k)
+        self._pos = np.zeros(64, dtype=np.int64)
+        self._ids: List[int] = []  # token id by slot
+        self._slot: Dict[int, int] = {}
         self.flop_counter = 0
 
     @property
     def live_size(self) -> int:
-        return len(self._order)
+        return len(self._ids)
 
     def live_ids(self) -> tuple:
-        return tuple(self._order)
+        """Live token ids in entry order (slot order is not entry order)."""
+        order = np.argsort(self._pos[: len(self._ids)], kind="stable")
+        return tuple(self._ids[slot] for slot in order)
 
     def flops_snapshot(self) -> int:
         return self.flop_counter
@@ -148,15 +130,16 @@ class AttentionEngine:
     def append_token(self, token: Token) -> Tuple[np.ndarray, np.ndarray]:
         """Run one token through the stack; returns (output vector, logits).
 
-        The token's query attends over every stored key/value plus itself;
-        its own key/value pair is appended to each layer store.
+        The token's key/value pair is written into the next free slot of every
+        layer, then its query attends over all live slots, itself included.
         """
-        if token.id in self._row_of:
+        if token.id in self._slot:
             raise ValueError(f"token {token.id} already in attention store")
         if token.entry_position is None:
             raise ValueError(f"token {token.id} has no entry position")
         pos = token.entry_position
-        if self._order and pos <= int(self._stores[0].pos[self._stores[0].n - 1]):
+        n = len(self._ids)
+        if n and pos <= int(self._pos[:n].max()):
             raise ValueError(
                 f"token {token.id} position {pos} not beyond stored positions")
         w = self.weights
@@ -165,59 +148,56 @@ class AttentionEngine:
         emb = np.asarray(token.embedding, dtype=np.float64)
         if emb.shape != (d,):
             raise ValueError(f"embedding shape {emb.shape} != ({d},)")
+
+        if n == self._pos.shape[0]:
+            # full: double the slabs; np.zeros leaves the free slots unpaged until written
+            k, v, p = self._k, self._v, self._pos
+            self._k = np.zeros(k.shape[:2] + (2 * n,) + k.shape[3:])
+            self._v = np.zeros(self._k.shape)
+            self._pos = np.zeros(2 * n, dtype=np.int64)
+            self._k[:, :, :n], self._v[:, :, :n], self._pos[:n] = k, v, p
+        kv = (emb @ self._w_kv).reshape(2, self.layers, h, dh)
+        self._k[:, :, n] = kv[0]
+        self._v[:, :, n] = kv[1]
+        self._pos[n] = pos
+        n_ctx = n + 1
+        bias = w.rel_bias.take(np.minimum(pos - self._pos[:n_ctx], REL_BIAS_CLIP), axis=2)
+
         x = emb
-
-        for layer, store in enumerate(self._stores):
-            q = x @ w.w_q[layer]
-            k_new = emb @ w.w_k[layer]
-            v_new = emb @ w.w_v[layer]
-            self.flop_counter += 3 * d * d
-
-            n_ctx = store.n + 1
-            k_ctx = np.vstack([store.k[: store.n], k_new[None, :]])
-            v_ctx = np.vstack([store.v[: store.n], v_new[None, :]])
-            deltas = pos - np.concatenate([store.pos[: store.n], [pos]])
-            bias_idx = np.minimum(deltas, REL_BIAS_CLIP)
-
-            q_h = q.reshape(h, dh)
-            k_h = k_ctx.reshape(n_ctx, h, dh)
-            v_h = v_ctx.reshape(n_ctx, h, dh)
-            scores = np.einsum("hd,nhd->hn", q_h, k_h) / np.sqrt(dh)
-            scores += w.rel_bias[layer][:, bias_idx]
-            self.flop_counter += n_ctx * d
-
+        for layer in range(self.layers):
+            q = (x @ w.w_q[layer]).reshape(h, dh, 1) / math.sqrt(dh)
+            scores = np.matmul(self._k[layer, :, :n_ctx], q)[:, :, 0]
+            scores += bias[layer]
             scores -= scores.max(axis=1, keepdims=True)
             probs = np.exp(scores)
-            probs /= probs.sum(axis=1, keepdims=True)
-            mixed = np.einsum("hn,nhd->hd", probs, v_h).reshape(d)
-            self.flop_counter += n_ctx * d
-
-            x = x + mixed @ w.w_o[layer]
-            self.flop_counter += d * d
-
-            store.append(k_new, v_new, pos)
+            # normalise after mixing: divides (heads, d/heads) values, not (heads, n)
+            mixed = np.matmul(probs[:, None, :], self._v[layer, :, :n_ctx])[:, 0]
+            mixed /= probs.sum(axis=1, keepdims=True)
+            x = x + mixed.reshape(d) @ w.w_o[layer]
 
         logits = x @ w.w_lm
-        self.flop_counter += d * self.vocab_size
-        self._row_of[token.id] = len(self._order)
-        self._order.append(token.id)
+        self.flop_counter += append_flop_cost(n_ctx, d, self.layers, self.vocab_size)
+        self._slot[token.id] = n
+        self._ids.append(token.id)
         return x, logits
 
     def evict(self, token_ids: Sequence[int]) -> None:
-        """Drop the given tokens' key/value rows. Surviving positions are
-        untouched and no flops are charged."""
+        """Drop the given tokens' key/value rows: the token in the last live
+        slot moves into each hole. Positions are untouched and no flops are
+        charged."""
         ids = list(token_ids)
-        if not ids:
-            return
-        unknown = [tid for tid in ids if tid not in self._row_of]
+        unknown = [tid for tid in ids if tid not in self._slot]
         if unknown:
             raise KeyError(f"unknown token ids: {unknown}")
-        drop = set(ids)
-        keep_mask = np.array([tid not in drop for tid in self._order], dtype=bool)
-        for store in self._stores:
-            store.remove_rows(keep_mask)
-        self._order = [tid for tid in self._order if tid not in drop]
-        self._row_of = {tid: i for i, tid in enumerate(self._order)}
+        for tid in set(ids):
+            hole, last = self._slot.pop(tid), len(self._ids) - 1
+            moved = self._ids.pop()
+            if hole != last:
+                self._k[:, :, hole] = self._k[:, :, last]
+                self._v[:, :, hole] = self._v[:, :, last]
+                self._pos[hole] = self._pos[last]
+                self._ids[hole] = moved
+                self._slot[moved] = hole
 
 
 def full_recompute(weights: AttentionWeights, tokens: Sequence[Token],

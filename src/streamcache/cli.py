@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -44,6 +45,18 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+def _print_json(obj) -> None:
+    print(json.dumps(obj, sort_keys=True, allow_nan=False))
+
+
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither NaN nor infinite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     try:
         cfg = load_config(args.config)
@@ -51,6 +64,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return _fail(str(exc), EXIT_CONFIG)
     if args.duration_s <= 0:
         return _fail("--duration-s must be > 0", EXIT_CONFIG)
+    if not 0.0 <= args.noise_p <= 1.0:
+        return _fail("--noise-p must be in [0, 1]", EXIT_CONFIG)
     os.makedirs(args.out_dir, exist_ok=True)
     stream = generate_stream(cfg, args.duration_s)
     kinds = list(_STRATEGIES.values()) if args.strategy == "all" \
@@ -87,9 +102,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     artifacts.append(summary_path)
     write_manifest(os.path.join(args.out_dir, "manifest.json"), cfg, artifacts,
                    __version__)
-    print(json.dumps({"out_dir": args.out_dir,
-                      "strategies": [t.kind.value for t in traces],
-                      "truncated": truncated}, sort_keys=True))
+    _print_json({"out_dir": args.out_dir,
+                 "strategies": [t.kind.value for t in traces],
+                 "truncated": truncated})
     return EXIT_RUNTIME if truncated else EXIT_OK
 
 
@@ -136,7 +151,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             fh.write("live_tokens,append_flops\n")
             for n, f in rows:
                 fh.write(f"{n},{f}\n")
-    print(json.dumps(out, sort_keys=True))
+    _print_json(out)
     return EXIT_OK
 
 
@@ -161,8 +176,9 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
     err = grad_check(params, value_and_grad, eps=args.eps,
                      rng=np.random.default_rng(args.seed))
-    print(json.dumps({"max_rel_error": err, "eps": args.eps,
-                      "pass": bool(err <= 1e-4)}, sort_keys=True))
+    if not math.isfinite(err):
+        return _fail(f"gradient check gave a non-finite error: {err}", EXIT_VERIFY)
+    _print_json({"max_rel_error": err, "eps": args.eps, "pass": bool(err <= 1e-4)})
     return EXIT_OK if err <= 1e-4 else EXIT_VERIFY
 
 
@@ -173,10 +189,10 @@ def cmd_report(args: argparse.Namespace) -> int:
         except ConfigError as exc:
             return _fail(str(exc), EXIT_CONFIG)
         try:
-            report = budget_report(cfg, args.horizon_s, args.tokens_per_step)
-        except ValueError as exc:
+            out = budget_report(cfg, args.horizon_s, args.tokens_per_step).to_json()
+        except ValueError as exc:  # bad arguments, or a float that overflowed
             return _fail(str(exc), EXIT_CONFIG)
-        print(report.to_json())
+        print(out)
         return EXIT_OK
     try:
         per_strategy = read_trace_csv(args.scaling)
@@ -188,7 +204,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             out[strategy] = fit_growth(cols["live_tokens"]).to_dict()
         except ValueError as exc:
             return _fail(str(exc), EXIT_CONFIG)
-    print(json.dumps(out, sort_keys=True))
+    _print_json(out)
     return EXIT_OK
 
 
@@ -201,10 +217,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run caching strategies over a synthetic stream")
     p.add_argument("config")
     p.add_argument("--strategy", choices=["all", "a1", "a2", "b"], default="all")
-    p.add_argument("--duration-s", type=float, default=1200.0)
+    p.add_argument("--duration-s", type=_finite_float, default=1200.0)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--noise-p", type=float, default=0.0)
-    p.add_argument("--mem-cap-bytes", type=int, default=None)
+    p.add_argument("--noise-p", type=_finite_float, default=0.0)
+    p.add_argument("--mem-cap-bytes", type=int, default=None,
+                   help="abort once live tokens * d * 8 bytes (a proxy; the engine "
+                        "holds 2 * layers * d * 8 bytes of K/V per live token, plus "
+                        "slab headroom) exceeds this")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("bench", help="sweep live-cache sizes and fit flops-per-append")
@@ -217,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group()
     group.add_argument("--scene", default=None, help="scene JSON file")
     group.add_argument("--synthetic", action="store_true", default=True)
-    p.add_argument("--eps", type=float, default=1e-4)
+    p.add_argument("--eps", type=_finite_float, default=1e-4)
     p.add_argument("--seed", type=int, default=7)
     p.set_defaults(func=cmd_gradcheck)
 
@@ -226,8 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--budget", action="store_true")
     group.add_argument("--scaling", default=None, metavar="TRACE_CSV")
     p.add_argument("--config", default=None)
-    p.add_argument("--horizon-s", type=float, default=3600.0)
-    p.add_argument("--tokens-per-step", type=float, default=DEFAULT_TOKENS_PER_STEP)
+    p.add_argument("--horizon-s", type=_finite_float, default=3600.0)
+    p.add_argument("--tokens-per-step", type=_finite_float, default=DEFAULT_TOKENS_PER_STEP)
     p.set_defaults(func=cmd_report)
     return parser
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields, asdict
 
 
@@ -34,6 +35,10 @@ class SimConfig:
 def validate_config(cfg: SimConfig) -> SimConfig:
     """Return ``cfg`` unchanged if every invariant holds, else raise
     ``ConfigError`` naming the offending field."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{f.name} must be finite, got {value}")
     if cfg.fps <= 0:
         raise ConfigError(f"fps must be > 0, got {cfg.fps}")
     if cfg.tokens_per_frame < 1:

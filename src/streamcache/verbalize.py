@@ -9,6 +9,7 @@ all-visual context against the verbalized one.
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
@@ -142,7 +143,7 @@ class TokenBudgetReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        return json.dumps(self.to_dict(), sort_keys=True, allow_nan=False)
 
 
 def budget_report(cfg: SimConfig, horizon_s: float,
@@ -152,10 +153,10 @@ def budget_report(cfg: SimConfig, horizon_s: float,
     Marker tokens are counted separately from the text tokens; both ratios are
     reported.
     """
-    if horizon_s <= 0:
-        raise ValueError(f"horizon_s must be > 0, got {horizon_s}")
-    if tokens_per_step <= 0:
-        raise ValueError(f"tokens_per_step must be > 0, got {tokens_per_step}")
+    if not 0 < horizon_s < math.inf:
+        raise ValueError(f"horizon_s must be finite and > 0, got {horizon_s}")
+    if not 0 < tokens_per_step < math.inf:
+        raise ValueError(f"tokens_per_step must be finite and > 0, got {tokens_per_step}")
     visual = cfg.fps * horizon_s * cfg.tokens_per_frame
     steps = horizon_s / cfg.mean_step_s
     text = steps * tokens_per_step

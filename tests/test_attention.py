@@ -4,6 +4,7 @@ import pytest
 from streamcache import (AttentionEngine, PositionClock, TokenFactory,
                          append_flop_cost, full_recompute, init_weights, lm_logits,
                          recompute_flop_cost)
+from streamcache.attention import REL_BIAS_CLIP
 
 D, H, L, V = 32, 4, 2, 64
 
@@ -186,3 +187,106 @@ def test_recompute_cost_shape():
     with_prefix = recompute_flop_cost(10, 7, D, L)
     assert with_prefix - base == L * 2 * D * 10 * 7
     assert recompute_flop_cost(20, 0, D, L) > 2 * base
+
+
+def positioned(factory, rng, pos, prompt=False):
+    emb = rng.standard_normal(D)
+    tok = factory.prompt(emb) if prompt else factory.visual(pos, emb)
+    tok.entry_position = pos
+    return tok
+
+
+def test_clipped_bias_regime_with_evictions_matches_oracle():
+    # real runs pin prompt tokens at positions 0-3 while frames pass position
+    # 7000, so most deltas sit beyond REL_BIAS_CLIP; random evictions move
+    # tail slots into holes, which must leave every append exact
+    content_start = 2000
+    assert content_start - 3 > REL_BIAS_CLIP
+    worst = 0.0
+    for trace in range(30):
+        rng = np.random.default_rng(1000 + trace)
+        factory = TokenFactory()
+        eng = fresh_engine(seed=trace)
+        live = [positioned(factory, rng, p, prompt=True) for p in range(4)]
+        for tok in live:
+            eng.append_token(tok)
+        pos = content_start + int(rng.integers(0, 200))
+        for _ in range(150):
+            if len(live) > 10 and rng.random() < 0.3:
+                k = int(rng.integers(1, 8))
+                picks = set(rng.choice(np.arange(4, len(live)), size=k, replace=False).tolist())
+                eng.evict([live[i].id for i in picks])
+                live = [t for i, t in enumerate(live) if i not in picks]
+            tok = positioned(factory, rng, pos)
+            out, _ = eng.append_token(tok)
+            live.append(tok)
+            worst = max(worst, float(np.max(np.abs(out - full_recompute(eng.weights, live)[-1]))))
+            assert eng.live_ids() == tuple(t.id for t in live)
+            pos += int(rng.integers(1, 201))
+    assert worst <= 1e-6
+
+
+def test_evict_duplicate_ids_accepted(rng):
+    eng = fresh_engine()
+    toks = stream_tokens(6, rng)
+    for tok in toks[:-1]:
+        eng.append_token(tok)
+    eng.evict([toks[1].id, toks[1].id, toks[3].id])
+    survivors = [toks[0], toks[2], toks[4]]
+    assert eng.live_ids() == tuple(t.id for t in survivors)
+    out, _ = eng.append_token(toks[-1])
+    oracle = full_recompute(eng.weights, survivors + [toks[-1]])
+    np.testing.assert_allclose(out, oracle[-1], atol=1e-6)
+
+
+def test_evict_unknown_id_changes_nothing(rng):
+    toks = stream_tokens(6, rng)
+    eng, ref = fresh_engine(), fresh_engine()
+    for tok in toks[:-1]:
+        eng.append_token(tok)
+        ref.append_token(tok)
+    with pytest.raises(KeyError, match="999"):
+        eng.evict([toks[0].id, 999, toks[4].id])
+    assert eng.live_ids() == ref.live_ids()
+    np.testing.assert_array_equal(eng.append_token(toks[-1])[0],
+                                  ref.append_token(toks[-1])[0])
+
+
+def test_position_rule_checks_newest_survivor(rng):
+    factory = TokenFactory()
+    eng = fresh_engine()
+    toks = [positioned(factory, rng, p) for p in (0, 10, 20, 30)]
+    for tok in toks:
+        eng.append_token(tok)
+    eng.evict([toks[1].id])  # the newest token (30) moves into the freed slot
+    with pytest.raises(ValueError, match="not beyond stored positions"):
+        eng.append_token(positioned(factory, rng, 25))
+    eng.evict([toks[-1].id])
+    between = positioned(factory, rng, 25)  # beyond 20, the newest survivor
+    out, _ = eng.append_token(between)
+    oracle = full_recompute(eng.weights, [toks[0], toks[2], between])
+    np.testing.assert_allclose(out, oracle[-1], atol=1e-6)
+    assert eng.live_ids() == (toks[0].id, toks[2].id, between.id)
+
+
+def test_growth_past_initial_capacity_with_evictions(rng):
+    factory, clock = TokenFactory(), PositionClock()
+    eng = fresh_engine()
+    live = []
+    for step in range(300):
+        tok = stream_tokens(1, rng, factory, clock)[0]
+        out, _ = eng.append_token(tok)
+        live.append(tok)
+        if step % 25 == 0:
+            np.testing.assert_allclose(out, full_recompute(eng.weights, live)[-1],
+                                       atol=1e-6)
+        if step % 7 == 6:
+            picks = set(rng.choice(len(live), size=3, replace=False).tolist())
+            eng.evict([live[i].id for i in picks])
+            live = [t for i, t in enumerate(live) if i not in picks]
+    assert eng.live_size == len(live) > 64
+    assert eng.live_ids() == tuple(t.id for t in live)
+    tail = stream_tokens(1, rng, factory, clock)[0]
+    out, _ = eng.append_token(tail)
+    np.testing.assert_allclose(out, full_recompute(eng.weights, live + [tail])[-1],
+                               atol=1e-6)

@@ -141,3 +141,43 @@ def test_report_scaling_missing_file_exits_2(tmp_path, capsys):
 def test_usage_error_exits_2():
     assert main(["simulate"]) == 2
     assert main(["report"]) == 2
+
+
+@pytest.mark.parametrize("text", ['{"fps": NaN}', '{"mean_step_s": Infinity}'])
+def test_simulate_non_finite_config_exits_2(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code = main(["simulate", str(bad), "--duration-s", "30", "--out-dir", str(tmp_path / "r")])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_report_budget_non_finite_config_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"mean_step_s": Infinity}')
+    assert main(["report", "--budget", "--config", str(bad)]) == 2
+    assert "mean_step_s" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--duration-s", "nan"), ("--duration-s", "inf"), ("--noise-p", "nan"),
+    ("--noise-p", "1.5"),
+])
+def test_simulate_bad_float_flags_exit_2(tmp_path, cfg_path, capsys, flag, value):
+    out_dir = tmp_path / "run"
+    code = main(["simulate", cfg_path, "--strategy", "b", "--duration-s", "30",
+                 "--out-dir", str(out_dir), flag, value])
+    assert code == 2
+    assert not (out_dir / "trace_b.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_report_budget_non_finite_horizon_exits_2(capsys, value):
+    assert main(["report", "--budget", "--horizon-s", value]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_report_budget_overflow_is_not_printed(capsys):
+    # a finite horizon whose token counts overflow must not print Infinity
+    assert main(["report", "--budget", "--horizon-s", "1e308"]) == 2
+    assert capsys.readouterr().out == ""

@@ -53,3 +53,21 @@ def test_type_errors_rejected(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError):
         load_config(str(bad))
+
+
+@pytest.mark.parametrize("field", ["fps", "mean_step_s", "step_s_jitter", "lambda_1"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_floats_rejected(cfg, field, value):
+    import dataclasses
+    with pytest.raises(ConfigError, match=f"{field} must be finite"):
+        validate_config(dataclasses.replace(cfg, **{field: value}))
+
+
+def test_non_finite_json_rejected(tmp_path):
+    # json.load parses the NaN and Infinity literals, so the loader must catch them
+    for text, field in (('{"fps": NaN}', "fps"), ('{"mean_step_s": Infinity}', "mean_step_s"),
+                        ('{"lambda_1": -Infinity}', "lambda_1")):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=field):
+            load_config(str(path))
