@@ -1,13 +1,14 @@
 """Toy causal multi-head attention decoder with a slab key/value store.
 
-The engine processes one token at a time: the new token's key/value pair is
-written into the next free slot of one ``(layers, heads, cap, d/heads)`` slab,
-its query attends over every live slot, and an exact multiply-add count is
-charged. Tokens can later be evicted from the middle of the sequence: the
-tokens in the last live slots move into the holes, so an eviction touches only
-the evicted rows and the rows moved into them. Slot order is therefore not
-entry order; attention does not depend on it, since each slot keeps its entry
-position for the bias, and ``live_ids`` sorts by position.
+The engine appends a block of tokens at a time (one token is the common case):
+the block's key/value pairs are written into the next free slots of one
+``(layers, heads, cap, d/heads)`` slab, each query attends over every live slot
+and the block tokens up to itself, and an exact multiply-add count is charged.
+Tokens can later be evicted from the middle of the sequence: the tokens in the
+last live slots move into the holes, so an eviction touches only the evicted
+rows and the rows moved into them. Slot order is therefore not entry order;
+attention does not depend on it, since each slot keeps its entry position for
+the bias, and ``live_ids`` sorts by position.
 
 Two choices make mid-sequence eviction exact rather than approximate: the
 position signal is a relative bias on entry-position deltas (no re-indexing
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -106,13 +107,19 @@ class AttentionEngine:
         self.layers = layers
         self.vocab_size = vocab_size
         w = self.weights
-        # every layer's K and V projections side by side: emb @ _w_kv is one matmul
-        self._w_kv = np.concatenate([w.w_k, w.w_v]).transpose(1, 0, 2).reshape(d, -1)
+        self._w_q = w.w_q / math.sqrt(d // heads)  # query projections with the score scale
+        # layer 0's query, then every layer's K and V projections side by side:
+        # a block's embeddings meet all of them in one matmul
+        w_kv = np.concatenate([w.w_k, w.w_v]).transpose(1, 0, 2).reshape(d, -1)
+        self._w_in = np.concatenate([self._w_q[0], w_kv], axis=1)
+        # slot 0 is -inf, the causal mask; slot 1 + delta is the bias for delta
+        self._bias = np.concatenate([np.full((layers, heads, 1), -np.inf), w.rel_bias], axis=2)
         self._k = np.zeros((layers, heads, 64, d // heads))
         self._v = np.zeros_like(self._k)
         self._pos = np.zeros(64, dtype=np.int64)
         self._ids: List[int] = []  # token id by slot
         self._slot: Dict[int, int] = {}
+        self._newest_id: Optional[int] = None  # the live token with the largest position
         self.flop_counter = 0
 
     @property
@@ -130,55 +137,90 @@ class AttentionEngine:
     def append_token(self, token: Token) -> Tuple[np.ndarray, np.ndarray]:
         """Run one token through the stack; returns (output vector, logits).
 
-        The token's key/value pair is written into the next free slot of every
-        layer, then its query attends over all live slots, itself included.
+        The one-token case of ``append_tokens``.
         """
-        if token.id in self._slot:
-            raise ValueError(f"token {token.id} already in attention store")
-        if token.entry_position is None:
-            raise ValueError(f"token {token.id} has no entry position")
-        pos = token.entry_position
-        n = len(self._ids)
-        if n and pos <= int(self._pos[:n].max()):
-            raise ValueError(
-                f"token {token.id} position {pos} not beyond stored positions")
-        w = self.weights
+        x, logits = self.append_tokens([token])
+        return x[0], logits[0]
+
+    def append_tokens(self, tokens: Sequence[Token]) -> Tuple[np.ndarray, np.ndarray]:
+        """Run a block of k tokens through the stack in one causal pass;
+        returns the (k, d) outputs and (k, vocab) logits.
+
+        Every token's key/value pair is written into the next free slots, then
+        each query attends over all live slots and the block tokens up to
+        itself. Outputs and the flop charge equal k single appends. The whole
+        block is checked before any state changes.
+        """
+        tokens = list(tokens)
+        if not tokens:
+            raise ValueError("empty token block")
         d, h = self.d, self.heads
         dh = d // h
-        emb = np.asarray(token.embedding, dtype=np.float64)
-        if emb.shape != (d,):
-            raise ValueError(f"embedding shape {emb.shape} != ({d},)")
+        n, k = len(self._ids), len(tokens)
+        newest = int(self._pos[self._slot[self._newest_id]]) if n else None
+        block_ids = set()
+        positions = []
+        x = np.empty((k, d))
+        for i, tok in enumerate(tokens):
+            if tok.id in self._slot or tok.id in block_ids:
+                raise ValueError(f"token {tok.id} already in attention store")
+            block_ids.add(tok.id)
+            pos = tok.entry_position
+            if pos is None:
+                raise ValueError(f"token {tok.id} has no entry position")
+            if newest is not None and pos <= newest:
+                raise ValueError(f"token {tok.id} position {pos} not beyond stored positions")
+            newest = pos
+            positions.append(pos)
+            if np.shape(tok.embedding) != (d,):
+                raise ValueError(f"embedding shape {np.shape(tok.embedding)} != ({d},)")
+            x[i] = tok.embedding
 
-        if n == self._pos.shape[0]:
-            # full: double the slabs; np.zeros leaves the free slots unpaged until written
-            k, v, p = self._k, self._v, self._pos
-            self._k = np.zeros(k.shape[:2] + (2 * n,) + k.shape[3:])
+        cap = self._pos.shape[0]
+        if n + k > cap:
+            # double the slabs; np.zeros leaves the free slots unpaged until written
+            while n + k > cap:
+                cap *= 2
+            k_old, v_old, p_old = self._k, self._v, self._pos
+            self._k = np.zeros(k_old.shape[:2] + (cap,) + k_old.shape[3:])
             self._v = np.zeros(self._k.shape)
-            self._pos = np.zeros(2 * n, dtype=np.int64)
-            self._k[:, :, :n], self._v[:, :, :n], self._pos[:n] = k, v, p
-        kv = (emb @ self._w_kv).reshape(2, self.layers, h, dh)
-        self._k[:, :, n] = kv[0]
-        self._v[:, :, n] = kv[1]
-        self._pos[n] = pos
-        n_ctx = n + 1
-        bias = w.rel_bias.take(np.minimum(pos - self._pos[:n_ctx], REL_BIAS_CLIP), axis=2)
+            self._pos = np.zeros(cap, dtype=np.int64)
+            self._k[:, :, :n], self._v[:, :, :n] = k_old[:, :, :n], v_old[:, :, :n]
+            self._pos[:n] = p_old[:n]
+        n_ctx = n + k
+        proj = x @ self._w_in
+        kv = proj[:, d:].reshape(k, 2, self.layers, h, dh).transpose(1, 2, 3, 0, 4)
+        self._k[:, :, n:n_ctx] = kv[0]
+        self._v[:, :, n:n_ctx] = kv[1]
+        self._pos[n:n_ctx] = positions
+        # one (k, n_ctx) gather of 1 + delta from each query to each slot: the
+        # clip sends deltas past REL_BIAS_CLIP to its slot, and the negative
+        # deltas to later block tokens to the -inf slot 0
+        bias = self._bias.take(self._pos[n:n_ctx, None] + 1 - self._pos[:n_ctx],
+                               axis=2, mode="clip")
 
-        x = emb
+        q = proj[:, :d]
         for layer in range(self.layers):
-            q = (x @ w.w_q[layer]).reshape(h, dh, 1) / math.sqrt(dh)
-            scores = np.matmul(self._k[layer, :, :n_ctx], q)[:, :, 0]
+            if layer:
+                q = x @ self._w_q[layer]
+            scores = np.matmul(q.reshape(k, h, dh).transpose(1, 0, 2),
+                               self._k[layer, :, :n_ctx].transpose(0, 2, 1))  # (h, k, n_ctx)
             scores += bias[layer]
-            scores -= scores.max(axis=1, keepdims=True)
-            probs = np.exp(scores)
-            # normalise after mixing: divides (heads, d/heads) values, not (heads, n)
-            mixed = np.matmul(probs[:, None, :], self._v[layer, :, :n_ctx])[:, 0]
-            mixed /= probs.sum(axis=1, keepdims=True)
-            x = x + mixed.reshape(d) @ w.w_o[layer]
+            scores -= scores.max(axis=2, keepdims=True)
+            probs = np.exp(scores, out=scores)
+            # normalise after mixing: divides (heads, k, d/heads) values, not (heads, k, n)
+            mixed = np.matmul(probs, self._v[layer, :, :n_ctx])
+            mixed /= probs.sum(axis=2, keepdims=True)
+            x += mixed.transpose(1, 0, 2).reshape(k, d) @ self.weights.w_o[layer]
 
-        logits = x @ w.w_lm
-        self.flop_counter += append_flop_cost(n_ctx, d, self.layers, self.vocab_size)
-        self._slot[token.id] = n
-        self._ids.append(token.id)
+        logits = x @ self.weights.w_lm
+        # k single appends at live sizes n+1 .. n+k: an arithmetic series
+        self.flop_counter += k * (append_flop_cost(n + 1, d, self.layers, self.vocab_size)
+                                  + append_flop_cost(n_ctx, d, self.layers, self.vocab_size)) // 2
+        for slot, tok in enumerate(tokens, n):
+            self._slot[tok.id] = slot
+            self._ids.append(tok.id)
+        self._newest_id = tokens[-1].id
         return x, logits
 
     def evict(self, token_ids: Sequence[int]) -> None:
@@ -198,6 +240,8 @@ class AttentionEngine:
                 self._pos[hole] = self._pos[last]
                 self._ids[hole] = moved
                 self._slot[moved] = hole
+        if self._ids and self._newest_id not in self._slot:
+            self._newest_id = self._ids[int(self._pos[:len(self._ids)].argmax())]
 
 
 def full_recompute(weights: AttentionWeights, tokens: Sequence[Token],
@@ -210,9 +254,9 @@ def full_recompute(weights: AttentionWeights, tokens: Sequence[Token],
     """
     if not tokens:
         raise ValueError("empty token sequence")
-    positions = np.array([t.entry_position for t in tokens], dtype=np.int64)
     if any(t.entry_position is None for t in tokens):
         raise ValueError("all tokens need entry positions")
+    positions = np.array([t.entry_position for t in tokens], dtype=np.int64)
     if np.any(np.diff(positions) <= 0):
         raise ValueError("tokens must be ordered by strictly increasing position")
     d, h, dh = weights.d, weights.heads, weights.d // weights.heads

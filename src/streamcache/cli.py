@@ -66,6 +66,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return _fail("--duration-s must be > 0", EXIT_CONFIG)
     if not 0.0 <= args.noise_p <= 1.0:
         return _fail("--noise-p must be in [0, 1]", EXIT_CONFIG)
+    if args.mem_cap_bytes is not None and args.mem_cap_bytes <= 0:
+        return _fail("--mem-cap-bytes must be > 0", EXIT_CONFIG)
     os.makedirs(args.out_dir, exist_ok=True)
     stream = generate_stream(cfg, args.duration_s)
     kinds = list(_STRATEGIES.values()) if args.strategy == "all" \
@@ -80,7 +82,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     traces = []
     truncated = False
-    with ThreadPoolExecutor(max_workers=len(kinds)) as pool:
+    # one worker: under the interpreter lock, parallel strategies only trade
+    # turns, and the handoffs stretch the frame latencies
+    with ThreadPoolExecutor(max_workers=1) as pool:
         for future in [pool.submit(run, kind) for kind in kinds]:
             try:
                 traces.append(future.result())

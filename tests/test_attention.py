@@ -290,3 +290,115 @@ def test_growth_past_initial_capacity_with_evictions(rng):
     out, _ = eng.append_token(tail)
     np.testing.assert_allclose(out, full_recompute(eng.weights, live + [tail])[-1],
                                atol=1e-6)
+
+
+# -- block appends ----------------------------------------------------------
+
+def test_block_rows_match_oracle_with_clipped_bias_and_evictions():
+    # prompt block at positions 0-3, content blocks from position 2000 (every
+    # prompt delta past REL_BIAS_CLIP), random mid-sequence evictions between
+    # blocks; every row of every block must match the survivors' oracle
+    worst = 0.0
+    for trace in range(12):
+        rng = np.random.default_rng(2000 + trace)
+        factory = TokenFactory()
+        eng = fresh_engine(seed=trace)
+        live = [positioned(factory, rng, p, prompt=True) for p in range(4)]
+        out, _ = eng.append_tokens(live)
+        worst = max(worst, float(np.max(np.abs(out - full_recompute(eng.weights, live)))))
+        pos = 2000 + int(rng.integers(0, 200))
+        for _ in range(25):
+            if len(live) > 10 and rng.random() < 0.5:
+                k = int(rng.integers(1, 8))
+                picks = set(rng.choice(np.arange(4, len(live)), size=k, replace=False).tolist())
+                eng.evict([live[i].id for i in picks])
+                live = [t for i, t in enumerate(live) if i not in picks]
+            block = []
+            for _ in range(int(rng.integers(1, 9))):
+                block.append(positioned(factory, rng, pos))
+                pos += int(rng.integers(1, 300))
+            out, logits = eng.append_tokens(block)
+            live.extend(block)
+            assert out.shape == (len(block), D) and logits.shape == (len(block), V)
+            ref = full_recompute(eng.weights, live)[-len(block):]
+            worst = max(worst, float(np.max(np.abs(out - ref))))
+            np.testing.assert_allclose(logits, lm_logits(eng.weights, out), atol=1e-12)
+            assert eng.live_ids() == tuple(t.id for t in live)
+    assert worst <= 1e-6
+
+
+def test_block_equals_single_appends_and_charges_their_flops(rng):
+    toks = stream_tokens(40, rng)
+    blocked, single = fresh_engine(), fresh_engine()
+    blocked.append_tokens(toks[:30])
+    for tok in toks[:30]:
+        single.append_token(tok)
+    for eng in (blocked, single):
+        eng.evict([toks[3].id, toks[17].id])
+    n = blocked.live_size
+    before = blocked.flops_snapshot()
+    out, logits = blocked.append_tokens(toks[30:])
+    assert blocked.flops_snapshot() - before == sum(
+        append_flop_cost(n + i, D, L, V) for i in range(1, 11))
+    rows = [single.append_token(tok) for tok in toks[30:]]
+    np.testing.assert_allclose(out, np.stack([r[0] for r in rows]), atol=1e-10)
+    np.testing.assert_allclose(logits, np.stack([r[1] for r in rows]), atol=1e-10)
+    assert blocked.flops_snapshot() == single.flops_snapshot()
+    assert blocked.live_ids() == single.live_ids()
+
+
+def test_block_of_one_is_append_token(rng):
+    toks = stream_tokens(6, rng)
+    blocked, single = fresh_engine(), fresh_engine()
+    for tok in toks:
+        out, logits = blocked.append_tokens([tok])
+        ref_out, ref_logits = single.append_token(tok)
+        np.testing.assert_array_equal(out[0], ref_out)
+        np.testing.assert_array_equal(logits[0], ref_logits)
+        assert blocked.flops_snapshot() == single.flops_snapshot()
+
+
+def _bad_blocks(factory, rng, live):
+    newest = live[-1].entry_position
+
+    def at(*positions):
+        return [positioned(factory, rng, p) for p in positions]
+
+    repeated = at(newest + 1)
+    wrong_shape = at(newest + 1, newest + 2)
+    wrong_shape[-1].embedding = rng.standard_normal(D + 1)
+    return {
+        "empty": ([], "empty"),
+        "repeated id": (repeated + repeated, "already"),
+        "live id": (at(newest + 1) + [live[2]], "already"),
+        "non-increasing": (at(newest + 5, newest + 5), "not beyond"),
+        "not beyond survivors": (at(newest, newest + 1), "not beyond"),
+        "embedding shape": (wrong_shape, "embedding shape"),
+    }
+
+
+@pytest.mark.parametrize("case", ["empty", "repeated id", "live id", "non-increasing",
+                                  "not beyond survivors", "embedding shape"])
+def test_bad_block_raises_and_changes_nothing(rng, case):
+    factory = TokenFactory()
+    live = [positioned(factory, rng, p) for p in (0, 10, 20, 30, 40)]
+    eng, ref = fresh_engine(), fresh_engine()
+    for e in (eng, ref):
+        e.append_tokens(live)
+        e.evict([live[1].id])
+    live.pop(1)
+    block, message = _bad_blocks(factory, rng, live)[case]
+    with pytest.raises(ValueError, match=message):
+        eng.append_tokens(block)
+    assert eng.live_ids() == ref.live_ids() == tuple(t.id for t in live)
+    assert eng.flop_counter == ref.flop_counter
+    tail = positioned(factory, rng, 99)
+    np.testing.assert_array_equal(eng.append_token(tail)[0], ref.append_token(tail)[0])
+
+
+def test_full_recompute_requires_entry_positions(rng):
+    weights = fresh_engine().weights
+    toks = stream_tokens(3, rng)
+    toks[1].entry_position = None
+    with pytest.raises(ValueError, match="entry positions"):
+        full_recompute(weights, toks)

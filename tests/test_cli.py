@@ -62,6 +62,16 @@ def test_simulate_memory_cap_exits_3(tmp_path, cfg_path, capsys):
     assert (out_dir / "trace_a1.csv").exists()
 
 
+@pytest.mark.parametrize("cap", ["0", "-64"])
+def test_simulate_non_positive_memory_cap_exits_2(tmp_path, cfg_path, capsys, cap):
+    out_dir = tmp_path / "run"
+    code = main(["simulate", cfg_path, "--duration-s", "10", "--out-dir", str(out_dir),
+                 "--mem-cap-bytes", cap])
+    assert code == 2
+    assert "--mem-cap-bytes" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_bench_affine_fit(tmp_path, cfg_path, capsys):
     out_csv = tmp_path / "bench.csv"
     code = main(["bench", cfg_path, "--sweep", "8:64:8", "--out", str(out_csv)])

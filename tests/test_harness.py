@@ -52,6 +52,12 @@ def test_generate_stream_rejects_bad_duration(cfg):
         generate_stream(cfg, 0.0)
 
 
+@pytest.mark.parametrize("duration", [float("inf"), float("-inf"), float("nan")])
+def test_generate_stream_rejects_non_finite_duration(cfg, duration):
+    with pytest.raises(ValueError, match="finite"):
+        generate_stream(cfg, duration)
+
+
 # -- oracle predictor -------------------------------------------------------
 
 def test_oracle_noise_zero_always_correct():
