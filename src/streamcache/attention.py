@@ -1,14 +1,14 @@
 """Toy causal multi-head attention decoder with a slab key/value store.
 
 The engine appends a block of tokens at a time (one token is the common case):
-the block's key/value pairs are written into the next free slots of one
-``(layers, heads, cap, d/heads)`` slab, each query attends over every live slot
-and the block tokens up to itself, and an exact multiply-add count is charged.
-Tokens can later be evicted from the middle of the sequence: the tokens in the
-last live slots move into the holes, so an eviction touches only the evicted
-rows and the rows moved into them. Slot order is therefore not entry order;
-attention does not depend on it, since each slot keeps its entry position for
-the bias, and ``live_ids`` sorts by position.
+the block's keys and values are written, in one assignment, into the next free
+slots of one ``(2, layers, heads, cap, d/heads)`` slab (keys, then values), each
+query attends over every live slot and the block tokens up to itself, and an
+exact multiply-add count is charged. Tokens can later be evicted from the
+middle of the sequence: the token in the last live slot moves into each hole,
+so an eviction moves one slab row per evicted token. Slot order is therefore
+not entry order; attention does not depend on it, since each slot keeps its
+entry position for the bias, and ``live_ids`` sorts by position.
 
 Two choices make mid-sequence eviction exact rather than approximate: the
 position signal is a relative bias on entry-position deltas (no re-indexing
@@ -96,8 +96,9 @@ def recompute_flop_cost(n_queries: int, n_prefix: int, d: int, layers: int) -> i
 class AttentionEngine:
     """Incremental decoder state: one K/V slab over all layers plus a flop counter.
 
-    Live tokens fill slots ``[0, n)`` of ``(layers, heads, cap, d/heads)`` K
-    and V slabs, with one entry position per slot; the slabs double when full.
+    Live tokens fill slots ``[0, n)`` of a ``(2, layers, heads, cap, d/heads)``
+    slab holding keys (index 0) and values (index 1), with one entry position
+    per slot; the slab doubles when full.
     """
 
     def __init__(self, d: int, heads: int, layers: int, vocab_size: int, seed: int) -> None:
@@ -107,15 +108,17 @@ class AttentionEngine:
         self.layers = layers
         self.vocab_size = vocab_size
         w = self.weights
-        self._w_q = w.w_q / math.sqrt(d // heads)  # query projections with the score scale
+        # per-layer matrices as lists: indexing a list makes no array view;
+        # the query projections carry the score scale
+        self._w_q = list(w.w_q / math.sqrt(d // heads))
+        self._w_o = list(w.w_o)
         # layer 0's query, then every layer's K and V projections side by side:
         # a block's embeddings meet all of them in one matmul
         w_kv = np.concatenate([w.w_k, w.w_v]).transpose(1, 0, 2).reshape(d, -1)
         self._w_in = np.concatenate([self._w_q[0], w_kv], axis=1)
         # slot 0 is -inf, the causal mask; slot 1 + delta is the bias for delta
         self._bias = np.concatenate([np.full((layers, heads, 1), -np.inf), w.rel_bias], axis=2)
-        self._k = np.zeros((layers, heads, 64, d // heads))
-        self._v = np.zeros_like(self._k)
+        self._kv = np.zeros((2, layers, heads, 64, d // heads))
         self._pos = np.zeros(64, dtype=np.int64)
         self._ids: List[int] = []  # token id by slot
         self._slot: Dict[int, int] = {}
@@ -178,20 +181,19 @@ class AttentionEngine:
 
         cap = self._pos.shape[0]
         if n + k > cap:
-            # double the slabs; np.zeros leaves the free slots unpaged until written
+            # double the slab; np.zeros leaves the free slots unpaged until written
             while n + k > cap:
                 cap *= 2
-            k_old, v_old, p_old = self._k, self._v, self._pos
-            self._k = np.zeros(k_old.shape[:2] + (cap,) + k_old.shape[3:])
-            self._v = np.zeros(self._k.shape)
+            kv_old, p_old = self._kv, self._pos
+            self._kv = np.zeros(kv_old.shape[:3] + (cap, dh))
             self._pos = np.zeros(cap, dtype=np.int64)
-            self._k[:, :, :n], self._v[:, :, :n] = k_old[:, :, :n], v_old[:, :, :n]
+            self._kv[:, :, :, :n] = kv_old[:, :, :, :n]
             self._pos[:n] = p_old[:n]
         n_ctx = n + k
         proj = x @ self._w_in
-        kv = proj[:, d:].reshape(k, 2, self.layers, h, dh).transpose(1, 2, 3, 0, 4)
-        self._k[:, :, n:n_ctx] = kv[0]
-        self._v[:, :, n:n_ctx] = kv[1]
+        kv = self._kv
+        kv[:, :, :, n:n_ctx] = (proj[:, d:].reshape(k, 2, self.layers, h, dh)
+                                .transpose(1, 2, 3, 0, 4))
         self._pos[n:n_ctx] = positions
         # one (k, n_ctx) gather of 1 + delta from each query to each slot: the
         # clip sends deltas past REL_BIAS_CLIP to its slot, and the negative
@@ -199,19 +201,21 @@ class AttentionEngine:
         bias = self._bias.take(self._pos[n:n_ctx, None] + 1 - self._pos[:n_ctx],
                                axis=2, mode="clip")
 
+        keys_t = kv[0, :, :, :n_ctx].swapaxes(2, 3)  # (layers, h, dh, n_ctx)
+        values = kv[1, :, :, :n_ctx]
         q = proj[:, :d]
         for layer in range(self.layers):
             if layer:
                 q = x @ self._w_q[layer]
             scores = np.matmul(q.reshape(k, h, dh).transpose(1, 0, 2),
-                               self._k[layer, :, :n_ctx].transpose(0, 2, 1))  # (h, k, n_ctx)
+                               keys_t[layer])  # (h, k, n_ctx)
             scores += bias[layer]
-            scores -= scores.max(axis=2, keepdims=True)
+            scores -= np.maximum.reduce(scores, axis=2, keepdims=True)
             probs = np.exp(scores, out=scores)
             # normalise after mixing: divides (heads, k, d/heads) values, not (heads, k, n)
-            mixed = np.matmul(probs, self._v[layer, :, :n_ctx])
-            mixed /= probs.sum(axis=2, keepdims=True)
-            x += mixed.transpose(1, 0, 2).reshape(k, d) @ self.weights.w_o[layer]
+            mixed = np.matmul(probs, values[layer])
+            mixed /= np.add.reduce(probs, axis=2, keepdims=True)
+            x += mixed.transpose(1, 0, 2).reshape(k, d) @ self._w_o[layer]
 
         logits = x @ self.weights.w_lm
         # k single appends at live sizes n+1 .. n+k: an arithmetic series
@@ -235,8 +239,7 @@ class AttentionEngine:
             hole, last = self._slot.pop(tid), len(self._ids) - 1
             moved = self._ids.pop()
             if hole != last:
-                self._k[:, :, hole] = self._k[:, :, last]
-                self._v[:, :, hole] = self._v[:, :, last]
+                self._kv[:, :, :, hole] = self._kv[:, :, :, last]
                 self._pos[hole] = self._pos[last]
                 self._ids[hole] = moved
                 self._slot[moved] = hole

@@ -2,8 +2,10 @@
 
 Visual frame tokens and verbalized text tokens live in a single ordered
 sequence. ``exit_short`` trims the oldest visual tokens down to the visual
-capacity; ``exit_long`` trims whole verbalized groups (marker plus its step's
-text tokens) down to the long-term capacity. Prompt tokens are pinned and
+capacity, taking them from a FIFO of live visual tokens kept beside the
+sequence, so it never scans past the prompt and the text groups to find them;
+``exit_long`` trims whole verbalized groups (marker plus its step's text
+tokens) down to the long-term capacity. Prompt tokens are pinned and
 never evicted. Exits are explicit calls, not side effects of entry, so a
 run's op sequence is auditable.
 
@@ -13,8 +15,9 @@ returned by ``live_tokens`` are immutable tuples, safe to hand elsewhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from collections import deque
+from dataclasses import dataclass
+from typing import Deque, List, Optional
 
 from .types import PositionClock, Token, TokenKind
 
@@ -53,7 +56,7 @@ class InterleavedCache:
         self.n_s = n_s
         self.n_l = n_l
         self.tokens: List[Token] = []
-        self.visual_count = 0
+        self._visual: Deque[Token] = deque()  # live visual tokens, oldest first
         self.long_count = 0
         self._ids = set()
         self._clock = clock if clock is not None else PositionClock()
@@ -62,6 +65,10 @@ class InterleavedCache:
 
     def __len__(self) -> int:
         return len(self.tokens)
+
+    @property
+    def visual_count(self) -> int:
+        return len(self._visual)
 
     def live_tokens(self) -> tuple:
         """Snapshot of live tokens in entry order."""
@@ -83,7 +90,7 @@ class InterleavedCache:
         self.tokens.append(token)
         self._ids.add(token.id)
         if token.kind is TokenKind.VISUAL_FRAME:
-            self.visual_count += 1
+            self._visual.append(token)
         elif token.kind is TokenKind.LONG_TERM_MARKER:
             self.long_count += 1
         self.events.append(CacheEvent(t, "entry", [token.id], token.kind.value))
@@ -91,10 +98,11 @@ class InterleavedCache:
     def exit_short(self, t: float = 0.0) -> List[Token]:
         """Evict oldest visual tokens until the visual count fits ``n_s``."""
         evicted: List[Token] = []
-        while self.visual_count > self.n_s:
-            idx = next(i for i, tok in enumerate(self.tokens)
-                       if tok.kind is TokenKind.VISUAL_FRAME)
-            evicted.append(self._pop(idx))
+        while len(self._visual) > self.n_s:
+            tok = self._visual.popleft()
+            self.tokens.remove(tok)  # tokens compare by identity
+            self._ids.discard(tok.id)
+            evicted.append(tok)
         self.events.append(CacheEvent(t, "exit_short", [tok.id for tok in evicted],
                                       TokenKind.VISUAL_FRAME.value))
         return evicted
@@ -125,10 +133,9 @@ class InterleavedCache:
         return groups
 
     def _pop(self, idx: int) -> Token:
+        """Remove the marker or text token at ``idx``."""
         tok = self.tokens.pop(idx)
         self._ids.discard(tok.id)
-        if tok.kind is TokenKind.VISUAL_FRAME:
-            self.visual_count -= 1
-        elif tok.kind is TokenKind.LONG_TERM_MARKER:
+        if tok.kind is TokenKind.LONG_TERM_MARKER:
             self.long_count -= 1
         return tok

@@ -57,9 +57,18 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _load_engine_config(path: str) -> SimConfig:
+    """``load_config`` plus the engine's own constraint: ``d`` must split
+    evenly over its ``ENGINE_HEADS`` heads."""
+    cfg = load_config(path)
+    if cfg.d % ENGINE_HEADS:
+        raise ConfigError(f"d={cfg.d} is not divisible by the engine's {ENGINE_HEADS} heads")
+    return cfg
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     try:
-        cfg = load_config(args.config)
+        cfg = _load_engine_config(args.config)
     except ConfigError as exc:
         return _fail(str(exc), EXIT_CONFIG)
     if args.duration_s <= 0:
@@ -68,8 +77,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return _fail("--noise-p must be in [0, 1]", EXIT_CONFIG)
     if args.mem_cap_bytes is not None and args.mem_cap_bytes <= 0:
         return _fail("--mem-cap-bytes must be > 0", EXIT_CONFIG)
-    os.makedirs(args.out_dir, exist_ok=True)
     stream = generate_stream(cfg, args.duration_s)
+    if not stream.frames:
+        return _fail(f"--duration-s {args.duration_s} at {cfg.fps} fps gives no frames",
+                     EXIT_CONFIG)
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except OSError as exc:
+        return _fail(f"cannot create --out-dir {args.out_dir}: {exc}", EXIT_CONFIG)
     kinds = list(_STRATEGIES.values()) if args.strategy == "all" \
         else [_STRATEGIES[args.strategy]]
     cap = None
@@ -114,7 +129,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     try:
-        cfg = load_config(args.config)
+        cfg = _load_engine_config(args.config)
     except ConfigError as exc:
         return _fail(str(exc), EXIT_CONFIG)
     try:

@@ -165,6 +165,3 @@ class PositionClock:
         pos = self._next
         self._next += 1
         return pos
-
-    def peek(self) -> int:
-        return self._next

@@ -36,17 +36,17 @@ class PredictionLog:
     def __len__(self) -> int:
         return len(self._recent)
 
+    def __contains__(self, step_id: int) -> bool:
+        return step_id in self._recent
+
     def add(self, step_id: int) -> None:
         if self.tau > 0:
             self._recent.append(step_id)
 
-    def recent(self) -> Tuple[int, ...]:
-        return tuple(self._recent)
-
 
 def should_verbalize(log: PredictionLog, step_id: int) -> bool:
     """True iff ``step_id`` is absent from the last ``tau`` predictions."""
-    return step_id not in log._recent
+    return step_id not in log
 
 
 class EmbeddingTable:

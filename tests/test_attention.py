@@ -292,6 +292,35 @@ def test_growth_past_initial_capacity_with_evictions(rng):
                                atol=1e-6)
 
 
+def test_slab_growth_past_64_and_128_with_newest_and_last_slot_evictions(rng):
+    # blocks grow the one K/V slab past 64 and then 128 slots; between them,
+    # evictions take the newest token (the engine must find a new newest), the
+    # token in the last slot (nothing moves) or random middle tokens (the last
+    # slot's token moves into each hole, so slot order leaves entry order)
+    factory, clock = TokenFactory(), PositionClock()
+    eng = fresh_engine()
+    live = []
+    for step in range(64):
+        block = stream_tokens(int(rng.integers(1, 7)), rng, factory, clock)
+        out, _ = eng.append_tokens(block)
+        live.extend(block)
+        np.testing.assert_allclose(out, full_recompute(eng.weights, live)[-len(block):],
+                                   atol=1e-6)
+        if step % 4 == 1:
+            victims = [live[-1].id]
+        elif step % 4 == 2:
+            victims = [eng._ids[-1]]  # the id held in the last live slot
+        elif step % 4 == 3:
+            picks = rng.choice(len(live) - 1, size=2, replace=False)
+            victims = [live[i].id for i in picks]
+        else:
+            continue
+        eng.evict(victims)
+        live = [t for t in live if t.id not in victims]
+        assert eng.live_ids() == tuple(t.id for t in live)
+    assert eng.live_size == len(live) > 128
+
+
 # -- block appends ----------------------------------------------------------
 
 def test_block_rows_match_oracle_with_clipped_bias_and_evictions():

@@ -191,3 +191,39 @@ def test_report_budget_overflow_is_not_printed(capsys):
     # a finite horizon whose token counts overflow must not print Infinity
     assert main(["report", "--budget", "--horizon-s", "1e308"]) == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command", ["simulate", "bench"])
+def test_d_not_divisible_by_engine_heads_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"d": 6}))
+    out_dir = tmp_path / "run"
+    argv = [command, str(path)]
+    argv += ["--out-dir", str(out_dir)] if command == "simulate" else ["--sweep", "1:4:1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "d=6" in captured.err
+    assert not out_dir.exists()
+
+
+def test_simulate_duration_without_frames_exits_2(tmp_path, cfg_path, capsys):
+    # 0.1 s at 4 fps rounds to zero frames
+    out_dir = tmp_path / "run"
+    code = main(["simulate", cfg_path, "--duration-s", "0.1", "--out-dir", str(out_dir)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no frames" in captured.err
+    assert not out_dir.exists()
+
+
+def test_simulate_out_dir_is_a_file_exits_2(tmp_path, cfg_path, capsys):
+    target = tmp_path / "taken"
+    target.write_text("not a directory")
+    code = main(["simulate", cfg_path, "--duration-s", "10", "--out-dir", str(target)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "--out-dir" in captured.err
+    assert target.read_text() == "not a directory"

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from streamcache import (OraclePredictor, SimConfig, StrategyAbort, StrategyKind,
-                         fit_growth, generate_stream, oracle_predict, run_strategy,
-                         spike_ratio, temporal_variance)
+                         append_flop_cost, fit_growth, generate_stream, oracle_predict,
+                         run_strategy, spike_ratio, temporal_variance)
+from streamcache.harness import ENGINE_LAYERS
 
 from naive_reference import transcribe_interleaved
 
@@ -194,6 +195,33 @@ def test_trace_one_row_per_frame_and_budget_consistency():
     entered = sum(len(e.token_ids) for e in trace.cache_events
                   if e.op == "entry" and e.kind in ("text", "long_term_marker"))
     assert entered == expected_entries
+
+
+def replay_engine_flops(trace):
+    """Engine flops and final live size implied by the cache event log: each
+    entry appends at the new live size, each exit removes its tokens."""
+    cfg = trace.cfg
+    total = live = 0
+    for event in trace.cache_events:
+        if event.op == "entry":
+            live += 1
+            total += append_flop_cost(live, cfg.d, ENGINE_LAYERS, cfg.vocab_size)
+        else:
+            live -= len(event.token_ids)
+    return total, live
+
+
+@pytest.mark.parametrize("tokens_per_frame", [1, 3])
+@pytest.mark.parametrize("kind", list(StrategyKind))
+def test_engine_flops_match_cache_event_replay(kind, tokens_per_frame):
+    cfg = small_cfg(tokens_per_frame=tokens_per_frame)
+    stream = generate_stream(cfg, 90.0)
+    trace = run_strategy(kind, stream, cfg, noise_p=0.25)
+    total, live = replay_engine_flops(trace)
+    assert trace.engine_total_flops == total > 0
+    assert trace.rows[-1].live_token_count == live
+    if kind is not StrategyKind.PROGRESSIVE_VISUAL:
+        assert any(e.op == "exit_long" and e.token_ids for e in trace.cache_events)
 
 
 # -- literal pseudocode differential ---------------------------------------
