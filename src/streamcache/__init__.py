@@ -13,16 +13,15 @@ from .attention import (AttentionEngine, AttentionWeights, append_flop_cost,
                         recompute_flop_cost)
 from .cache import CacheEvent, CacheStructureError, InterleavedCache
 from .config import ConfigError, SimConfig, config_from_dict, load_config, validate_config
-from .connector import (BOS_ID, CaptionDecoder, ConnectorOutput, ConnectorWeights,
-                        PatchGrid, QuerySet, Scene, TrainingDivergence, TrainResult,
-                        connector_forward, connector_weights, giou, giou_batch,
-                        grad_check, hungarian_match, init_caption_decoder,
+from .connector import (BOS_ID, CaptionDecoder, ConnectorOutput, PatchGrid, Scene,
+                        TrainingDivergence, TrainResult, connector_forward, giou,
+                        giou_batch, grad_check, hungarian_match, init_caption_decoder,
                         init_connector, load_scene, loss_ho, loss_lm, loss_total,
-                        make_scene, query_set, save_scene, stage1_losses,
-                        stage1_value_and_grads, train_toy)
+                        make_scene, save_scene, stage1_losses, stage1_value_and_grads,
+                        train_toy)
 from .harness import (GrowthFit, OraclePredictor, StrategyAbort, StrategyKind,
                       StrategyTrace, SyntheticStream, fit_growth, generate_stream,
-                      oracle_predict, run_strategy, spike_ratio, temporal_variance)
+                      run_strategy, spike_ratio, temporal_variance)
 from .types import BBox, PositionClock, StepRecord, Token, TokenFactory, TokenKind
 from .verbalize import (EmbeddingTable, PredictionLog, TokenBudgetReport, Verbalizer,
                         budget_report, group_consecutive, should_verbalize,

@@ -9,8 +9,9 @@ tokens) down to the long-term capacity. Prompt tokens are pinned and
 never evicted. Exits are explicit calls, not side effects of entry, so a
 run's op sequence is auditable.
 
-Single-writer: all mutations come from one logical stream thread. Snapshots
-returned by ``live_tokens`` are immutable tuples, safe to hand elsewhere.
+Each cache owns its entry-position clock and its event log. Single-writer:
+all mutations come from one logical stream thread. Snapshots returned by
+``live_tokens`` are immutable tuples, safe to hand elsewhere.
 """
 
 from __future__ import annotations
@@ -46,9 +47,7 @@ class InterleavedCache:
     (each marker's text tokens leave with it). ``n_l=None`` means unbounded.
     """
 
-    def __init__(self, n_s: int, n_l: Optional[int],
-                 clock: Optional[PositionClock] = None,
-                 events: Optional[List[CacheEvent]] = None) -> None:
+    def __init__(self, n_s: int, n_l: Optional[int]) -> None:
         if n_s < 1:
             raise ValueError(f"n_s must be >= 1, got {n_s}")
         if n_l is not None and n_l < 0:
@@ -59,9 +58,8 @@ class InterleavedCache:
         self._visual: Deque[Token] = deque()  # live visual tokens, oldest first
         self.long_count = 0
         self._ids = set()
-        self._clock = clock if clock is not None else PositionClock()
-        # several caches may share one event list to keep a global op order
-        self.events = events if events is not None else []
+        self._clock = PositionClock()
+        self.events: List[CacheEvent] = []
 
     def __len__(self) -> int:
         return len(self.tokens)

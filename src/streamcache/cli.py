@@ -22,7 +22,7 @@ from .config import ConfigError, SimConfig, load_config, validate_config
 from .connector import (grad_check, init_caption_decoder, init_connector,
                         load_scene, make_scene, stage1_value_and_grads)
 from .harness import (ENGINE_HEADS, ENGINE_LAYERS, StrategyAbort, StrategyKind,
-                      fit_growth, generate_stream, run_strategy)
+                      affine_fit, fit_growth, generate_stream, run_strategy)
 from .traceio import (read_trace_csv, summarize, write_events_jsonl,
                       write_manifest, write_trace_csv)
 from .types import PositionClock, TokenFactory
@@ -32,13 +32,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 EXIT_VERIFY = 4
-
-_STRATEGIES = {
-    "a1": StrategyKind.PROGRESSIVE_VISUAL,
-    "a2": StrategyKind.VERBALIZED_SEPARATE,
-    "b": StrategyKind.INTERLEAVED,
-}
-
 
 def _fail(message: str, code: int) -> int:
     print(f"error: {message}", file=sys.stderr)
@@ -85,8 +78,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         os.makedirs(args.out_dir, exist_ok=True)
     except OSError as exc:
         return _fail(f"cannot create --out-dir {args.out_dir}: {exc}", EXIT_CONFIG)
-    kinds = list(_STRATEGIES.values()) if args.strategy == "all" \
-        else [_STRATEGIES[args.strategy]]
+    kinds = list(StrategyKind) if args.strategy == "all" else [StrategyKind(args.strategy)]
     cap = None
     if args.mem_cap_bytes is not None:
         cap = max(1, args.mem_cap_bytes // (cfg.d * 8))
@@ -158,18 +150,18 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if len(rows) >= 2:
         xs = np.array([n for n, _ in rows], dtype=np.float64)
         ys = np.array([f for _, f in rows], dtype=np.float64)
-        slope, intercept = np.polyfit(xs, ys, 1)
-        pred = slope * xs + intercept
-        ss_tot = float(np.sum((ys - ys.mean()) ** 2))
-        r2 = 1.0 if ss_tot == 0 else 1.0 - float(np.sum((ys - pred) ** 2)) / ss_tot
+        slope, intercept, r2 = affine_fit(xs, ys)
         out["fit"] = {"slope": slope, "intercept": intercept, "r2": r2}
     else:
         out["fit"] = None  # a single point cannot pin an affine law
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("live_tokens,append_flops\n")
-            for n, f in rows:
-                fh.write(f"{n},{f}\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write("live_tokens,append_flops\n")
+                for n, f in rows:
+                    fh.write(f"{n},{f}\n")
+        except OSError as exc:
+            return _fail(f"cannot write --out {args.out}: {exc}", EXIT_CONFIG)
     _print_json(out)
     return EXIT_OK
 
@@ -182,6 +174,9 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
             scene = load_scene(args.scene)
         except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
             return _fail(f"cannot load scene {args.scene}: {exc}", EXIT_CONFIG)
+        if len(scene.hands) > 2:
+            return _fail(f"scene {args.scene} has {len(scene.hands)} hand boxes; "
+                         "the connector has 2 hand queries", EXIT_CONFIG)
     else:
         scene = make_scene(args.seed, side=4, dim=24)
     dim = scene.grid.dim
@@ -252,9 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the connector losses")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--scene", default=None, help="scene JSON file")
-    group.add_argument("--synthetic", action="store_true", default=True)
+    p.add_argument("--scene", default=None,
+                   help="scene JSON file (default: a seeded synthetic scene)")
     p.add_argument("--eps", type=_finite_float, default=1e-4)
     p.add_argument("--seed", type=int, default=7)
     p.set_defaults(func=cmd_gradcheck)

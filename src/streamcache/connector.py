@@ -3,11 +3,13 @@ predict hand/object boxes from typed queries.
 
 One cross-attention block: learnable queries attend over projected patch
 features. The first ``m`` (visual) query outputs pass a d-projection and
-become the compressed tokens; the two hand queries and ``k`` object queries
-share a small MLP head emitting a box in center format plus an objectness
-score. Training pairs a language-modeling loss (through a frozen caption
-readout) with a matched GIoU + L1 box loss; gradients are written out by
-hand and checked against central differences.
+become the compressed tokens; the two hand queries and ``k >= 1`` object
+queries share a small MLP head emitting a box in center format plus an
+objectness score. All trainable weights live in one params dict keyed by
+``PARAM_KEYS``, built by ``init_connector``. Training pairs a
+language-modeling loss (through a frozen caption readout) with a matched
+GIoU + L1 box loss; gradients are written out by hand and checked against
+central differences.
 """
 
 from __future__ import annotations
@@ -55,43 +57,6 @@ class PatchGrid:
 
 
 @dataclass
-class QuerySet:
-    """Learnable queries: m visual, exactly 2 hand, k >= 1 object."""
-
-    q_v: np.ndarray  # (m, d)
-    q_h: np.ndarray  # (2, d)
-    q_o: np.ndarray  # (k, d)
-
-    def validate(self) -> "QuerySet":
-        if self.q_h.shape[0] != 2:
-            raise ValueError("exactly two hand queries required")
-        if self.q_o.shape[0] < 1:
-            raise ValueError("at least one object query required")
-        return self
-
-    @property
-    def m(self) -> int:
-        return self.q_v.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.q_o.shape[0]
-
-
-@dataclass
-class ConnectorWeights:
-    """Projection heads for keys/values, the token projection, and the box MLP."""
-
-    w_k: np.ndarray  # (D, d)
-    w_v: np.ndarray  # (D, d)
-    w_z: np.ndarray  # (d, d)
-    w1: np.ndarray   # (d, d_mlp)
-    b1: np.ndarray   # (d_mlp,)
-    w2: np.ndarray   # (d_mlp, 5)
-    b2: np.ndarray   # (5,)
-
-
-@dataclass
 class ConnectorOutput:
     tokens: np.ndarray          # (m, d) compressed tokens
     boxes: List[BBox]           # 2 + k predicted boxes (hands first)
@@ -124,23 +89,6 @@ def init_connector(feat_dim: int, d: int, m: int, k: int, d_mlp: int,
         "b1": np.zeros(d_mlp),
         "w2": unif(d_mlp, d_mlp, 5),
         "b2": np.zeros(5),
-    }
-
-
-def query_set(params: Dict[str, np.ndarray]) -> QuerySet:
-    return QuerySet(params["q_v"], params["q_h"], params["q_o"]).validate()
-
-
-def connector_weights(params: Dict[str, np.ndarray]) -> ConnectorWeights:
-    return ConnectorWeights(params["w_k"], params["w_v"], params["w_z"],
-                            params["w1"], params["b1"], params["w2"], params["b2"])
-
-
-def params_from(queries: QuerySet, weights: ConnectorWeights) -> Dict[str, np.ndarray]:
-    return {
-        "q_v": queries.q_v, "q_h": queries.q_h, "q_o": queries.q_o,
-        "w_k": weights.w_k, "w_v": weights.w_v, "w_z": weights.w_z,
-        "w1": weights.w1, "b1": weights.b1, "w2": weights.w2, "b2": weights.b2,
     }
 
 
@@ -187,12 +135,13 @@ def _forward(patches: np.ndarray, params: Dict[str, np.ndarray]) -> Dict[str, np
     }
 
 
-def connector_forward(grid: PatchGrid, queries: QuerySet,
-                      weights: ConnectorWeights) -> ConnectorOutput:
+def connector_forward(grid: PatchGrid, params: Dict[str, np.ndarray]) -> ConnectorOutput:
     """Compress ``grid`` into ``m`` tokens and predict 2 + k scored boxes."""
     grid.validate()
-    queries.validate()
-    params = params_from(queries, weights)
+    if params["q_h"].shape[0] != 2:
+        raise ValueError("exactly two hand queries required")
+    if params["q_o"].shape[0] < 1:
+        raise ValueError("at least one object query required")
     fwd = _forward(grid.patches, params)
     boxes = [BBox.from_array(row) for row in fwd["box_params"]]
     return ConnectorOutput(tokens=fwd["tokens"], boxes=boxes,

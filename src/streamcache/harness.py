@@ -2,22 +2,26 @@
 
 A stream is a sequence of labelled steps rendered to per-frame feature
 vectors (class prototype plus Gaussian noise). Each strategy replays the
-stream through the attention engine and records a per-frame trace of token
-counts and multiply-add costs:
+stream through one interleaved cache and the attention engine and records a
+per-frame trace of token counts and multiply-add costs. Every frame runs
+entry, short exit, prediction, dedup-gated verbalization and long exit, in
+that order; the strategies differ only in which steps run and how the
+verbalized group's flops are booked:
 
-- ``a1`` ProgressiveVisual: every frame token kept forever, no verbalization.
-- ``a2`` VerbalizedSeparate: short and long caches kept apart; every
-  verbalization re-encodes the whole short cache over the grown long prefix
-  and that cost is charged to the frame as conversion recompute.
-- ``b``  Interleaved: one cache, one entry point; frame entry, short exit,
-  prediction, dedup-gated verbalization, long exit, in that order every
-  frame. Retained text tokens are appended incrementally, so the only
-  prediction-path cost is the frame append itself.
+- ``a1`` ProgressiveVisual: every frame token kept forever; no exit and no
+  verbalization.
+- ``a2`` VerbalizedSeparate: the interleaved cache charged as if its short
+  part (prompt and visual tokens) and long part (verbalized groups) were kept
+  apart. Every verbalization re-encodes the short part over the grown long
+  prefix, and that cost plus the group's append is booked to the frame as
+  conversion recompute. Its cache events and engine flops equal ``b``'s.
+- ``b``  Interleaved: retained text tokens are appended incrementally, so the
+  only prediction-path cost is the frame append itself.
 
 Each strategy enters a prompt, a frame's visual tokens or a verbalized group
 into its cache token by token, then appends the whole block to the engine in
 one causal pass. Strategies never share mutable state; each run builds its own
-factory, caches, and engine.
+factory, cache, and engine.
 """
 
 from __future__ import annotations
@@ -26,14 +30,14 @@ import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .attention import AttentionEngine, recompute_flop_cost
 from .cache import CacheEvent, InterleavedCache
 from .config import SimConfig, validate_config
-from .types import PositionClock, StepRecord, Token, TokenFactory
+from .types import StepRecord, Token, TokenFactory
 from .verbalize import EmbeddingTable, PredictionLog, Verbalizer, should_verbalize
 
 ENGINE_HEADS = 4
@@ -53,7 +57,6 @@ class StreamFrame:
     time_s: float
     step_id: int
     feature: np.ndarray
-    gt_boxes: Optional[list] = None
 
 
 @dataclass
@@ -117,18 +120,9 @@ def generate_stream(cfg: SimConfig, duration_s: float, n_classes: int = 20,
                            class_token_counts=class_token_counts, prototypes=prototypes)
 
 
-def oracle_predict(true_step_id: int, class_ids: Sequence[int], noise_p: float,
-                   rng: np.random.Generator) -> int:
-    """True id with probability 1 - noise_p, else uniform over all class ids."""
-    if not 0.0 <= noise_p <= 1.0:
-        raise ValueError(f"noise_p must be in [0, 1], got {noise_p}")
-    if noise_p > 0.0 and rng.random() < noise_p:
-        return int(class_ids[int(rng.integers(len(class_ids)))])
-    return int(true_step_id)
-
-
 class OraclePredictor:
-    """Seeded stand-in for the decoder's per-frame step prediction."""
+    """Seeded stand-in for the decoder's per-frame step prediction: the true
+    step id with probability 1 - noise_p, else uniform over all class ids."""
 
     def __init__(self, stream: SyntheticStream, noise_p: float, seed: int) -> None:
         if not 0.0 <= noise_p <= 1.0:
@@ -138,7 +132,10 @@ class OraclePredictor:
         self.rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA1]))
 
     def predict(self, frame: StreamFrame) -> int:
-        return oracle_predict(frame.step_id, self.stream.class_ids, self.noise_p, self.rng)
+        if self.noise_p > 0.0 and self.rng.random() < self.noise_p:
+            class_ids = self.stream.class_ids
+            return int(class_ids[int(self.rng.integers(len(class_ids)))])
+        return int(frame.step_id)
 
 
 @dataclass
@@ -149,7 +146,6 @@ class FrameRecord:
     append_flops: int
     extra_recompute_flops: int
     text_entry_flops: int
-    memory_tokens: int
     predicted_step_id: int
     correct: bool
     verbalization_event: bool
@@ -209,28 +205,16 @@ def run_strategy(kind: StrategyKind, stream: SyntheticStream, cfg: SimConfig, *,
     """
     validate_config(cfg)
     factory = TokenFactory()
-    clock = PositionClock()
     table = EmbeddingTable(cfg.vocab_size, cfg.d, cfg.seed)
     verbalizer = Verbalizer(factory, table)
     predictor = OraclePredictor(stream, noise_p, cfg.seed)
     log = PredictionLog(cfg.tau)
     engine = AttentionEngine(cfg.d, ENGINE_HEADS, ENGINE_LAYERS, cfg.vocab_size,
                              cfg.seed) if with_engine else None
-    trace = StrategyTrace(kind=kind, cfg=cfg)
-    events: List[CacheEvent] = trace.cache_events
-
-    n_s_tokens = cfg.N_S * cfg.tokens_per_frame
-    if kind is StrategyKind.PROGRESSIVE_VISUAL:
-        # capacity never enforced: exits are simply not called
-        cap_tokens = len(stream.frames) * cfg.tokens_per_frame + prompt_tokens + 1
-        short = InterleavedCache(cap_tokens, None, clock=clock, events=events)
-        long = None
-    elif kind is StrategyKind.VERBALIZED_SEPARATE:
-        short = InterleavedCache(n_s_tokens, None, clock=clock, events=events)
-        long = InterleavedCache(1, cfg.N_L, clock=clock, events=events)
-    else:
-        short = InterleavedCache(n_s_tokens, cfg.N_L, clock=clock, events=events)
-        long = short
+    cache = InterleavedCache(cfg.N_S * cfg.tokens_per_frame, cfg.N_L)
+    trace = StrategyTrace(kind=kind, cfg=cfg, cache_events=cache.events)
+    bounded = kind is not StrategyKind.PROGRESSIVE_VISUAL  # a1 never exits or verbalizes
+    charge_recompute = kind is StrategyKind.VERBALIZED_SEPARATE
 
     def append(tokens: Sequence[Token]) -> int:
         """Append one entered block to the engine; returns its flop charge."""
@@ -250,7 +234,7 @@ def run_strategy(kind: StrategyKind, stream: SyntheticStream, cfg: SimConfig, *,
 
     prompt = [factory.prompt(table.prompt_embedding(i)) for i in range(prompt_tokens)]
     for tok in prompt:
-        short.entry(tok, 0.0)
+        cache.entry(tok, 0.0)
     trace.setup_flops += append(prompt)
 
     inv_fps = 1.0 / cfg.fps
@@ -262,45 +246,44 @@ def run_strategy(kind: StrategyKind, stream: SyntheticStream, cfg: SimConfig, *,
         visual = [factory.visual(frame.index, frame.feature)
                   for _ in range(cfg.tokens_per_frame)]
         for tok in visual:
-            short.entry(tok, frame.time_s)
+            cache.entry(tok, frame.time_s)
         append_flops = append(visual)
 
-        if kind is not StrategyKind.PROGRESSIVE_VISUAL:
-            evict(short.exit_short(frame.time_s))
+        if bounded:
+            evict(cache.exit_short(frame.time_s))
 
         pred = predictor.predict(frame)
-        event = False
-        if kind is not StrategyKind.PROGRESSIVE_VISUAL and should_verbalize(log, pred):
-            event = True
+        event = bounded and should_verbalize(log, pred)
+        if event:
             record = StepRecord(step_id=pred, label=stream.label(pred),
                                 start_s=frame.time_s, end_s=frame.time_s + inv_fps,
                                 text_token_count=int(stream.class_token_counts[pred]))
             group = verbalizer.verbalize(record)
             for tok in group:
-                long.entry(tok, frame.time_s)
-            if kind is StrategyKind.VERBALIZED_SEPARATE:
-                recompute_flops += append(group)
-            else:
-                text_flops += append(group)
-            if kind is StrategyKind.VERBALIZED_SEPARATE and engine is not None:
-                # separate caches: the grown long prefix invalidates the short
-                # cache's attention state, forcing a full re-encode before the
-                # next prediction
-                recompute_flops += recompute_flop_cost(
-                    n_queries=len(short), n_prefix=len(long), d=cfg.d,
+                cache.entry(tok, frame.time_s)
+            group_flops = append(group)
+            if charge_recompute and engine is not None:
+                # a2 books the cache as if its short part (prompt and visual
+                # tokens) and long part (verbalized groups) were kept apart:
+                # the grown long prefix forces a re-encode of the short part
+                # before the next prediction
+                n_short = prompt_tokens + cache.visual_count
+                recompute_flops = group_flops + recompute_flop_cost(
+                    n_queries=n_short, n_prefix=len(cache) - n_short, d=cfg.d,
                     layers=ENGINE_LAYERS)
-            evicted_groups = long.exit_long(frame.time_s)
-            for grp in evicted_groups:
+            else:
+                text_flops = group_flops
+            for grp in cache.exit_long(frame.time_s):
                 evict(grp)
         log.add(pred)
 
-        live = len(short) if long is short or long is None else len(short) + len(long)
+        live = len(cache)
         trace.rows.append(FrameRecord(
             frame=frame.index, t_s=frame.time_s, live_token_count=live,
             append_flops=append_flops, extra_recompute_flops=recompute_flops,
-            text_entry_flops=text_flops, memory_tokens=live,
-            predicted_step_id=pred, correct=pred == frame.step_id,
-            verbalization_event=event, wall_ns=time.perf_counter_ns() - t0))
+            text_entry_flops=text_flops, predicted_step_id=pred,
+            correct=pred == frame.step_id, verbalization_event=event,
+            wall_ns=time.perf_counter_ns() - t0))
         if live_token_cap is not None and live > live_token_cap:
             trace.truncated_at = frame.index
             trace.engine_total_flops = engine.flop_counter if engine else 0
@@ -308,14 +291,20 @@ def run_strategy(kind: StrategyKind, stream: SyntheticStream, cfg: SimConfig, *,
                 f"{kind.value}: live tokens {live} exceed cap {live_token_cap} "
                 f"at frame {frame.index}", trace)
 
-    if engine is not None:
-        expected = {tok.id for tok in short.tokens}
-        if long is not None and long is not short:
-            expected |= {tok.id for tok in long.tokens}
-        if set(engine.live_ids()) != expected:
-            raise RuntimeError("attention store diverged from cache contents")
+    if engine is not None and set(engine.live_ids()) != set(cache.live_ids()):
+        raise RuntimeError("attention store diverged from cache contents")
     trace.engine_total_flops = engine.flop_counter if engine else 0
     return trace
+
+
+def affine_fit(x: np.ndarray, y: np.ndarray) -> Tuple[float, float, float]:
+    """Least-squares line through ``(x, y)``: slope, intercept and R²."""
+    slope, intercept = np.polyfit(x, y, 1)
+    pred = slope * x + intercept
+    ss_res = float(np.sum((y - pred) ** 2))
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
+    return slope, intercept, r2
 
 
 @dataclass
@@ -346,11 +335,7 @@ def fit_growth(trace_or_series) -> GrowthFit:
     start = n // 4
     x = np.log(np.arange(1, n + 1, dtype=np.float64))[start:]
     y = np.log(np.clip(series, 1.0, None))[start:]
-    slope, intercept = np.polyfit(x, y, 1)
-    pred = slope * x + intercept
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
+    slope, _, r2 = affine_fit(x, y)
 
     tail = series[n // 2:]
     tail_range = float(tail.max() - tail.min())

@@ -39,7 +39,7 @@ def write_trace_csv(path: str, trace: StrategyTrace) -> None:
                 row.live_token_count,
                 row.append_flops,
                 row.extra_recompute_flops,
-                row.memory_tokens * d * 8,
+                row.live_token_count * d * 8,
                 row.predicted_step_id,
                 int(row.correct),
                 int(row.verbalization_event),

@@ -94,8 +94,17 @@ def test_bench_reversed_range_exits_2(cfg_path, capsys):
     assert "sweep" in capsys.readouterr().err
 
 
+def test_bench_out_in_missing_dir_exits_2(tmp_path, cfg_path, capsys):
+    out_csv = tmp_path / "missing" / "x.csv"
+    assert main(["bench", cfg_path, "--sweep", "1:4:1", "--out", str(out_csv)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "--out" in captured.err
+    assert not out_csv.parent.exists()
+
+
 def test_gradcheck_synthetic_passes(capsys):
-    code = main(["gradcheck", "--synthetic", "--eps", "1e-4", "--seed", "11"])
+    code = main(["gradcheck", "--eps", "1e-4", "--seed", "11"])
     assert code == 0
     result = json.loads(capsys.readouterr().out)
     assert result["pass"] and result["max_rel_error"] <= 1e-4
@@ -106,6 +115,16 @@ def test_gradcheck_scene_file(tmp_path, capsys):
     path = tmp_path / "scene.json"
     save_scene(scene, str(path))
     assert main(["gradcheck", "--scene", str(path), "--eps", "1e-4"]) == 0
+
+
+def test_gradcheck_scene_with_three_hands_exits_2(tmp_path, capsys):
+    scene = make_scene(seed=11, side=4, dim=24, n_hands=3)
+    path = tmp_path / "scene.json"
+    save_scene(scene, str(path))
+    assert main(["gradcheck", "--scene", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "3 hand boxes" in captured.err
 
 
 def test_gradcheck_zero_eps_usage_error(capsys):

@@ -6,20 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamcache import (BBox, PatchGrid, QuerySet, TrainingDivergence,
-                         connector_forward, connector_weights, giou, giou_batch,
-                         grad_check, hungarian_match, init_caption_decoder,
+from streamcache import (BBox, PatchGrid, TrainingDivergence, connector_forward, giou,
+                         giou_batch, grad_check, hungarian_match, init_caption_decoder,
                          init_connector, load_scene, loss_ho, loss_lm, loss_total,
-                         make_scene, query_set, save_scene, stage1_losses,
-                         stage1_value_and_grads, train_toy)
+                         make_scene, save_scene, stage1_losses, stage1_value_and_grads,
+                         train_toy)
 from streamcache.connector import caption_logits, giou_and_grad
 
 FEAT_DIM, QDIM, MLP = 24, 16, 24
 
 
 def small_setup(m=4, k=2, seed=5):
-    params = init_connector(feat_dim=FEAT_DIM, d=QDIM, m=m, k=k, d_mlp=MLP, seed=seed)
-    return params, query_set(params), connector_weights(params)
+    return init_connector(feat_dim=FEAT_DIM, d=QDIM, m=m, k=k, d_mlp=MLP, seed=seed)
 
 
 def random_box(rng):
@@ -41,9 +39,9 @@ def brute_force_match(pred, gt):
 # -- forward ----------------------------------------------------------------
 
 def test_forward_shapes_12_tokens_4_boxes(rng):
-    params, queries, weights = small_setup(m=12, k=2)
+    params = small_setup(m=12, k=2)
     grid = PatchGrid(rng.standard_normal((256, FEAT_DIM)), 16)
-    out = connector_forward(grid, queries, weights)
+    out = connector_forward(grid, params)
     assert out.tokens.shape == (12, QDIM)
     assert len(out.boxes) == 4
     assert out.scores.shape == (4,)
@@ -52,36 +50,36 @@ def test_forward_shapes_12_tokens_4_boxes(rng):
 
 
 def test_forward_zero_visual_queries(rng):
-    params, queries, weights = small_setup(m=0, k=2)
+    params = small_setup(m=0, k=2)
     grid = PatchGrid(rng.standard_normal((256, FEAT_DIM)), 16)
-    out = connector_forward(grid, queries, weights)
+    out = connector_forward(grid, params)
     assert out.tokens.shape == (0, QDIM)
     assert len(out.boxes) == 4
 
 
 def test_forward_uniform_grid_symmetry():
-    params, queries, weights = small_setup(m=4, k=2)
-    queries.q_h[1] = queries.q_h[0]  # identical hand query inits
+    params = small_setup(m=4, k=2)
+    params["q_h"][1] = params["q_h"][0]  # identical hand query inits
     grid = PatchGrid(np.ones((64, FEAT_DIM)), 8)
-    out = connector_forward(grid, queries, weights)
+    out = connector_forward(grid, params)
     np.testing.assert_allclose(out.attn, 1.0 / 64, atol=1e-12)
     assert out.boxes[0] == out.boxes[1]
     assert out.scores[0] == out.scores[1]
 
 
 def test_forward_attention_rows_sum_to_one(rng):
-    params, queries, weights = small_setup()
+    params = small_setup()
     grid = PatchGrid(rng.standard_normal((64, FEAT_DIM)), 8)
-    out = connector_forward(grid, queries, weights)
+    out = connector_forward(grid, params)
     np.testing.assert_allclose(out.attn.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(out.attn >= 0)
 
 
 def test_forward_dim_mismatch(rng):
-    params, queries, weights = small_setup()
+    params = small_setup()
     grid = PatchGrid(rng.standard_normal((64, FEAT_DIM + 1)), 8)
     with pytest.raises(ValueError, match="dim"):
-        connector_forward(grid, queries, weights)
+        connector_forward(grid, params)
 
 
 def test_grid_validation(rng):
@@ -91,8 +89,12 @@ def test_grid_validation(rng):
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):
         PatchGrid(bad, 16).validate()
-    with pytest.raises(ValueError):
-        QuerySet(np.zeros((2, 4)), np.zeros((1, 4)), np.zeros((2, 4))).validate()
+    grid = PatchGrid(rng.standard_normal((64, FEAT_DIM)), 8)
+    for key, rows, match in (("q_h", 1, "hand"), ("q_o", 0, "object")):
+        params = small_setup()
+        params[key] = params[key][:rows]
+        with pytest.raises(ValueError, match=match):
+            connector_forward(grid, params)
 
 
 # -- giou -------------------------------------------------------------------
@@ -306,7 +308,7 @@ def test_grad_check_rejects_bad_eps_and_nonfinite():
 
 def test_full_pipeline_grad_check_mini_grid():
     scene = make_scene(seed=11, side=4, dim=FEAT_DIM)
-    params, _, _ = small_setup()
+    params = small_setup()
     decoder = init_caption_decoder(QDIM, 64, seed=9)
 
     def vag(p):
@@ -320,7 +322,7 @@ def test_full_pipeline_grad_check_mini_grid():
 
 def test_grad_check_zero_visual_queries():
     scene = make_scene(seed=4, side=4, dim=FEAT_DIM)
-    params, _, _ = small_setup(m=0)
+    params = small_setup(m=0)
     decoder = init_caption_decoder(QDIM, 64, seed=9)
 
     def vag(p):
@@ -390,7 +392,7 @@ def test_train_toy_overfits_single_scene():
 
 def test_train_toy_zero_lr_flat_curve():
     scene = make_scene(seed=2, side=4, dim=FEAT_DIM)
-    params, _, _ = small_setup()
+    params = small_setup()
     decoder = init_caption_decoder(QDIM, 64, seed=9)
     result = train_toy(params, decoder, [scene], epochs=5, lr=0.0)
     assert np.ptp(result.curve[:, 0]) == 0.0
@@ -398,7 +400,7 @@ def test_train_toy_zero_lr_flat_curve():
 
 def test_train_toy_divergence_detected():
     scene = make_scene(seed=2, side=4, dim=FEAT_DIM)
-    params, _, _ = small_setup()
+    params = small_setup()
     params["w_k"] *= 1e6  # absurd init to force non-finite loss quickly
     decoder = init_caption_decoder(QDIM, 64, seed=9)
     with pytest.raises(TrainingDivergence):
@@ -408,7 +410,7 @@ def test_train_toy_divergence_detected():
 
 
 def test_train_toy_requires_scenes():
-    params, _, _ = small_setup()
+    params = small_setup()
     decoder = init_caption_decoder(QDIM, 64, seed=9)
     with pytest.raises(ValueError):
         train_toy(params, decoder, [], epochs=1, lr=0.1)

@@ -1,11 +1,12 @@
+import collections
 import dataclasses
 
 import numpy as np
 import pytest
 
 from streamcache import (OraclePredictor, SimConfig, StrategyAbort, StrategyKind,
-                         append_flop_cost, fit_growth, generate_stream, oracle_predict,
-                         run_strategy, spike_ratio, temporal_variance)
+                         append_flop_cost, fit_growth, generate_stream,
+                         recompute_flop_cost, run_strategy, spike_ratio, temporal_variance)
 from streamcache.harness import ENGINE_LAYERS
 
 from naive_reference import transcribe_interleaved
@@ -68,21 +69,27 @@ def test_oracle_noise_zero_always_correct():
     assert all(predictor.predict(f) == f.step_id for f in stream.frames)
 
 
-def test_oracle_noise_one_accuracy_near_uniform(rng):
-    classes = list(range(20))
-    hits = sum(oracle_predict(7, classes, 1.0, rng) == 7 for _ in range(20000))
+def test_oracle_noise_one_accuracy_near_uniform():
+    stream = generate_stream(small_cfg(), 10.0)
+    assert len(stream.class_ids) == 20
+    frame = stream.frames[0]
+    predictor = OraclePredictor(stream, 1.0, seed=0)
+    hits = sum(predictor.predict(frame) == frame.step_id for _ in range(20000))
     assert hits / 20000 == pytest.approx(1 / 20, abs=0.01)
 
 
-def test_oracle_noise_tenth_accuracy(rng):
-    classes = list(range(20))
-    hits = sum(oracle_predict(3, classes, 0.1, rng) == 3 for _ in range(10000))
+def test_oracle_noise_tenth_accuracy():
+    stream = generate_stream(small_cfg(), 10.0)
+    frame = stream.frames[0]
+    predictor = OraclePredictor(stream, 0.1, seed=0)
+    hits = sum(predictor.predict(frame) == frame.step_id for _ in range(10000))
     assert hits / 10000 == pytest.approx(0.9 + 0.1 / 20, abs=0.01)
 
 
 def test_oracle_rejects_bad_noise():
+    stream = generate_stream(small_cfg(), 10.0)
     with pytest.raises(ValueError):
-        oracle_predict(0, [0, 1], 1.5, np.random.default_rng(0))
+        OraclePredictor(stream, 1.5, seed=0)
 
 
 # -- strategies -------------------------------------------------------------
@@ -146,6 +153,49 @@ def test_separate_strategy_charges_recompute_on_events():
     for row in trace.rows:
         assert (row.extra_recompute_flops > 0) == row.verbalization_event
     assert sum(r.verbalization_event for r in trace.rows) >= len(stream.steps) - 1
+
+
+@pytest.mark.parametrize("tokens_per_frame", [1, 3])
+@pytest.mark.parametrize("prompt_tokens", [0, 2])
+def test_separate_strategy_charge_replays_from_event_log(prompt_tokens, tokens_per_frame):
+    # a2 runs b's cache and books each verbalized group's append, plus a
+    # re-encode of the prompt and visual tokens over the markers and text,
+    # as conversion recompute
+    cfg = small_cfg(tokens_per_frame=tokens_per_frame)
+    stream = generate_stream(cfg, 120.0)
+    a2, b = (run_strategy(kind, stream, cfg, noise_p=0.25, prompt_tokens=prompt_tokens)
+             for kind in (StrategyKind.VERBALIZED_SEPARATE, StrategyKind.INTERLEAVED))
+    assert [e.to_dict() for e in a2.cache_events] == [e.to_dict() for e in b.cache_events]
+
+    kind_of = {}
+    live = collections.Counter()
+    group_flops = 0
+    charges = []
+    for event in a2.cache_events:
+        if event.op == "entry":
+            (tok_id,) = event.token_ids
+            kind_of[tok_id] = event.kind
+            live[event.kind] += 1
+            cost = append_flop_cost(sum(live.values()), cfg.d, ENGINE_LAYERS,
+                                    cfg.vocab_size)
+            if event.kind == "long_term_marker":
+                group_flops = cost
+            elif event.kind == "text":
+                group_flops += cost
+            continue
+        if event.op == "exit_long":
+            n_short = live["prompt"] + live["visual_frame"]
+            n_long = live["long_term_marker"] + live["text"]
+            charges.append(group_flops + recompute_flop_cost(n_short, n_long, cfg.d,
+                                                             ENGINE_LAYERS))
+        for tok_id in event.token_ids:
+            live[kind_of.pop(tok_id)] -= 1
+
+    verbalizing = [r for r in a2.rows if r.verbalization_event]
+    assert len(verbalizing) == len(charges) > 0
+    assert [r.extra_recompute_flops for r in verbalizing] == charges
+    assert all(r.extra_recompute_flops == 0 for r in a2.rows if not r.verbalization_event)
+    assert all(r.text_entry_flops == 0 for r in a2.rows)
 
 
 def test_interleaved_keeps_prediction_path_flat():

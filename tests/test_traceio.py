@@ -26,7 +26,7 @@ def test_trace_csv_round_trip(tmp_path, short_run):
     assert list(cols) == TRACE_COLUMNS
     assert cols["frame"].size == len(traces[2].rows)
     assert cols["live_tokens"][10] == traces[2].rows[10].live_token_count
-    assert cols["mem_bytes_proxy"][0] == traces[2].rows[0].memory_tokens * cfg.d * 8
+    assert cols["mem_bytes_proxy"][0] == traces[2].rows[0].live_token_count * cfg.d * 8
 
 
 def test_trace_csv_byte_identical_across_runs(tmp_path, short_run):
