@@ -17,7 +17,7 @@ from __future__ import annotations
 import base64
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -180,66 +180,55 @@ def giou(a: BBox, b: BBox) -> float:
     return float(giou_batch(a.as_array()[None, :], b.as_array()[None, :])[0])
 
 
-def giou_and_grad(pred_params: np.ndarray, gt_params: np.ndarray) -> Tuple[float, np.ndarray]:
-    """GIoU value plus its gradient w.r.t. the predicted (cx, cy, w, h)."""
-    a = _corners(pred_params)
-    b = _corners(gt_params)
-    aw, ah = a[2] - a[0], a[3] - a[1]
+def giou_and_grad(pred_params: np.ndarray, gt_params: np.ndarray
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+    """GIoU of paired (..., 4) center-format boxes plus its gradient w.r.t.
+    the predicted (cx, cy, w, h)."""
+    ax1, ay1, ax2, ay2 = np.moveaxis(_corners(pred_params), -1, 0)
+    bx1, by1, bx2, by2 = np.moveaxis(_corners(gt_params), -1, 0)
+    aw, ah = ax2 - ax1, ay2 - ay1
     area_a = aw * ah
-    area_b = (b[2] - b[0]) * (b[3] - b[1])
-    ix1, iy1 = max(a[0], b[0]), max(a[1], b[1])
-    ix2, iy2 = min(a[2], b[2]), min(a[3], b[3])
-    iw, ih = ix2 - ix1, iy2 - iy1
-    has_inter = iw > 0 and ih > 0
-    inter = iw * ih if has_inter else 0.0
+    area_b = (bx2 - bx1) * (by2 - by1)
+    iw = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
+    ih = np.minimum(ay2, by2) - np.maximum(ay1, by1)
+    has_inter = (iw > 0) & (ih > 0)
+    inter = np.where(has_inter, iw * ih, 0.0)
     union = area_a + area_b - inter
-    cw = max(a[2], b[2]) - min(a[0], b[0])
-    ch = max(a[3], b[3]) - min(a[1], b[1])
+    cw = np.maximum(ax2, bx2) - np.minimum(ax1, bx1)
+    ch = np.maximum(ay2, by2) - np.minimum(ay1, by1)
     c_area = cw * ch
     value = inter / union - (c_area - union) / c_area
 
     # corner gradients: d_inter, d_area_a, d_c_area w.r.t. (ax1, ay1, ax2, ay2)
-    d_area = np.array([-ah, -aw, ah, aw])
-    d_inter = np.zeros(4)
-    if has_inter:
-        d_inter[0] = -ih if a[0] >= b[0] else 0.0
-        d_inter[1] = -iw if a[1] >= b[1] else 0.0
-        d_inter[2] = ih if a[2] <= b[2] else 0.0
-        d_inter[3] = iw if a[3] <= b[3] else 0.0
-    d_c = np.zeros(4)
-    if a[0] < b[0]:
-        d_c[0] = -ch
-    if a[1] < b[1]:
-        d_c[1] = -cw
-    if a[2] > b[2]:
-        d_c[2] = ch
-    if a[3] > b[3]:
-        d_c[3] = cw
+    d_area = np.stack([-ah, -aw, ah, aw], axis=-1)
+    d_inter = np.stack([np.where(has_inter & (ax1 >= bx1), -ih, 0.0),
+                        np.where(has_inter & (ay1 >= by1), -iw, 0.0),
+                        np.where(has_inter & (ax2 <= bx2), ih, 0.0),
+                        np.where(has_inter & (ay2 <= by2), iw, 0.0)], axis=-1)
+    d_c = np.stack([np.where(ax1 < bx1, -ch, 0.0), np.where(ay1 < by1, -cw, 0.0),
+                    np.where(ax2 > bx2, ch, 0.0), np.where(ay2 > by2, cw, 0.0)], axis=-1)
+    union, inter, c_area = union[..., None], inter[..., None], c_area[..., None]
     d_union = d_area - d_inter
     d_iou = (d_inter * union - inter * d_union) / (union * union)
     d_ratio = (d_union * c_area - union * d_c) / (c_area * c_area)  # d(union / c_area)
-    d_corner = d_iou + d_ratio
+    d1, d2, d3, d4 = np.moveaxis(d_iou + d_ratio, -1, 0)
     # map corner grads back to center parametrization
-    grad = np.array([
-        d_corner[0] + d_corner[2],
-        d_corner[1] + d_corner[3],
-        0.5 * (d_corner[2] - d_corner[0]),
-        0.5 * (d_corner[3] - d_corner[1]),
-    ])
-    return float(value), grad
+    grad = np.stack([d1 + d3, d2 + d4, 0.5 * (d3 - d1), 0.5 * (d4 - d2)], axis=-1)
+    return value, grad
 
 
 # ---------------------------------------------------------------------------
 # matching and losses
 # ---------------------------------------------------------------------------
 
-def _pair_cost(gt: BBox, pred: BBox) -> float:
-    l1 = float(np.abs(gt.as_array() - pred.as_array()).sum())
-    return l1 + (1.0 - giou(gt, pred))
+def _box_array(boxes: Sequence[BBox]) -> np.ndarray:
+    """Validated (n, 4) center-format array of ``boxes``."""
+    return np.array([b.validate().as_array() for b in boxes]).reshape(-1, 4)
 
 
-def _cost_matrix(gt: Sequence[BBox], pred: Sequence[BBox]) -> np.ndarray:
-    return np.array([[_pair_cost(g, p) for p in pred] for g in gt], dtype=np.float64)
+def _box_cost(gt: np.ndarray, pred: np.ndarray) -> np.ndarray:
+    """L1 + (1 - GIoU) pair costs of broadcast (..., 4) box arrays."""
+    return np.abs(gt - pred).sum(-1) + (1.0 - giou_batch(gt, pred))
 
 
 def _optimal_cost(cost: np.ndarray) -> float:
@@ -260,7 +249,7 @@ def hungarian_match(pred: Sequence[BBox], gt: Sequence[BBox]) -> List[int]:
         raise ValueError(f"more ground-truth boxes ({n_gt}) than predictions ({n_pred})")
     if n_gt == 0:
         return []
-    cost = _cost_matrix(gt, pred)
+    cost = _box_cost(_box_array(gt)[:, None], _box_array(pred)[None])
     best = _optimal_cost(cost)
     assignment: List[int] = []
     used = np.zeros(n_pred, dtype=bool)
@@ -292,9 +281,9 @@ def loss_ho(pred: Sequence[BBox], gt: Sequence[BBox], assignment: Sequence[int],
         raise ValueError("assignment must be injective")
     if any(j < 0 or j >= len(pred) for j in assignment):
         raise ValueError("assignment index out of range")
-    total = 0.0
-    for g, j in zip(gt, assignment):
-        total += (1.0 - giou(g, pred[j])) + float(np.abs(g.as_array() - pred[j].as_array()).sum())
+    total = 0.0  # pair by pair: np.sum's pairwise order would move the last bits
+    for cost in _box_cost(_box_array(gt), _box_array([pred[j] for j in assignment])):
+        total += float(cost)
     if scores is not None:
         scores = np.asarray(scores, dtype=np.float64)
         for j in range(len(pred)):
@@ -470,16 +459,23 @@ def save_scene(scene: Scene, path: str) -> None:
 
 
 def load_scene(path: str, vocab_size: int = 64) -> Scene:
+    """Read a scene file; a malformed one raises ``ValueError`` (``KeyError``
+    for a missing field). README's "Scene files" lists the rules."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    side = int(doc["side"])
-    dim = int(doc["dim"])
+    if not isinstance(doc, dict):
+        raise ValueError("a scene file must hold a JSON object")
+    entries = doc["gt_boxes"]
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ValueError("scene 'gt_boxes' must be a list of objects")
+    side, dim = int(doc["side"]), int(doc["dim"])
+    if side < 1 or dim < 1:
+        raise ValueError(f"scene side and dim must be >= 1, got {side} and {dim}")
     hands, objects = [], []
-    for entry in doc["gt_boxes"]:
+    for entry in entries:
         box = BBox(float(entry["cx"]), float(entry["cy"]),
                    float(entry["w"]), float(entry["h"])).validate()
-        kind = entry.get("kind", "object")
-        (hands if kind == "hand" else objects).append(box)
+        (hands if entry.get("kind") == "hand" else objects).append(box)
     raw = doc["patches"]
     if isinstance(raw, str):
         buf = np.frombuffer(base64.b64decode(raw), dtype="<f8")
@@ -490,6 +486,8 @@ def load_scene(path: str, vocab_size: int = 64) -> Scene:
     else:
         raise ValueError("scene 'patches' must be base64 data or {'seed': ...}")
     caption = [int(t) for t in doc.get("caption", [])]
+    if any(t < 0 or t >= vocab_size for t in caption):
+        raise ValueError(f"scene caption ids must lie in [0, {vocab_size})")
     if not caption:
         caption = _derive_caption(hands, objects, vocab_size)
     return Scene(PatchGrid(patches, side).validate(), hands, objects, caption)
@@ -510,7 +508,7 @@ def _stage1_forward(params, decoder, scene, lambda_1):
     if len(scene.hands) > 2 or len(scene.objects) > k:
         raise ValueError("scene has more ground-truth boxes than queries")
     fwd = _forward(scene.grid.patches, params)
-    if not np.all(np.isfinite(fwd["out"])):
+    if not (np.all(np.isfinite(fwd["out"])) and np.all(np.isfinite(fwd["box_params"]))):
         raise TrainingDivergence("non-finite connector activations")
     targets = np.asarray(scene.caption, dtype=np.int64)
     cap = _caption_forward(decoder, fwd["tokens"], targets)
@@ -524,7 +522,7 @@ def _stage1_forward(params, decoder, scene, lambda_1):
     total = loss_total(lm, ho, lambda_1)
     losses = {"total": total, "lm": lm, "ho": ho}
     return losses, fwd, {"cap": cap, "targets": targets,
-                         "sigma_h": sigma_h, "sigma_o": sigma_o, "boxes": boxes}
+                         "sigma_h": sigma_h, "sigma_o": sigma_o}
 
 
 def stage1_value_and_grads(params: Dict[str, np.ndarray], decoder: CaptionDecoder,
@@ -558,27 +556,19 @@ def stage1_value_and_grads(params: Dict[str, np.ndarray], decoder: CaptionDecode
         d_tokens = np.zeros((0, d))
 
     # box path: matched GIoU + L1, unmatched no-object penalty (scaled by lambda)
-    n_boxes = fwd["box_params"].shape[0]
-    d_box = np.zeros((n_boxes, 4))
-    d_raw_score = np.zeros(n_boxes)
-    for offset, gts, sigma in ((0, scene.hands, aux["sigma_h"]),
-                               (2, scene.objects, aux["sigma_o"])):
-        pool = range(offset, offset + (2 if offset == 0 else n_boxes - 2))
-        matched = {offset + j for j in sigma}
-        for gt_box, j_local in zip(gts, sigma):
-            j = offset + j_local
-            pred_params = fwd["box_params"][j]
-            gt_params = gt_box.as_array()
-            _, g_giou = giou_and_grad(pred_params, gt_params)
-            d_box[j] += lambda_1 * (-g_giou + np.sign(pred_params - gt_params))
-        for j in pool:
-            if j not in matched:
-                # d/d raw of -log(1 - sigmoid(raw)) is sigmoid(raw)
-                d_raw_score[j] += lambda_1 * fwd["obj"][j]
-
-    d_raw = np.zeros((n_boxes, 5))
-    d_raw[:, :4] = d_box * fwd["box_params"] * (1.0 - fwd["box_params"])
-    d_raw[:, 4] = d_raw_score
+    box_params = fwd["box_params"]
+    matched = np.array(aux["sigma_h"] + [2 + j for j in aux["sigma_o"]], dtype=np.intp)
+    pred_params = box_params[matched]
+    gt_params = _box_array(scene.hands + scene.objects)
+    _, g_giou = giou_and_grad(pred_params, gt_params)
+    d_box = np.zeros_like(box_params)
+    d_box[matched] += lambda_1 * (-g_giou + np.sign(pred_params - gt_params))
+    unmatched = np.ones(box_params.shape[0], dtype=bool)
+    unmatched[matched] = False
+    d_raw = np.zeros((box_params.shape[0], 5))
+    d_raw[:, :4] = d_box * box_params * (1.0 - box_params)
+    # d/d raw of -log(1 - sigmoid(raw)) is sigmoid(raw)
+    d_raw[unmatched, 4] += lambda_1 * fwd["obj"][unmatched]
     d_hidden = d_raw @ params["w2"].T
     d_w2 = fwd["hidden"].T @ d_raw
     d_b2 = d_raw.sum(axis=0)

@@ -7,7 +7,8 @@ token's ``entry_position`` when it enters a cache.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -127,20 +128,11 @@ class BBox:
     h: float
 
     def validate(self) -> "BBox":
+        if not all(math.isfinite(v) for v in (self.cx, self.cy, self.w, self.h)):
+            raise ValueError(f"non-finite box: {self}")
         if self.w <= 0 or self.h <= 0:
             raise ValueError(f"degenerate box: w={self.w}, h={self.h}")
         return self
-
-    def corners(self, clamp: bool = False) -> np.ndarray:
-        """(x1, y1, x2, y2); optionally clamped to the unit square."""
-        c = np.array(
-            [self.cx - self.w / 2.0, self.cy - self.h / 2.0,
-             self.cx + self.w / 2.0, self.cy + self.h / 2.0],
-            dtype=np.float64,
-        )
-        if clamp:
-            c = np.clip(c, 0.0, 1.0)
-        return c
 
     def as_array(self) -> np.ndarray:
         return np.array([self.cx, self.cy, self.w, self.h], dtype=np.float64)
@@ -154,8 +146,8 @@ class BBox:
 class PositionClock:
     """Monotone counter handing out cache entry positions.
 
-    Shared between caches when several caches must agree on one global
-    ordering (the two-cache baseline strategy does this).
+    Each cache owns one; ``bench`` uses one to position the tokens it appends
+    to a bare engine.
     """
 
     def __init__(self, start: int = 0) -> None:

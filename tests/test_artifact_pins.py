@@ -1,9 +1,15 @@
-"""Byte pins on the ``simulate`` artifacts.
+"""Byte pins on the ``simulate`` artifacts and on the connector's training.
 
 The traces, event logs and summary of a run are a function of the config,
 the duration and the noise level alone. These digests were recorded before
 the harness was cut down to one cache per strategy run; any change to what a
 run writes, other than the manifest, shows here.
+
+The connector pins were recorded before its box path moved from per-pair
+loops to ``(n, 4)`` arrays: a ``train_toy`` curve on the benchmark's
+``connector-train`` setup, and the losses and gradients of one
+``stage1_value_and_grads`` call where three objects are matched among four
+queries.
 """
 
 import hashlib
@@ -11,7 +17,8 @@ import json
 
 import pytest
 
-from streamcache import SimConfig
+from streamcache import (SimConfig, init_caption_decoder, init_connector, make_scene,
+                         stage1_value_and_grads, train_toy)
 from streamcache.cli import main
 
 FLOAT_DIGITS = 8  # significant digits of summary.json floats that are pinned
@@ -91,3 +98,29 @@ def test_simulate_artifacts_match_pins(tmp_path, capsys, name):
                  "--noise-p", noise_p, "--out-dir", str(out_dir)]) == 0
     capsys.readouterr()
     assert artifact_digests(out_dir) == PINS[name]
+
+
+# perfbench's connector-train setup at seed 0; equals its pins.json curve digest
+TRAIN_CURVE_SHA256 = "fd2bf9826041c9e4dcb4866ad242f721ff74e6c62145fb96bb7e740612f03102"
+STAGE1_LOSSES = {"total": 22.062987, "lm": 4.1998289, "ho": 8.9315791}
+STAGE1_GRADS_SHA256 = "c34cd01a97bb021cd2ffd14520369b2c3d5a7013f898d08c98c7728ca9bb199f"
+
+
+def test_train_toy_curve_matches_pin():
+    scene = make_scene(0, side=16, dim=48)
+    params = init_connector(feat_dim=48, d=32, m=8, k=2, d_mlp=48, seed=1)
+    decoder = init_caption_decoder(32, 64, seed=2)
+    result = train_toy(params, decoder, [scene], epochs=200, lr=0.1, lambda_1=2.0)
+    digest = hashlib.sha256(repr(_round_floats(result.curve.tolist())).encode()).hexdigest()
+    assert digest == TRAIN_CURVE_SHA256
+
+
+def test_stage1_three_objects_four_queries_match_pins():
+    scene = make_scene(7, side=4, dim=24, n_objects=3)
+    params = init_connector(feat_dim=24, d=16, m=4, k=4, d_mlp=24, seed=5)
+    decoder = init_caption_decoder(16, 64, seed=9)
+    losses, grads = stage1_value_and_grads(params, decoder, scene, lambda_1=2.0)
+    assert _round_floats(losses) == STAGE1_LOSSES
+    rounded = _round_floats({name: g.tolist() for name, g in grads.items()})
+    digest = hashlib.sha256(json.dumps(rounded, sort_keys=True).encode()).hexdigest()
+    assert digest == STAGE1_GRADS_SHA256

@@ -127,6 +127,51 @@ def test_gradcheck_scene_with_three_hands_exits_2(tmp_path, capsys):
     assert captured.err.startswith("error:") and "3 hand boxes" in captured.err
 
 
+def _seeded_scene_doc():
+    return {"patches": {"seed": 3}, "side": 4, "dim": 24, "caption": [5, 12, 9],
+            "gt_boxes": [{"cx": 0.4, "cy": 0.5, "w": 0.2, "h": 0.3, "kind": "hand"},
+                         {"cx": 0.6, "cy": 0.4, "w": 0.3, "h": 0.2}]}
+
+
+def test_gradcheck_scene_with_infinite_box_exits_2(tmp_path, capsys):
+    doc = _seeded_scene_doc()
+    doc["gt_boxes"][1]["w"] = float("inf")
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(doc))  # written as the JSON extension Infinity
+    assert "Infinity" in path.read_text()
+    assert main(["gradcheck", "--scene", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "non-finite box" in captured.err
+
+
+@pytest.mark.parametrize("case,reason", [
+    ("top-level-list", "JSON object"), ("box-entry-number", "list of objects"),
+    ("side-zero", ">= 1"), ("dim-zero", ">= 1"), ("caption-id-high", "caption ids"),
+    ("caption-id-negative", "caption ids"),
+])
+def test_gradcheck_malformed_scene_exits_2(tmp_path, capsys, case, reason):
+    doc = _seeded_scene_doc()
+    if case == "top-level-list":
+        doc = [doc]
+    elif case == "box-entry-number":
+        doc["gt_boxes"].append(0.5)
+    elif case == "side-zero":
+        doc["side"] = 0
+    elif case == "dim-zero":
+        doc["dim"] = 0
+    elif case == "caption-id-high":
+        doc["caption"][1] = 64
+    else:
+        doc["caption"][0] = -1
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(doc))
+    assert main(["gradcheck", "--scene", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot load scene") and reason in captured.err
+
+
 def test_gradcheck_zero_eps_usage_error(capsys):
     assert main(["gradcheck", "--eps", "0"]) == 2
 

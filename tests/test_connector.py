@@ -150,17 +150,37 @@ def test_giou_batch_matches_scalar(rng):
 
 
 def test_giou_grad_matches_finite_differences(rng):
-    for _ in range(50):
-        pred = random_box(rng).as_array()
-        gt = random_box(rng).as_array()
-        _, grad = giou_and_grad(pred, gt)
-        eps = 1e-6
+    # the random pairs plus nested and disjoint pairs are smooth points of GIoU
+    smooth = [((0.5, 0.5, 0.2, 0.2), (0.5, 0.5, 0.6, 0.4)),
+              ((0.5, 0.5, 0.6, 0.4), (0.45, 0.55, 0.2, 0.2)),
+              ((0.2, 0.2, 0.1, 0.1), (0.7, 0.8, 0.2, 0.1))]
+    # a shared edge is a kink, where central differences average two slopes
+    shared = [((0.375, 0.5, 0.25, 0.25), (0.5, 0.5, 0.5, 0.25)),
+              ((0.5, 0.375, 0.25, 0.25), (0.5, 0.5, 0.25, 0.5)),
+              ((0.3, 0.3, 0.2, 0.2), (0.3, 0.3, 0.2, 0.2)),
+              ((0.25, 0.5, 0.25, 0.25), (0.5, 0.5, 0.25, 0.25))]
+    pairs = [(random_box(rng).as_array(), random_box(rng).as_array()) for _ in range(50)]
+    pairs += smooth + shared
+    pred = np.array([p for p, _ in pairs])
+    gt = np.array([g for _, g in pairs])
+    values, grads = giou_and_grad(pred, gt)
+    assert values.shape == (len(pairs),) and grads.shape == (len(pairs), 4)
+    np.testing.assert_array_equal(values, giou_batch(pred, gt))
+    # identical boxes: no pull on the center, and the shrinking slope in w and h
+    np.testing.assert_allclose(grads[len(pairs) - 2], [0.0, 0.0, 1 / 0.2, 1 / 0.2])
+    eps = 1e-6
+    for i in range(len(pairs)):
+        value, grad = giou_and_grad(pred[i], gt[i])
+        assert value.tobytes() == values[i].tobytes()
+        assert grad.tobytes() == grads[i].tobytes()
+        if i >= len(pairs) - len(shared):
+            continue
         for c in range(4):
-            plus, minus = pred.copy(), pred.copy()
+            plus, minus = pred[i].copy(), pred[i].copy()
             plus[c] += eps
             minus[c] -= eps
-            fd = (giou_batch(plus[None], gt[None])[0]
-                  - giou_batch(minus[None], gt[None])[0]) / (2 * eps)
+            fd = (giou_batch(plus[None], gt[i][None])[0]
+                  - giou_batch(minus[None], gt[i][None])[0]) / (2 * eps)
             assert grad[c] == pytest.approx(fd, abs=1e-6)
 
 
@@ -407,6 +427,11 @@ def test_train_toy_divergence_detected():
         with np.errstate(all="ignore"):
             train_toy(params, decoder, [scene], epochs=50, lr=1e4,
                       schedule="constant")
+    # a NaN box head with finite attention outputs is divergence too, not a bad box
+    params = small_setup()
+    params["w2"][:] = np.nan
+    with pytest.raises(TrainingDivergence):
+        train_toy(params, decoder, [scene], epochs=1, lr=0.1)
 
 
 def test_train_toy_requires_scenes():

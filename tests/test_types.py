@@ -40,11 +40,17 @@ def test_step_record_validation():
         StepRecord(0, "step-00", 0.0, 2.0, 0).validate()
 
 
-def test_bbox_corners_and_clamp():
+def test_bbox_validate_and_round_trip():
     box = BBox(0.1, 0.5, 0.4, 0.2).validate()
-    np.testing.assert_allclose(box.corners(), [-0.1, 0.4, 0.3, 0.6])
-    np.testing.assert_allclose(box.corners(clamp=True), [0.0, 0.4, 0.3, 0.6])
     with pytest.raises(ValueError):
         BBox(0.5, 0.5, 0.0, 0.1).validate()
     round_trip = BBox.from_array(box.as_array())
     assert round_trip == box
+
+
+@pytest.mark.parametrize("field", ["cx", "cy", "w", "h"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_bbox_rejects_non_finite(field, value):
+    fields = {"cx": 0.5, "cy": 0.5, "w": 0.2, "h": 0.2, field: value}
+    with pytest.raises(ValueError, match="non-finite"):
+        BBox(**fields).validate()
