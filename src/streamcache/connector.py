@@ -226,16 +226,56 @@ def _box_array(boxes: Sequence[BBox]) -> np.ndarray:
     return np.array([b.validate().as_array() for b in boxes]).reshape(-1, 4)
 
 
-def _box_cost(gt: np.ndarray, pred: np.ndarray) -> np.ndarray:
-    """L1 + (1 - GIoU) pair costs of broadcast (..., 4) box arrays."""
-    return np.abs(gt - pred).sum(-1) + (1.0 - giou_batch(gt, pred))
+def _box_cost(gt: np.ndarray, pred: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """L1 + (1 - GIoU) pair costs of broadcast (..., 4) box arrays, and the
+    GIoU gradient w.r.t. ``pred``."""
+    value, grad = giou_and_grad(pred, gt)
+    return np.abs(gt - pred).sum(-1) + (1.0 - value), grad
 
 
-def _optimal_cost(cost: np.ndarray) -> float:
-    if cost.size == 0 or cost.shape[0] == 0:
-        return 0.0
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].sum())
+def _match(cost: np.ndarray) -> List[int]:
+    """Lexicographically smallest row -> column assignment whose ``cost`` sum
+    lies within ``_MATCH_TIE_TOL`` of the optimum.
+
+    Walks one optimal solve row by row. A smaller unused column can only win
+    on a tie: the remaining rows' minima reject it (their sum, taken in the
+    same order, never exceeds the rows' optimum), or an exact solve of those
+    rows decides, and a fit becomes the new reference.
+    """
+    rows, ref = linear_sum_assignment(cost)
+    best = float(cost[rows, ref].sum())
+    ref = ref.tolist()
+    acc = 0.0
+    for i in range(len(ref)):
+        for j in range(ref[i]):
+            if j in ref[:i]:
+                continue
+            remaining = [c for c in range(cost.shape[1]) if c != j and c not in ref[:i]]
+            tail_cost = cost[i + 1:, remaining]
+            if acc + cost[i, j] + tail_cost.min(axis=1, initial=np.inf).sum() \
+                    > best + _MATCH_TIE_TOL:
+                continue
+            tail_rows, tail_cols = linear_sum_assignment(tail_cost)
+            tail = float(tail_cost[tail_rows, tail_cols].sum())
+            if acc + cost[i, j] + tail <= best + _MATCH_TIE_TOL:
+                ref[i:] = [j] + [remaining[c] for c in tail_cols]
+                break
+        acc += cost[i, ref[i]]
+    return ref
+
+
+def _matched_loss(cost: np.ndarray, assignment: Sequence[int],
+                  scores: Optional[np.ndarray]) -> float:
+    """Assigned ``cost`` entries plus -log(1 - score) per unassigned column."""
+    total = 0.0  # pair by pair: np.sum's pairwise order would move the last bits
+    for i, j in enumerate(assignment):
+        total += float(cost[i, j])
+    if scores is not None:
+        scores = np.asarray(scores, dtype=np.float64)
+        for j in range(cost.shape[1]):
+            if j not in assignment:
+                total += -math.log(max(1.0 - scores[j], 1e-12))
+    return total
 
 
 def hungarian_match(pred: Sequence[BBox], gt: Sequence[BBox]) -> List[int]:
@@ -247,28 +287,7 @@ def hungarian_match(pred: Sequence[BBox], gt: Sequence[BBox]) -> List[int]:
     n_gt, n_pred = len(gt), len(pred)
     if n_gt > n_pred:
         raise ValueError(f"more ground-truth boxes ({n_gt}) than predictions ({n_pred})")
-    if n_gt == 0:
-        return []
-    cost = _box_cost(_box_array(gt)[:, None], _box_array(pred)[None])
-    best = _optimal_cost(cost)
-    assignment: List[int] = []
-    used = np.zeros(n_pred, dtype=bool)
-    acc = 0.0
-    for i in range(n_gt):
-        for j in range(n_pred):
-            if used[j]:
-                continue
-            remaining = [c for c in range(n_pred) if not used[c] and c != j]
-            tail = _optimal_cost(cost[np.ix_(range(i + 1, n_gt), remaining)]) \
-                if i + 1 < n_gt else 0.0
-            if acc + cost[i, j] + tail <= best + _MATCH_TIE_TOL:
-                assignment.append(j)
-                used[j] = True
-                acc += cost[i, j]
-                break
-        else:
-            raise RuntimeError("assignment search failed")  # unreachable
-    return assignment
+    return _match(_box_cost(_box_array(gt)[:, None], _box_array(pred)[None])[0])
 
 
 def loss_ho(pred: Sequence[BBox], gt: Sequence[BBox], assignment: Sequence[int],
@@ -281,15 +300,8 @@ def loss_ho(pred: Sequence[BBox], gt: Sequence[BBox], assignment: Sequence[int],
         raise ValueError("assignment must be injective")
     if any(j < 0 or j >= len(pred) for j in assignment):
         raise ValueError("assignment index out of range")
-    total = 0.0  # pair by pair: np.sum's pairwise order would move the last bits
-    for cost in _box_cost(_box_array(gt), _box_array([pred[j] for j in assignment])):
-        total += float(cost)
-    if scores is not None:
-        scores = np.asarray(scores, dtype=np.float64)
-        for j in range(len(pred)):
-            if j not in assignment:
-                total += -math.log(max(1.0 - scores[j], 1e-12))
-    return total
+    cost, _ = _box_cost(_box_array(gt)[:, None], _box_array(pred)[None])
+    return _matched_loss(cost, assignment, scores)
 
 
 def loss_lm(logits: np.ndarray, targets: Sequence[int]) -> float:
@@ -458,6 +470,13 @@ def save_scene(scene: Scene, path: str) -> None:
         json.dump(doc, fh)
 
 
+def _scene_number(value, field: str, kind: type = float):
+    if isinstance(value, bool) or not isinstance(value, (int, kind)):
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"scene {field} must be {what}, got {value!r}")
+    return kind(value)
+
+
 def load_scene(path: str, vocab_size: int = 64) -> Scene:
     """Read a scene file; a malformed one raises ``ValueError`` (``KeyError``
     for a missing field). README's "Scene files" lists the rules."""
@@ -468,24 +487,27 @@ def load_scene(path: str, vocab_size: int = 64) -> Scene:
     entries = doc["gt_boxes"]
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise ValueError("scene 'gt_boxes' must be a list of objects")
-    side, dim = int(doc["side"]), int(doc["dim"])
+    side, dim = _scene_number(doc["side"], "'side'", int), _scene_number(doc["dim"], "'dim'", int)
     if side < 1 or dim < 1:
         raise ValueError(f"scene side and dim must be >= 1, got {side} and {dim}")
     hands, objects = [], []
     for entry in entries:
-        box = BBox(float(entry["cx"]), float(entry["cy"]),
-                   float(entry["w"]), float(entry["h"])).validate()
-        (hands if entry.get("kind") == "hand" else objects).append(box)
+        box = BBox(*(_scene_number(entry[f], f"box '{f}'") for f in ("cx", "cy", "w", "h")))
+        (hands if entry.get("kind") == "hand" else objects).append(box.validate())
     raw = doc["patches"]
     if isinstance(raw, str):
         buf = np.frombuffer(base64.b64decode(raw), dtype="<f8")
         patches = buf.reshape(side * side, dim).astype(np.float64)
     elif isinstance(raw, dict) and "seed" in raw:
-        patches = synth_patches(int(raw["seed"]), side, dim, hands, objects,
-                                noise=float(raw.get("noise", 0.05)))
+        patches = synth_patches(_scene_number(raw["seed"], "patches 'seed'", int), side, dim,
+                                hands, objects,
+                                noise=_scene_number(raw.get("noise", 0.05), "patches 'noise'"))
     else:
         raise ValueError("scene 'patches' must be base64 data or {'seed': ...}")
-    caption = [int(t) for t in doc.get("caption", [])]
+    caption = doc.get("caption", [])
+    if not isinstance(caption, list):
+        raise ValueError(f"scene 'caption' must be a list of token ids, got {caption!r}")
+    caption = [_scene_number(t, "caption id", int) for t in caption]
     if any(t < 0 or t >= vocab_size for t in caption):
         raise ValueError(f"scene caption ids must lie in [0, {vocab_size})")
     if not caption:
@@ -514,15 +536,19 @@ def _stage1_forward(params, decoder, scene, lambda_1):
     cap = _caption_forward(decoder, fwd["tokens"], targets)
     lm = loss_lm(cap["logits"], targets)
 
-    boxes = [BBox.from_array(row) for row in fwd["box_params"]]
-    sigma_h = hungarian_match(boxes[:2], scene.hands)
-    sigma_o = hungarian_match(boxes[2:], scene.objects)
-    ho = loss_ho(boxes[:2], scene.hands, sigma_h, scores=fwd["obj"][:2])
-    ho += loss_ho(boxes[2:], scene.objects, sigma_o, scores=fwd["obj"][2:])
+    # one (gt x prediction) block: hand rows match the first 2 columns, objects the rest
+    gt = _box_array(scene.hands + scene.objects)
+    cost, g_giou = _box_cost(gt[:, None], fwd["box_params"][None])
+    n_h = len(scene.hands)
+    sigma_h = _match(cost[:n_h, :2])
+    sigma_o = _match(cost[n_h:, 2:])
+    ho = _matched_loss(cost[:n_h, :2], sigma_h, fwd["obj"][:2])
+    ho += _matched_loss(cost[n_h:, 2:], sigma_o, fwd["obj"][2:])
     total = loss_total(lm, ho, lambda_1)
     losses = {"total": total, "lm": lm, "ho": ho}
-    return losses, fwd, {"cap": cap, "targets": targets,
-                         "sigma_h": sigma_h, "sigma_o": sigma_o}
+    matched = np.array(sigma_h + [2 + j for j in sigma_o], dtype=np.intp)
+    return losses, fwd, {"cap": cap, "targets": targets, "gt": gt, "matched": matched,
+                         "g_giou": g_giou[np.arange(gt.shape[0]), matched]}
 
 
 def stage1_value_and_grads(params: Dict[str, np.ndarray], decoder: CaptionDecoder,
@@ -557,12 +583,9 @@ def stage1_value_and_grads(params: Dict[str, np.ndarray], decoder: CaptionDecode
 
     # box path: matched GIoU + L1, unmatched no-object penalty (scaled by lambda)
     box_params = fwd["box_params"]
-    matched = np.array(aux["sigma_h"] + [2 + j for j in aux["sigma_o"]], dtype=np.intp)
-    pred_params = box_params[matched]
-    gt_params = _box_array(scene.hands + scene.objects)
-    _, g_giou = giou_and_grad(pred_params, gt_params)
+    matched = aux["matched"]
     d_box = np.zeros_like(box_params)
-    d_box[matched] += lambda_1 * (-g_giou + np.sign(pred_params - gt_params))
+    d_box[matched] += lambda_1 * (-aux["g_giou"] + np.sign(box_params[matched] - aux["gt"]))
     unmatched = np.ones(box_params.shape[0], dtype=bool)
     unmatched[matched] = False
     d_raw = np.zeros((box_params.shape[0], 5))
@@ -623,6 +646,8 @@ def grad_check(params: Dict[str, np.ndarray],
     """
     if eps <= 0:
         raise ValueError(f"eps must be > 0, got {eps}")
+    if max_coords < 1:
+        raise ValueError(f"max_coords must be >= 1, got {max_coords}")
     value, grads = value_and_grad_fn(params)
     if not np.isfinite(value):
         raise ValueError("loss is not finite at the evaluation point")

@@ -3,12 +3,17 @@
 These transliterate the cache mechanics in the most literal way possible:
 counts by scanning, eviction by pop-at-index, the streaming loop as a flat
 for-loop. They exist only to differential-test the package implementations.
+``lexicographic_match`` is the connector matcher's tie-break search in its
+first form: one exact solve per tried column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
+
+import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from streamcache import OraclePredictor, SimConfig, SyntheticStream
 
@@ -108,3 +113,41 @@ def transcribe_interleaved(stream: SyntheticStream, cfg: SimConfig,
                            tuple(t.id for grp in dropped for t in grp)))
         out.append(pred)
     return events, cache.ids()
+
+
+MATCH_TIE_TOL = 1e-9
+
+
+def _optimal_cost(cost: np.ndarray) -> float:
+    if cost.size == 0 or cost.shape[0] == 0:
+        return 0.0
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].sum())
+
+
+def lexicographic_match(cost: np.ndarray) -> List[int]:
+    """Lexicographically smallest row -> column assignment whose cost lies
+    within ``MATCH_TIE_TOL`` of the optimum: for each row, the first unused
+    column whose best completion still reaches the optimum."""
+    n_gt, n_pred = cost.shape
+    if n_gt == 0:
+        return []
+    best = _optimal_cost(cost)
+    assignment: List[int] = []
+    used = np.zeros(n_pred, dtype=bool)
+    acc = 0.0
+    for i in range(n_gt):
+        for j in range(n_pred):
+            if used[j]:
+                continue
+            remaining = [c for c in range(n_pred) if not used[c] and c != j]
+            tail = _optimal_cost(cost[np.ix_(range(i + 1, n_gt), remaining)]) \
+                if i + 1 < n_gt else 0.0
+            if acc + cost[i, j] + tail <= best + MATCH_TIE_TOL:
+                assignment.append(j)
+                used[j] = True
+                acc += cost[i, j]
+                break
+        else:
+            raise RuntimeError("assignment search failed")  # unreachable
+    return assignment

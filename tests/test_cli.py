@@ -145,25 +145,39 @@ def test_gradcheck_scene_with_infinite_box_exits_2(tmp_path, capsys):
     assert captured.err.startswith("error:") and "non-finite box" in captured.err
 
 
+# each edit breaks one rule of a valid scene document; top-level-list replaces it
+_SCENE_BREAKS = {
+    "top-level-list": lambda doc: [doc],
+    "box-entry-number": lambda doc: doc["gt_boxes"].append(0.5),
+    "side-zero": lambda doc: doc.update(side=0),
+    "dim-zero": lambda doc: doc.update(dim=0),
+    "caption-id-high": lambda doc: doc.update(caption=[5, 64, 9]),
+    "caption-id-negative": lambda doc: doc.update(caption=[-1, 12, 9]),
+    "side-null": lambda doc: doc.update(side=None),
+    "side-array": lambda doc: doc.update(side=[4]),
+    "side-fraction": lambda doc: doc.update(side=4.5),
+    "side-bool": lambda doc: doc.update(side=True),
+    "box-cx-null": lambda doc: doc["gt_boxes"][0].update(cx=None),
+    "caption-number": lambda doc: doc.update(caption=5),
+    "patches-seed-null": lambda doc: doc["patches"].update(seed=None),
+}
+
+
 @pytest.mark.parametrize("case,reason", [
     ("top-level-list", "JSON object"), ("box-entry-number", "list of objects"),
     ("side-zero", ">= 1"), ("dim-zero", ">= 1"), ("caption-id-high", "caption ids"),
     ("caption-id-negative", "caption ids"),
+    ("side-null", "'side' must be an integer, got None"),
+    ("side-array", "'side' must be an integer, got [4]"),
+    ("side-fraction", "'side' must be an integer, got 4.5"),
+    ("side-bool", "'side' must be an integer, got True"),
+    ("box-cx-null", "box 'cx' must be a number, got None"),
+    ("caption-number", "'caption' must be a list of token ids, got 5"),
+    ("patches-seed-null", "patches 'seed' must be an integer, got None"),
 ])
 def test_gradcheck_malformed_scene_exits_2(tmp_path, capsys, case, reason):
     doc = _seeded_scene_doc()
-    if case == "top-level-list":
-        doc = [doc]
-    elif case == "box-entry-number":
-        doc["gt_boxes"].append(0.5)
-    elif case == "side-zero":
-        doc["side"] = 0
-    elif case == "dim-zero":
-        doc["dim"] = 0
-    elif case == "caption-id-high":
-        doc["caption"][1] = 64
-    else:
-        doc["caption"][0] = -1
+    doc = _SCENE_BREAKS[case](doc) or doc
     path = tmp_path / "scene.json"
     path.write_text(json.dumps(doc))
     assert main(["gradcheck", "--scene", str(path)]) == 2

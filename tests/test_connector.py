@@ -5,13 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
+import streamcache.connector as connector
 from streamcache import (BBox, PatchGrid, TrainingDivergence, connector_forward, giou,
                          giou_batch, grad_check, hungarian_match, init_caption_decoder,
                          init_connector, load_scene, loss_ho, loss_lm, loss_total,
                          make_scene, save_scene, stage1_losses, stage1_value_and_grads,
                          train_toy)
-from streamcache.connector import caption_logits, giou_and_grad
+from streamcache.connector import _box_cost, _match, caption_logits, giou_and_grad
+
+from naive_reference import lexicographic_match
 
 FEAT_DIM, QDIM, MLP = 24, 16, 24
 
@@ -218,6 +222,57 @@ def test_match_equals_brute_force_on_random_instances(rng):
         assert got == want, (got, want, want_cost)
 
 
+def _lexicographic_min(cost):
+    """Exhaustive search on a cost matrix, summed as ``brute_force_match`` sums.
+
+    Returns the lexicographically first minimal assignment, and whether every
+    assignment within the matcher's tolerance of it costs exactly the same, so
+    that exact comparison and the tolerance pick the same assignment."""
+    totals = {perm: sum(float(cost[i, j]) for i, j in enumerate(perm))
+              for perm in itertools.permutations(range(cost.shape[1]), cost.shape[0])}
+    best = min(totals, key=totals.get)
+    low = totals[best]
+    return list(best), all(t == low or t > low + 1e-9 for t in totals.values())
+
+
+def test_match_equals_tie_oracles_on_planted_ties():
+    rng = np.random.default_rng(2024)
+    off_first_solve = {0: 0, 1: 0}  # instances whose answer leaves the first solve at row 0 / later
+    brute_checked = 0
+
+    def check(cost, boxes=None):
+        nonlocal brute_checked
+        got = _match(cost)
+        assert got == lexicographic_match(cost), cost
+        want, exact_ties = _lexicographic_min(cost)
+        if exact_ties:
+            assert got == want, cost
+            if boxes is not None:
+                assert hungarian_match(*boxes) == brute_force_match(*boxes)[0]
+            brute_checked += 1
+        first = linear_sum_assignment(cost)[1].tolist()
+        moved = [i for i in range(len(got)) if got[i] != first[i]]
+        if moved:
+            off_first_solve[min(moved[0], 1)] += 1
+
+    for _ in range(1500):  # integer-half costs: many exact ties
+        n_pred = int(rng.integers(1, 6))
+        n_gt = int(rng.integers(0, min(n_pred, 4) + 1))
+        check(0.5 * rng.integers(0, 3, size=(n_gt, n_pred)))
+    for _ in range(600):  # duplicate prediction boxes and duplicate gt boxes
+        pool = [random_box(rng) for _ in range(int(rng.integers(1, 4)))]
+
+        def draw(n):
+            return [pool[int(rng.integers(len(pool)))] if rng.random() < 0.7
+                    else random_box(rng) for _ in range(n)]
+        n_pred = int(rng.integers(1, 6))
+        pred, gt = draw(n_pred), draw(int(rng.integers(0, min(n_pred, 4) + 1)))
+        check(_box_cost(connector._box_array(gt)[:, None],
+                        connector._box_array(pred)[None])[0], (pred, gt))
+    assert off_first_solve[0] > 0 and off_first_solve[1] > 0, off_first_solve
+    assert brute_checked > 1500, brute_checked
+
+
 # -- losses -----------------------------------------------------------------
 
 def test_loss_ho_perfect_predictions_zero():
@@ -263,6 +318,43 @@ def test_loss_ho_validates_assignment():
         loss_ho(pred, gt, [0, 0])
     with pytest.raises(ValueError):
         loss_ho(pred, gt, [0, 5])
+
+
+def test_stage1_box_loss_equals_public_wrappers():
+    rng = np.random.default_rng(77)
+    decoder = init_caption_decoder(QDIM, 64, seed=9)
+    for trial in range(50):
+        k = int(rng.integers(2, 5))
+        scene = make_scene(seed=trial, side=4, dim=FEAT_DIM, n_hands=int(rng.integers(0, 3)),
+                           n_objects=int(rng.integers(0, k + 1)))
+        params = small_setup(k=k, seed=trial)
+        out = connector_forward(scene.grid, params)
+        want = 0.0
+        for pred, gt, scores in ((out.boxes[:2], scene.hands, out.scores[:2]),
+                                 (out.boxes[2:], scene.objects, out.scores[2:])):
+            want += loss_ho(pred, gt, hungarian_match(pred, gt), scores)
+        got = stage1_losses(params, decoder, scene, lambda_1=2.0)["ho"]
+        assert got.hex() == want.hex(), (trial, got, want)
+
+
+def test_stage1_solves_one_assignment_per_group(monkeypatch):
+    scene = make_scene(seed=0, side=4, dim=FEAT_DIM)
+    params = small_setup(k=2)
+    out = connector_forward(scene.grid, params)
+    for pred, gt in ((out.boxes[:2], scene.hands), (out.boxes[2:], scene.objects)):
+        cost = _box_cost(connector._box_array(gt)[:, None], connector._box_array(pred)[None])[0]
+        totals = sorted(sum(cost[i, j] for i, j in enumerate(perm))
+                        for perm in itertools.permutations(range(len(pred)), len(gt)))
+        assert totals[1] - totals[0] > 1e-6  # the optimum is unique
+    calls = []
+
+    def counting(cost):
+        calls.append(cost.shape)
+        return linear_sum_assignment(cost)
+
+    monkeypatch.setattr(connector, "linear_sum_assignment", counting)
+    stage1_value_and_grads(params, init_caption_decoder(QDIM, 64, seed=9), scene, 2.0)
+    assert calls == [(2, 2), (2, 2)]
 
 
 def test_loss_lm_uniform_logits_is_log_vocab():
@@ -324,6 +416,17 @@ def test_grad_check_rejects_bad_eps_and_nonfinite():
 
     with pytest.raises(ValueError):
         grad_check(probe, bad, eps=1e-5)
+
+
+def test_grad_check_rejects_max_coords_below_one():
+    probe = {"x": np.ones(3)}
+
+    def quad(p):
+        return float((p["x"] ** 2).sum()), {"x": 2 * p["x"]}
+
+    for max_coords in (0, -1):
+        with pytest.raises(ValueError, match="max_coords must be >= 1"):
+            grad_check(probe, quad, eps=1e-5, max_coords=max_coords)
 
 
 def test_full_pipeline_grad_check_mini_grid():
