@@ -9,8 +9,7 @@ losses, and a synthetic-stream harness comparing caching strategies.
 __version__ = "0.1.0"
 
 from .attention import (AttentionEngine, AttentionWeights, append_flop_cost,
-                        full_recompute, init_weights, lm_logits,
-                        recompute_flop_cost)
+                        full_recompute, init_weights, recompute_flop_cost)
 from .cache import CacheEvent, CacheStructureError, InterleavedCache
 from .config import ConfigError, SimConfig, config_from_dict, load_config, validate_config
 from .connector import (BOS_ID, CaptionDecoder, ConnectorOutput, PatchGrid, Scene,
@@ -21,8 +20,7 @@ from .connector import (BOS_ID, CaptionDecoder, ConnectorOutput, PatchGrid, Scen
                         train_toy)
 from .harness import (GrowthFit, OraclePredictor, StrategyAbort, StrategyKind,
                       StrategyTrace, SyntheticStream, fit_growth, generate_stream,
-                      run_strategy, spike_ratio, temporal_variance)
+                      run_strategy, spike_ratio)
 from .types import BBox, PositionClock, StepRecord, Token, TokenFactory, TokenKind
 from .verbalize import (EmbeddingTable, PredictionLog, TokenBudgetReport, Verbalizer,
-                        budget_report, group_consecutive, should_verbalize,
-                        step_text_vocab_ids)
+                        budget_report, should_verbalize, step_text_vocab_ids)

@@ -125,17 +125,10 @@ class AttentionEngine:
         self._newest_id: Optional[int] = None  # the live token with the largest position
         self.flop_counter = 0
 
-    @property
-    def live_size(self) -> int:
-        return len(self._ids)
-
     def live_ids(self) -> tuple:
         """Live token ids in entry order (slot order is not entry order)."""
         order = np.argsort(self._pos[: len(self._ids)], kind="stable")
         return tuple(self._ids[slot] for slot in order)
-
-    def flops_snapshot(self) -> int:
-        return self.flop_counter
 
     def append_token(self, token: Token) -> Tuple[np.ndarray, np.ndarray]:
         """Run one token through the stack; returns (output vector, logits).
@@ -287,8 +280,3 @@ def full_recompute(weights: AttentionWeights, tokens: Sequence[Token],
     if return_attn:
         return x, attn_layers
     return x
-
-
-def lm_logits(weights: AttentionWeights, outputs: np.ndarray) -> np.ndarray:
-    """Vocab logits for decoder outputs (softmax temperature fixed at 1)."""
-    return np.atleast_2d(outputs) @ weights.w_lm

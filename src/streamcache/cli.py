@@ -169,6 +169,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def cmd_gradcheck(args: argparse.Namespace) -> int:
     if args.eps <= 0:
         return _fail("--eps must be > 0", EXIT_CONFIG)
+    if args.seed < 0:
+        return _fail(f"--seed must be >= 0, got {args.seed}", EXIT_CONFIG)
     if args.scene:
         try:
             scene = load_scene(args.scene)

@@ -61,6 +61,8 @@ def validate_config(cfg: SimConfig) -> SimConfig:
         raise ConfigError(f"lambda_1 must be >= 0, got {cfg.lambda_1}")
     if not isinstance(cfg.seed, int):
         raise ConfigError(f"seed must be an integer, got {cfg.seed!r}")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
     return cfg
 
 

@@ -362,13 +362,6 @@ def init_caption_decoder(d: int, vocab_size: int, seed: int) -> CaptionDecoder:
     )
 
 
-def caption_logits(decoder: CaptionDecoder, tokens: np.ndarray,
-                   targets: Sequence[int]) -> np.ndarray:
-    """Teacher-forced logits for each caption position."""
-    fwd = _caption_forward(decoder, tokens, np.asarray(targets, dtype=np.int64))
-    return fwd["logits"]
-
-
 def _caption_forward(decoder: CaptionDecoder, tokens: np.ndarray,
                      targets: np.ndarray) -> Dict[str, np.ndarray]:
     d = decoder.emb.shape[1]
@@ -689,18 +682,15 @@ class TrainResult:
 
 def train_toy(params: Dict[str, np.ndarray], decoder: CaptionDecoder,
               scenes: Sequence[Scene], epochs: int, lr: float,
-              lambda_1: float = 2.0, schedule: str = "cosine") -> TrainResult:
+              lambda_1: float = 2.0) -> TrainResult:
     """Plain gradient descent on the connector parameters only.
 
-    ``schedule`` is "cosine" (step size annealed to zero, which settles the
-    constant-magnitude L1 gradients near the optimum) or "constant". The
-    caption decoder stays frozen. Raises ``TrainingDivergence`` when the loss
-    goes non-finite.
+    The step size follows a cosine schedule annealed to zero, which settles
+    the constant-magnitude L1 gradients near the optimum. The caption decoder
+    stays frozen. Raises ``TrainingDivergence`` when the loss goes non-finite.
     """
     if not scenes:
         raise ValueError("need at least one scene")
-    if schedule not in ("cosine", "constant"):
-        raise ValueError(f"unknown schedule {schedule!r}")
     rows = []
     for epoch in range(epochs):
         sums = np.zeros(3)
@@ -714,9 +704,7 @@ def train_toy(params: Dict[str, np.ndarray], decoder: CaptionDecoder,
             for name in grad_acc:
                 grad_acc[name] += grads[name]
         rows.append(sums / len(scenes))
-        step = lr
-        if schedule == "cosine":
-            step = lr * 0.5 * (1.0 + math.cos(math.pi * epoch / epochs))
+        step = lr * 0.5 * (1.0 + math.cos(math.pi * epoch / epochs))
         for name in params:
             params[name] = params[name] - (step / len(scenes)) * grad_acc[name]
     final = np.zeros(3)

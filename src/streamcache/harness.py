@@ -30,7 +30,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from .verbalize import EmbeddingTable, PredictionLog, Verbalizer, should_verbali
 ENGINE_HEADS = 4
 ENGINE_LAYERS = 2
 DEFAULT_PROMPT_TOKENS = 4
+FEATURE_NOISE = 0.1  # standard deviation of a frame feature around its class prototype
 
 
 class StrategyKind(Enum):
@@ -74,9 +75,7 @@ class SyntheticStream:
         return self.labels[class_id]
 
 
-def generate_stream(cfg: SimConfig, duration_s: float, n_classes: int = 20,
-                    feature_noise: float = 0.1,
-                    class_noise: Optional[Dict[int, float]] = None) -> SyntheticStream:
+def generate_stream(cfg: SimConfig, duration_s: float, n_classes: int = 20) -> SyntheticStream:
     """Deterministic stream: step durations are clamped normals around
     ``mean_step_s`` and adjacent steps always change class."""
     validate_config(cfg)
@@ -112,8 +111,7 @@ def generate_stream(cfg: SimConfig, duration_s: float, n_classes: int = 20,
         while step_idx + 1 < len(steps) and ts >= steps[step_idx].end_s:
             step_idx += 1
         c = steps[step_idx].step_id
-        sigma = feature_noise if class_noise is None else class_noise.get(c, feature_noise)
-        feature = prototypes[c] + sigma * rng.standard_normal(cfg.d)
+        feature = prototypes[c] + FEATURE_NOISE * rng.standard_normal(cfg.d)
         frames.append(StreamFrame(index=i, time_s=ts, step_id=c, feature=feature))
     return SyntheticStream(steps=steps, frames=frames, fps=cfg.fps, seed=cfg.seed,
                            class_ids=list(range(n_classes)), labels=labels,
@@ -159,7 +157,6 @@ class StrategyTrace:
     rows: List[FrameRecord] = field(default_factory=list)
     cache_events: List[CacheEvent] = field(default_factory=list)
     engine_total_flops: int = 0
-    setup_flops: int = 0
     truncated_at: Optional[int] = None
 
     def live_series(self) -> np.ndarray:
@@ -235,7 +232,7 @@ def run_strategy(kind: StrategyKind, stream: SyntheticStream, cfg: SimConfig, *,
     prompt = [factory.prompt(table.prompt_embedding(i)) for i in range(prompt_tokens)]
     for tok in prompt:
         cache.entry(tok, 0.0)
-    trace.setup_flops += append(prompt)
+    append(prompt)
 
     inv_fps = 1.0 / cfg.fps
     for frame in stream.frames:
@@ -344,25 +341,3 @@ def fit_growth(trace_or_series) -> GrowthFit:
     if slope >= 0.95:
         return GrowthFit("linear", float(slope), r2)
     return GrowthFit("sublinear", float(slope), r2)
-
-
-def temporal_variance(stream: SyntheticStream, class_id: int) -> float:
-    """Mean per-dimension feature variance within the class's segments."""
-    seg_vars = []
-    current: List[np.ndarray] = []
-    total = 0
-    for frame in stream.frames:
-        if frame.step_id == class_id:
-            current.append(frame.feature)
-            total += 1
-        elif current:
-            if len(current) >= 2:
-                seg_vars.append(float(np.var(np.stack(current), axis=0, ddof=1).mean()))
-            current = []
-    if current and len(current) >= 2:
-        seg_vars.append(float(np.var(np.stack(current), axis=0, ddof=1).mean()))
-    if total < 2:
-        raise ValueError(f"class {class_id} has fewer than 2 frames")
-    if not seg_vars:
-        raise ValueError(f"class {class_id} has no segment with 2+ frames")
-    return float(np.mean(seg_vars))

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -47,7 +48,11 @@ def write_trace_csv(path: str, trace: StrategyTrace) -> None:
 
 
 def read_trace_csv(path: str) -> Dict[str, Dict[str, np.ndarray]]:
-    """Per-strategy column arrays from a trace CSV."""
+    """Per-strategy column arrays from a trace CSV.
+
+    Raises ``ValueError`` naming the line and column of a missing field or of
+    a numeric field that is not a finite number.
+    """
     by_strategy: Dict[str, Dict[str, list]] = {}
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -57,7 +62,19 @@ def read_trace_csv(path: str) -> Dict[str, Dict[str, np.ndarray]]:
             cols = by_strategy.setdefault(rec["strategy"],
                                           {name: [] for name in TRACE_COLUMNS})
             for name in TRACE_COLUMNS:
-                cols[name].append(rec[name])
+                value = rec[name]
+                if value is None:
+                    raise ValueError(f"{path} line {reader.line_num}, column {name}: "
+                                     "missing field")
+                if name != "strategy":
+                    try:
+                        value = float(value)
+                    except ValueError:
+                        value = math.nan
+                    if not math.isfinite(value):
+                        raise ValueError(f"{path} line {reader.line_num}, column {name}: "
+                                         f"{rec[name]!r} is not a finite number")
+                cols[name].append(value)
     if not by_strategy:
         raise ValueError(f"empty trace file: {path}")
     out: Dict[str, Dict[str, np.ndarray]] = {}
@@ -76,7 +93,7 @@ def write_events_jsonl(path: str, trace: StrategyTrace) -> None:
             fh.write(json.dumps(event.to_dict(), sort_keys=True) + "\n")
 
 
-def summarize(traces: List[StrategyTrace], tokens_per_step: float = 5.7) -> dict:
+def summarize(traces: List[StrategyTrace]) -> dict:
     """Growth fit, spike ratio, accuracy, and flop totals per strategy, plus
     the analytic token-budget report for the traced horizon."""
     summary: dict = {"strategies": {}}
@@ -98,7 +115,7 @@ def summarize(traces: List[StrategyTrace], tokens_per_step: float = 5.7) -> dict
         cfg = traces[0].cfg
         horizon = len(traces[0].rows) / cfg.fps if traces[0].rows else 0.0
         if horizon > 0:
-            summary["budget"] = budget_report(cfg, horizon, tokens_per_step).to_dict()
+            summary["budget"] = budget_report(cfg, horizon).to_dict()
         summary["config"] = cfg.to_dict()
     return summary
 
@@ -115,13 +132,7 @@ class RunManifest:
         default_factory=lambda: datetime.now(timezone.utc).isoformat())
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "seed": self.seed,
-            "artifacts": self.artifacts,
-            "tool_version": self.tool_version,
-            "created_at": self.created_at,
-        }
+        return asdict(self)
 
 
 def write_manifest(path: str, cfg: SimConfig, artifacts: List[str],

@@ -48,27 +48,6 @@ class Token:
             raise ValueError(f"token {self.id}: embedding must be a 1-d vector")
         return self
 
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "kind": self.kind.value,
-            "embedding": [float(x) for x in self.embedding],
-            "frame_index": self.frame_index,
-            "step_id": self.step_id,
-            "entry_position": self.entry_position,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Token":
-        return cls(
-            id=int(data["id"]),
-            kind=TokenKind(data["kind"]),
-            embedding=np.asarray(data["embedding"], dtype=np.float64),
-            frame_index=data.get("frame_index"),
-            step_id=data.get("step_id"),
-            entry_position=data.get("entry_position"),
-        ).validate()
-
 
 class TokenFactory:
     """Mints tokens with strictly increasing ids.
@@ -150,8 +129,8 @@ class PositionClock:
     to a bare engine.
     """
 
-    def __init__(self, start: int = 0) -> None:
-        self._next = start
+    def __init__(self) -> None:
+        self._next = 0
 
     def next(self) -> int:
         pos = self._next

@@ -11,8 +11,8 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from dataclasses import asdict, dataclass
+from typing import List
 
 import numpy as np
 
@@ -97,28 +97,6 @@ class Verbalizer:
         return tokens
 
 
-def group_consecutive(predictions: Sequence[Tuple[int, int]]) -> List[StepRecord]:
-    """Collapse maximal runs of equal step ids into step records.
-
-    ``predictions`` is an ascending (frame, step_id) sequence; run spans are
-    reported in frame units with an exclusive end. Token counts are not known
-    at this level and default to 1.
-    """
-    records: List[StepRecord] = []
-    prev_frame = None
-    for frame, step_id in predictions:
-        if prev_frame is not None and frame <= prev_frame:
-            raise ValueError(f"frames must be ascending, got {frame} after {prev_frame}")
-        prev_frame = frame
-        if records and records[-1].step_id == step_id:
-            records[-1].end_s = float(frame + 1)
-        else:
-            records.append(StepRecord(step_id=step_id, label=f"step-{step_id}",
-                                      start_s=float(frame), end_s=float(frame + 1),
-                                      text_token_count=1))
-    return records
-
-
 @dataclass
 class TokenBudgetReport:
     """Token counts for one horizon: all-visual versus verbalized."""
@@ -132,15 +110,7 @@ class TokenBudgetReport:
     reduction_ratio_with_markers: float
 
     def to_dict(self) -> dict:
-        return {
-            "horizon_s": self.horizon_s,
-            "visual_tokens": self.visual_tokens,
-            "verbalized_text_tokens": self.verbalized_text_tokens,
-            "marker_tokens": self.marker_tokens,
-            "verbalized_total": self.verbalized_total,
-            "reduction_ratio": self.reduction_ratio,
-            "reduction_ratio_with_markers": self.reduction_ratio_with_markers,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, allow_nan=False)

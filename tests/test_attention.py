@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from streamcache import (AttentionEngine, PositionClock, TokenFactory,
-                         append_flop_cost, full_recompute, init_weights, lm_logits,
+                         append_flop_cost, full_recompute, init_weights,
                          recompute_flop_cost)
 from streamcache.attention import REL_BIAS_CLIP
 
@@ -43,7 +43,7 @@ def test_first_token_attends_only_to_itself(rng):
     for layer in attn:
         np.testing.assert_allclose(layer[:, 0, 0], 1.0, atol=1e-15)
     assert logits.shape == (V,)
-    np.testing.assert_allclose(logits, lm_logits(eng.weights, out)[0], atol=1e-12)
+    np.testing.assert_allclose(logits, out @ eng.weights.w_lm, atol=1e-12)
 
 
 def test_duplicate_and_position_errors(rng):
@@ -62,16 +62,16 @@ def test_duplicate_and_position_errors(rng):
 def test_append_flop_accounting_exact(rng):
     eng = fresh_engine()
     toks = stream_tokens(3, rng)
-    assert eng.flops_snapshot() == 0
+    assert eng.flop_counter == 0
     eng.append_token(toks[0])
-    assert eng.flops_snapshot() == append_flop_cost(1, D, L, V)
-    before = eng.flops_snapshot()
+    assert eng.flop_counter == append_flop_cost(1, D, L, V)
+    before = eng.flop_counter
     eng.append_token(toks[1])
-    assert eng.flops_snapshot() - before == append_flop_cost(2, D, L, V)
+    assert eng.flop_counter - before == append_flop_cost(2, D, L, V)
     # monotone non-decreasing across ops, eviction free
-    before = eng.flops_snapshot()
+    before = eng.flop_counter
     eng.evict([toks[0].id])
-    assert eng.flops_snapshot() == before
+    assert eng.flop_counter == before
 
 
 def test_attention_cost_scales_with_live_size(rng):
@@ -82,9 +82,9 @@ def test_attention_cost_scales_with_live_size(rng):
         toks = stream_tokens(n_live, rng)
         for tok in toks[:-1]:
             eng.append_token(tok)
-        before = eng.flops_snapshot()
+        before = eng.flop_counter
         eng.append_token(toks[-1])
-        return eng.flops_snapshot() - before - fixed
+        return eng.flop_counter - before - fixed
 
     assert attn_part(100) == 100 * attn_part(1)
 
@@ -94,7 +94,7 @@ def test_flop_monotonicity_over_ops(rng):
     last = 0
     for tok in stream_tokens(100, rng):
         eng.append_token(tok)
-        now = eng.flops_snapshot()
+        now = eng.flop_counter
         assert now > last
         last = now
 
@@ -128,7 +128,7 @@ def test_evict_validation(rng):
     with pytest.raises(KeyError):
         eng.evict([999])
     eng.evict([t.id for t in toks])
-    assert eng.live_size == 0
+    assert len(eng.live_ids()) == 0
 
 
 def test_full_recompute_requires_position_order(rng):
@@ -284,7 +284,7 @@ def test_growth_past_initial_capacity_with_evictions(rng):
             picks = set(rng.choice(len(live), size=3, replace=False).tolist())
             eng.evict([live[i].id for i in picks])
             live = [t for i, t in enumerate(live) if i not in picks]
-    assert eng.live_size == len(live) > 64
+    assert len(eng.live_ids()) == len(live) > 64
     assert eng.live_ids() == tuple(t.id for t in live)
     tail = stream_tokens(1, rng, factory, clock)[0]
     out, _ = eng.append_token(tail)
@@ -318,7 +318,7 @@ def test_slab_growth_past_64_and_128_with_newest_and_last_slot_evictions(rng):
         eng.evict(victims)
         live = [t for t in live if t.id not in victims]
         assert eng.live_ids() == tuple(t.id for t in live)
-    assert eng.live_size == len(live) > 128
+    assert len(eng.live_ids()) == len(live) > 128
 
 
 # -- block appends ----------------------------------------------------------
@@ -351,7 +351,7 @@ def test_block_rows_match_oracle_with_clipped_bias_and_evictions():
             assert out.shape == (len(block), D) and logits.shape == (len(block), V)
             ref = full_recompute(eng.weights, live)[-len(block):]
             worst = max(worst, float(np.max(np.abs(out - ref))))
-            np.testing.assert_allclose(logits, lm_logits(eng.weights, out), atol=1e-12)
+            np.testing.assert_allclose(logits, out @ eng.weights.w_lm, atol=1e-12)
             assert eng.live_ids() == tuple(t.id for t in live)
     assert worst <= 1e-6
 
@@ -364,15 +364,15 @@ def test_block_equals_single_appends_and_charges_their_flops(rng):
         single.append_token(tok)
     for eng in (blocked, single):
         eng.evict([toks[3].id, toks[17].id])
-    n = blocked.live_size
-    before = blocked.flops_snapshot()
+    n = len(blocked.live_ids())
+    before = blocked.flop_counter
     out, logits = blocked.append_tokens(toks[30:])
-    assert blocked.flops_snapshot() - before == sum(
+    assert blocked.flop_counter - before == sum(
         append_flop_cost(n + i, D, L, V) for i in range(1, 11))
     rows = [single.append_token(tok) for tok in toks[30:]]
     np.testing.assert_allclose(out, np.stack([r[0] for r in rows]), atol=1e-10)
     np.testing.assert_allclose(logits, np.stack([r[1] for r in rows]), atol=1e-10)
-    assert blocked.flops_snapshot() == single.flops_snapshot()
+    assert blocked.flop_counter == single.flop_counter
     assert blocked.live_ids() == single.live_ids()
 
 
@@ -384,7 +384,7 @@ def test_block_of_one_is_append_token(rng):
         ref_out, ref_logits = single.append_token(tok)
         np.testing.assert_array_equal(out[0], ref_out)
         np.testing.assert_array_equal(logits[0], ref_logits)
-        assert blocked.flops_snapshot() == single.flops_snapshot()
+        assert blocked.flop_counter == single.flop_counter
 
 
 def _bad_blocks(factory, rng, live):

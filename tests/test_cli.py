@@ -196,6 +196,28 @@ def test_gradcheck_corrupt_scene_exits_2(tmp_path, capsys):
     assert main(["gradcheck", "--scene", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("command", ["simulate", "bench"])
+def test_negative_config_seed_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"seed": -1}))
+    out = tmp_path / "out"
+    argv = [command, str(path)]
+    argv += (["--out-dir", str(out)] if command == "simulate"
+             else ["--sweep", "1:4:1", "--out", str(out)])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "seed" in captured.err
+    assert not out.exists()
+
+
+def test_gradcheck_negative_seed_exits_2(capsys):
+    assert main(["gradcheck", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "--seed" in captured.err
+
+
 def test_report_budget_uses_config_rates(cfg_path, capsys):
     code = main(["report", "--budget", "--config", cfg_path,
                  "--horizon-s", "3600", "--tokens-per-step", "5.7"])
@@ -224,6 +246,25 @@ def test_report_scaling_on_a1_trace(tmp_path, cfg_path, capsys):
 
 def test_report_scaling_missing_file_exits_2(tmp_path, capsys):
     assert main(["report", "--scaling", str(tmp_path / "nope.csv")]) == 2
+
+
+@pytest.mark.parametrize("value", ["inf", ""], ids=["inf", "short row"])
+def test_report_scaling_bad_row_exits_2(tmp_path, cfg_path, capsys, value):
+    out_dir = tmp_path / "run"
+    main(["simulate", cfg_path, "--strategy", "a1", "--duration-s", "60",
+          "--out-dir", str(out_dir)])
+    capsys.readouterr()
+    path = out_dir / "trace_a1.csv"
+    lines = path.read_text().splitlines()
+    fields = lines[5].split(",")
+    # an inf live count, or a row cut short after the strategy column
+    lines[5] = ",".join(fields[:3] + [value] if value else fields[:3])
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["report", "--scaling", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot read trace")
+    assert "line 6, column live_tokens" in captured.err
 
 
 def test_usage_error_exits_2():

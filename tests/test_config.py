@@ -19,6 +19,7 @@ def test_defaults_validate(cfg):
     ("mean_step_s", 0.0, "mean_step_s"),
     ("vocab_size", 1, "vocab_size"),
     ("lambda_1", -0.5, "lambda_1"),
+    ("seed", -1, "seed"),
 ])
 def test_invalid_field_named_in_error(cfg, field, value, needle):
     import dataclasses

@@ -13,7 +13,7 @@ from streamcache import (BBox, PatchGrid, TrainingDivergence, connector_forward,
                          init_connector, load_scene, loss_ho, loss_lm, loss_total,
                          make_scene, save_scene, stage1_losses, stage1_value_and_grads,
                          train_toy)
-from streamcache.connector import _box_cost, _match, caption_logits, giou_and_grad
+from streamcache.connector import _box_cost, _match, giou_and_grad
 
 from naive_reference import lexicographic_match
 
@@ -488,15 +488,6 @@ def test_scene_seed_form_regenerates(tmp_path):
     assert len(back.caption) > 0  # derived deterministically when absent
 
 
-def test_caption_logits_uses_lm_head():
-    scene = make_scene(seed=6, side=4, dim=FEAT_DIM)
-    decoder = init_caption_decoder(QDIM, 64, seed=9)
-    tokens = np.random.default_rng(0).standard_normal((4, QDIM))
-    logits = caption_logits(decoder, tokens, scene.caption)
-    assert logits.shape == (len(scene.caption), 64)
-    assert np.isfinite(loss_lm(logits, scene.caption))
-
-
 def test_train_toy_overfits_single_scene():
     scene = make_scene(seed=11, side=16, dim=48)
     params = init_connector(feat_dim=48, d=32, m=8, k=2, d_mlp=48, seed=5)
@@ -528,8 +519,7 @@ def test_train_toy_divergence_detected():
     decoder = init_caption_decoder(QDIM, 64, seed=9)
     with pytest.raises(TrainingDivergence):
         with np.errstate(all="ignore"):
-            train_toy(params, decoder, [scene], epochs=50, lr=1e4,
-                      schedule="constant")
+            train_toy(params, decoder, [scene], epochs=50, lr=1e4)
     # a NaN box head with finite attention outputs is divergence too, not a bad box
     params = small_setup()
     params["w2"][:] = np.nan

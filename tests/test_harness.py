@@ -1,12 +1,13 @@
 import collections
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
 from streamcache import (OraclePredictor, SimConfig, StrategyAbort, StrategyKind,
                          append_flop_cost, fit_growth, generate_stream,
-                         recompute_flop_cost, run_strategy, spike_ratio, temporal_variance)
+                         recompute_flop_cost, run_strategy, spike_ratio)
 from streamcache.harness import ENGINE_LAYERS
 
 from naive_reference import transcribe_interleaved
@@ -228,6 +229,27 @@ def test_with_engine_false_runs_symbolically():
     assert len(trace.cache_events) > 0
 
 
+@pytest.mark.parametrize("tokens_per_frame", [1, 3])
+@pytest.mark.parametrize("kind", list(StrategyKind), ids=lambda k: k.value)
+def test_symbolic_replay_matches_engine_replay(kind, tokens_per_frame):
+    # C9 checks the cache mechanics on with_engine=False runs; this ties that
+    # mode to the engine run frame by frame
+    cfg = small_cfg(tokens_per_frame=tokens_per_frame)
+    stream = generate_stream(cfg, 240.0)
+    engine, symbolic = (run_strategy(kind, stream, cfg, noise_p=0.25, prompt_tokens=2,
+                                     with_engine=with_engine)
+                        for with_engine in (True, False))
+    events = [[e.to_dict() for e in t.cache_events] for t in (symbolic, engine)]
+    assert events[0] == events[1]
+
+    def per_frame(trace):
+        return [(r.frame, r.live_token_count, r.predicted_step_id, r.correct,
+                 r.verbalization_event) for r in trace.rows]
+
+    assert per_frame(symbolic) == per_frame(engine)
+    assert len(engine.rows) == len(stream.frames)
+
+
 def test_trace_one_row_per_frame_and_budget_consistency():
     # with a clean predictor and runs much longer than tau, every prediction
     # run verbalizes exactly once, so traced text tokens match the grouped
@@ -236,12 +258,10 @@ def test_trace_one_row_per_frame_and_budget_consistency():
     stream = generate_stream(cfg, 300.0)
     trace = run_strategy(StrategyKind.INTERLEAVED, stream, cfg)
     assert len(trace.rows) == len(stream.frames)
-    from streamcache import group_consecutive
-    groups = group_consecutive([(r.frame, r.predicted_step_id) for r in trace.rows])
+    runs = [step for step, _ in itertools.groupby(r.predicted_step_id for r in trace.rows)]
     events = sum(r.verbalization_event for r in trace.rows)
-    assert events == len(groups)
-    expected_entries = sum(1 + int(stream.class_token_counts[g.step_id])
-                           for g in groups)
+    assert events == len(runs)
+    expected_entries = sum(1 + int(stream.class_token_counts[step]) for step in runs)
     entered = sum(len(e.token_ids) for e in trace.cache_events
                   if e.op == "entry" and e.kind in ("text", "long_term_marker"))
     assert entered == expected_entries
@@ -312,36 +332,3 @@ def test_fit_growth_linear_exponent_close_to_one():
 def test_fit_growth_requires_min_frames():
     with pytest.raises(ValueError):
         fit_growth(np.arange(50, dtype=np.float64))
-
-
-# -- temporal variance ------------------------------------------------------
-
-def test_temporal_variance_zero_noise(cfg):
-    stream = generate_stream(cfg, 600.0, feature_noise=0.0)
-    cls = stream.steps[0].step_id
-    assert temporal_variance(stream, cls) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_temporal_variance_unit_noise_near_one(cfg):
-    stream = generate_stream(cfg, 1200.0, feature_noise=1.0)
-    cls = max((s.step_id for s in stream.steps),
-              key=lambda c: sum(s.step_id == c for s in stream.steps))
-    assert temporal_variance(stream, cls) == pytest.approx(1.0, rel=0.1)
-
-
-def test_temporal_variance_orders_by_noise():
-    cfg = small_cfg(mean_step_s=16.0)
-    stream = generate_stream(cfg, 1200.0, class_noise={c: 0.1 for c in range(10)}
-                             | {c: 0.5 for c in range(10, 20)})
-    lo = [c for c in range(10) if sum(f.step_id == c for f in stream.frames) >= 2]
-    hi = [c for c in range(10, 20) if sum(f.step_id == c for f in stream.frames) >= 2]
-    v_lo = np.mean([temporal_variance(stream, c) for c in lo])
-    v_hi = np.mean([temporal_variance(stream, c) for c in hi])
-    assert v_hi > v_lo
-
-
-def test_temporal_variance_rejects_singleton(cfg):
-    stream = generate_stream(cfg, 600.0)
-    missing = max(f.step_id for f in stream.frames) + 1
-    with pytest.raises(ValueError):
-        temporal_variance(stream, missing)

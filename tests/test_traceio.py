@@ -56,6 +56,22 @@ def test_read_trace_rejects_garbage(tmp_path):
         read_trace_csv(str(empty))
 
 
+@pytest.mark.parametrize("edit,column", [
+    (lambda fields: fields[:3] + ["inf"] + fields[4:], "live_tokens"),
+    (lambda fields: fields[:3] + ["nan"] + fields[4:], "live_tokens"),
+    (lambda fields: fields[:-1], "verbalized"),
+], ids=["inf", "nan", "short row"])
+def test_read_trace_rejects_bad_row(tmp_path, short_run, edit, column):
+    _, traces = short_run
+    path = tmp_path / "trace.csv"
+    write_trace_csv(str(path), traces[2])
+    lines = path.read_text().splitlines()
+    lines[2] = ",".join(edit(lines[2].split(",")))
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"line 3, column {column}"):
+        read_trace_csv(str(path))
+
+
 def test_events_jsonl_schema(tmp_path, short_run):
     _, traces = short_run
     path = tmp_path / "events.jsonl"

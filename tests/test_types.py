@@ -21,17 +21,6 @@ def test_kind_field_requirements(factory):
     Token(3, TokenKind.PROMPT, np.zeros(3)).validate()
 
 
-def test_token_round_trip(factory):
-    tok = factory.text(7, np.array([0.25, -1.5, 3.0]))
-    tok.entry_position = 11
-    back = Token.from_dict(tok.to_dict())
-    assert back.id == tok.id
-    assert back.kind is tok.kind
-    assert back.step_id == tok.step_id
-    assert back.entry_position == 11
-    np.testing.assert_array_equal(back.embedding, tok.embedding)
-
-
 def test_step_record_validation():
     StepRecord(0, "step-00", 0.0, 2.0, 5).validate()
     with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from streamcache import (EmbeddingTable, PredictionLog, SimConfig, StepRecord,
                          TokenFactory, TokenKind, Verbalizer, budget_report,
-                         generate_stream, group_consecutive, should_verbalize)
+                         generate_stream, should_verbalize)
 
 
 def make_verbalizer(cfg):
@@ -94,41 +94,6 @@ def test_verbalized_hour_close_to_expected_count(cfg):
     verb = make_verbalizer(cfg)
     text_tokens = sum(len(verb.verbalize(step)) - 1 for step in stream.steps)
     assert text_tokens == pytest.approx(630, rel=0.10)
-
-
-# -- grouping ---------------------------------------------------------------
-
-def test_group_consecutive_basic():
-    preds = [(0, 7), (1, 7), (2, 3), (3, 3), (4, 3), (5, 7)]
-    records = group_consecutive(preds)
-    assert [r.step_id for r in records] == [7, 3, 7]
-    assert (records[0].start_s, records[0].end_s) == (0.0, 2.0)
-    assert (records[1].start_s, records[1].end_s) == (2.0, 5.0)
-
-
-def test_group_consecutive_all_equal_and_alternating():
-    assert len(group_consecutive([(i, 5) for i in range(10)])) == 1
-    alternating = [(i, i % 2) for i in range(10)]
-    assert len(group_consecutive(alternating)) == 10
-
-
-def test_group_consecutive_rejects_non_ascending():
-    with pytest.raises(ValueError):
-        group_consecutive([(1, 0), (1, 1)])
-
-
-@given(st.lists(st.integers(0, 3), min_size=1, max_size=50))
-@settings(max_examples=200, deadline=None)
-def test_group_consecutive_idempotent_and_lossless(ids):
-    preds = list(enumerate(ids))
-    records = group_consecutive(preds)
-    # lossless: expanding spans reproduces the id sequence
-    expanded = []
-    for rec in records:
-        expanded.extend([(f, rec.step_id) for f in range(int(rec.start_s), int(rec.end_s))])
-    assert expanded == preds
-    # idempotent: no two adjacent records share an id
-    assert all(a.step_id != b.step_id for a, b in zip(records, records[1:]))
 
 
 # -- budget arithmetic ------------------------------------------------------
