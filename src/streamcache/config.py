@@ -67,7 +67,8 @@ def validate_config(cfg: SimConfig) -> SimConfig:
 
 
 _FIELD_NAMES = {f.name for f in fields(SimConfig)}
-_INT_FIELDS = {"tokens_per_frame", "d", "N_S", "N_L", "tau", "vocab_size", "seed"}
+# under postponed evaluation each field type is its annotation string
+_INT_FIELDS = {f.name for f in fields(SimConfig) if f.type == "int"}
 
 
 def config_from_dict(data: dict) -> SimConfig:
@@ -97,6 +98,6 @@ def load_config(path: str) -> SimConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return config_from_dict(data)

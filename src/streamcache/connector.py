@@ -152,24 +152,19 @@ def connector_forward(grid: PatchGrid, params: Dict[str, np.ndarray]) -> Connect
 # generalized IoU
 # ---------------------------------------------------------------------------
 
-def _corners(params: np.ndarray) -> np.ndarray:
-    cx, cy, w, h = params[..., 0], params[..., 1], params[..., 2], params[..., 3]
-    return np.stack([cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2], axis=-1)
+def _corner_pairs(params: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) corners of center-format (..., 4) boxes, each (..., 2) as (x, y)."""
+    center, half = params[..., :2], params[..., 2:] / 2
+    return center - half, center + half
 
 
 def giou_batch(a_params: np.ndarray, b_params: np.ndarray) -> np.ndarray:
     """Generalized IoU for paired (n, 4) center-format box arrays."""
-    a = _corners(np.asarray(a_params, dtype=np.float64))
-    b = _corners(np.asarray(b_params, dtype=np.float64))
-    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
-    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
-    iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
-    ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
-    inter = np.clip(iw, 0, None) * np.clip(ih, 0, None)
-    union = area_a + area_b - inter
-    cw = np.maximum(a[..., 2], b[..., 2]) - np.minimum(a[..., 0], b[..., 0])
-    ch = np.maximum(a[..., 3], b[..., 3]) - np.minimum(a[..., 1], b[..., 1])
-    c_area = cw * ch
+    a_lo, a_hi = _corner_pairs(np.asarray(a_params, dtype=np.float64))
+    b_lo, b_hi = _corner_pairs(np.asarray(b_params, dtype=np.float64))
+    inter = np.clip(np.minimum(a_hi, b_hi) - np.maximum(a_lo, b_lo), 0, None).prod(-1)
+    union = (a_hi - a_lo).prod(-1) + (b_hi - b_lo).prod(-1) - inter
+    c_area = (np.maximum(a_hi, b_hi) - np.minimum(a_lo, b_lo)).prod(-1)
     return inter / union - (c_area - union) / c_area
 
 
@@ -184,37 +179,30 @@ def giou_and_grad(pred_params: np.ndarray, gt_params: np.ndarray
                   ) -> Tuple[np.ndarray, np.ndarray]:
     """GIoU of paired (..., 4) center-format boxes plus its gradient w.r.t.
     the predicted (cx, cy, w, h)."""
-    ax1, ay1, ax2, ay2 = np.moveaxis(_corners(pred_params), -1, 0)
-    bx1, by1, bx2, by2 = np.moveaxis(_corners(gt_params), -1, 0)
-    aw, ah = ax2 - ax1, ay2 - ay1
-    area_a = aw * ah
-    area_b = (bx2 - bx1) * (by2 - by1)
-    iw = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
-    ih = np.minimum(ay2, by2) - np.maximum(ay1, by1)
-    has_inter = (iw > 0) & (ih > 0)
-    inter = np.where(has_inter, iw * ih, 0.0)
-    union = area_a + area_b - inter
-    cw = np.maximum(ax2, bx2) - np.minimum(ax1, bx1)
-    ch = np.maximum(ay2, by2) - np.minimum(ay1, by1)
-    c_area = cw * ch
-    value = inter / union - (c_area - union) / c_area
+    a_lo, a_hi = _corner_pairs(pred_params)
+    b_lo, b_hi = _corner_pairs(gt_params)
+    size = a_hi - a_lo
+    inter_wh = np.minimum(a_hi, b_hi) - np.maximum(a_lo, b_lo)
+    hull_wh = np.maximum(a_hi, b_hi) - np.minimum(a_lo, b_lo)
+    has_inter = (inter_wh > 0).all(-1, keepdims=True)
+    inter = np.where(has_inter, inter_wh.prod(-1, keepdims=True), 0.0)
+    union = size.prod(-1, keepdims=True) + (b_hi - b_lo).prod(-1, keepdims=True) - inter
+    c_area = hull_wh.prod(-1, keepdims=True)
+    value = (inter / union - (c_area - union) / c_area)[..., 0]
 
-    # corner gradients: d_inter, d_area_a, d_c_area w.r.t. (ax1, ay1, ax2, ay2)
-    d_area = np.stack([-ah, -aw, ah, aw], axis=-1)
-    d_inter = np.stack([np.where(has_inter & (ax1 >= bx1), -ih, 0.0),
-                        np.where(has_inter & (ay1 >= by1), -iw, 0.0),
-                        np.where(has_inter & (ax2 <= bx2), ih, 0.0),
-                        np.where(has_inter & (ay2 <= by2), iw, 0.0)], axis=-1)
-    d_c = np.stack([np.where(ax1 < bx1, -ch, 0.0), np.where(ay1 < by1, -cw, 0.0),
-                    np.where(ax2 > bx2, ch, 0.0), np.where(ay2 > by2, cw, 0.0)], axis=-1)
-    union, inter, c_area = union[..., None], inter[..., None], c_area[..., None]
-    d_union = d_area - d_inter
-    d_iou = (d_inter * union - inter * d_union) / (union * union)
-    d_ratio = (d_union * c_area - union * d_c) / (c_area * c_area)  # d(union / c_area)
-    d1, d2, d3, d4 = np.moveaxis(d_iou + d_ratio, -1, 0)
+    # a corner coordinate moves each area by the other axis's extent; it moves
+    # the overlap only inside the gt box's span and the hull only beyond it
+    def d_corner(sign: float, beyond: np.ndarray) -> np.ndarray:
+        d_area = sign * size[..., ::-1]
+        d_inter = np.where(has_inter & ~beyond, sign * inter_wh[..., ::-1], 0.0)
+        d_c = np.where(beyond, sign * hull_wh[..., ::-1], 0.0)
+        d_union = d_area - d_inter
+        d_iou = (d_inter * union - inter * d_union) / (union * union)
+        return d_iou + (d_union * c_area - union * d_c) / (c_area * c_area)
+
+    d_lo, d_hi = d_corner(-1.0, a_lo < b_lo), d_corner(1.0, a_hi > b_hi)
     # map corner grads back to center parametrization
-    grad = np.stack([d1 + d3, d2 + d4, 0.5 * (d3 - d1), 0.5 * (d4 - d2)], axis=-1)
-    return value, grad
+    return value, np.concatenate([d_lo + d_hi, 0.5 * (d_hi - d_lo)], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -345,10 +333,6 @@ class CaptionDecoder:
     w_k2: np.ndarray  # (d, d)
     w_v2: np.ndarray  # (d, d)
     w_lm: np.ndarray  # (d, vocab)
-
-    @property
-    def vocab_size(self) -> int:
-        return self.emb.shape[0]
 
 
 def init_caption_decoder(d: int, vocab_size: int, seed: int) -> CaptionDecoder:
@@ -594,12 +578,10 @@ def stage1_value_and_grads(params: Dict[str, np.ndarray], decoder: CaptionDecode
     d_box_in = d_pre @ params["w1"].T
 
     # merge both paths into the cross-attention block
+    # with m = 0 the (d, 0) @ (0, d) product is already the zero gradient
+    d_w_z = fwd["out"][:m].T @ d_tokens
     d_out = np.zeros_like(fwd["out"])
-    if m > 0:
-        d_w_z = fwd["out"][:m].T @ d_tokens
-        d_out[:m] = d_tokens @ params["w_z"].T
-    else:
-        d_w_z = np.zeros_like(params["w_z"])
+    d_out[:m] = d_tokens @ params["w_z"].T
     d_out[m:] += d_box_in
 
     d_q_all = d_out.copy()

@@ -64,15 +64,7 @@ class StreamFrame:
 class SyntheticStream:
     steps: List[StepRecord]
     frames: List[StreamFrame]
-    fps: float
-    seed: int
-    class_ids: List[int]
-    labels: List[str]
-    class_token_counts: np.ndarray
-    prototypes: np.ndarray
-
-    def label(self, class_id: int) -> str:
-        return self.labels[class_id]
+    class_token_counts: np.ndarray  # text tokens describing each class id
 
 
 def generate_stream(cfg: SimConfig, duration_s: float, n_classes: int = 20) -> SyntheticStream:
@@ -85,7 +77,6 @@ def generate_stream(cfg: SimConfig, duration_s: float, n_classes: int = 20) -> S
     prototypes = rng.standard_normal((n_classes, cfg.d))
     # description lengths of 5 or 6 tokens, 70% long: mean 5.7 per class
     class_token_counts = 5 + (rng.random(n_classes) < 0.7).astype(np.int64)
-    labels = [f"step-{c:02d}" for c in range(n_classes)]
 
     steps: List[StepRecord] = []
     t = 0.0
@@ -98,7 +89,7 @@ def generate_stream(cfg: SimConfig, duration_s: float, n_classes: int = 20) -> S
         dur = float(rng.normal(cfg.mean_step_s, cfg.step_s_jitter))
         dur = max(dur, min_dur)
         end = min(t + dur, duration_s)
-        steps.append(StepRecord(step_id=c, label=labels[c], start_s=t, end_s=end,
+        steps.append(StepRecord(step_id=c, start_s=t, end_s=end,
                                 text_token_count=int(class_token_counts[c])).validate())
         prev_class = c
         t = end
@@ -113,9 +104,7 @@ def generate_stream(cfg: SimConfig, duration_s: float, n_classes: int = 20) -> S
         c = steps[step_idx].step_id
         feature = prototypes[c] + FEATURE_NOISE * rng.standard_normal(cfg.d)
         frames.append(StreamFrame(index=i, time_s=ts, step_id=c, feature=feature))
-    return SyntheticStream(steps=steps, frames=frames, fps=cfg.fps, seed=cfg.seed,
-                           class_ids=list(range(n_classes)), labels=labels,
-                           class_token_counts=class_token_counts, prototypes=prototypes)
+    return SyntheticStream(steps, frames, class_token_counts)
 
 
 class OraclePredictor:
@@ -131,8 +120,7 @@ class OraclePredictor:
 
     def predict(self, frame: StreamFrame) -> int:
         if self.noise_p > 0.0 and self.rng.random() < self.noise_p:
-            class_ids = self.stream.class_ids
-            return int(class_ids[int(self.rng.integers(len(class_ids)))])
+            return int(self.rng.integers(len(self.stream.class_token_counts)))
         return int(frame.step_id)
 
 
@@ -234,7 +222,6 @@ def run_strategy(kind: StrategyKind, stream: SyntheticStream, cfg: SimConfig, *,
         cache.entry(tok, 0.0)
     append(prompt)
 
-    inv_fps = 1.0 / cfg.fps
     for frame in stream.frames:
         t0 = time.perf_counter_ns()
         recompute_flops = 0
@@ -252,10 +239,7 @@ def run_strategy(kind: StrategyKind, stream: SyntheticStream, cfg: SimConfig, *,
         pred = predictor.predict(frame)
         event = bounded and should_verbalize(log, pred)
         if event:
-            record = StepRecord(step_id=pred, label=stream.label(pred),
-                                start_s=frame.time_s, end_s=frame.time_s + inv_fps,
-                                text_token_count=int(stream.class_token_counts[pred]))
-            group = verbalizer.verbalize(record)
+            group = verbalizer.verbalize(pred, int(stream.class_token_counts[pred]))
             for tok in group:
                 cache.entry(tok, frame.time_s)
             group_flops = append(group)

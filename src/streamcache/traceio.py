@@ -13,7 +13,6 @@ import csv
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from typing import Dict, List
 
@@ -50,31 +49,38 @@ def write_trace_csv(path: str, trace: StrategyTrace) -> None:
 def read_trace_csv(path: str) -> Dict[str, Dict[str, np.ndarray]]:
     """Per-strategy column arrays from a trace CSV.
 
-    Raises ``ValueError`` naming the line and column of a missing field or of
-    a numeric field that is not a finite number.
+    Raises ``ValueError`` naming the line of a row that the csv module cannot
+    parse or that has extra fields, and the line and column of a missing
+    field or of a numeric field that is not a finite number.
     """
     by_strategy: Dict[str, Dict[str, list]] = {}
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames != TRACE_COLUMNS:
-            raise ValueError(f"unexpected trace columns: {reader.fieldnames}")
-        for rec in reader:
-            cols = by_strategy.setdefault(rec["strategy"],
-                                          {name: [] for name in TRACE_COLUMNS})
-            for name in TRACE_COLUMNS:
-                value = rec[name]
-                if value is None:
-                    raise ValueError(f"{path} line {reader.line_num}, column {name}: "
-                                     "missing field")
-                if name != "strategy":
-                    try:
-                        value = float(value)
-                    except ValueError:
-                        value = math.nan
-                    if not math.isfinite(value):
+        try:
+            if reader.fieldnames != TRACE_COLUMNS:
+                raise ValueError(f"unexpected trace columns: {reader.fieldnames}")
+            for rec in reader:
+                if None in rec:  # DictReader files fields beyond the header under None
+                    raise ValueError(f"{path} line {reader.line_num}: "
+                                     f"{len(rec[None])} extra field(s)")
+                cols = by_strategy.setdefault(rec["strategy"],
+                                              {name: [] for name in TRACE_COLUMNS})
+                for name in TRACE_COLUMNS:
+                    value = rec[name]
+                    if value is None:
                         raise ValueError(f"{path} line {reader.line_num}, column {name}: "
-                                         f"{rec[name]!r} is not a finite number")
-                cols[name].append(value)
+                                         "missing field")
+                    if name != "strategy":
+                        try:
+                            value = float(value)
+                        except ValueError:
+                            value = math.nan
+                        if not math.isfinite(value):
+                            raise ValueError(f"{path} line {reader.line_num}, column "
+                                             f"{name}: {rec[name]!r} is not a finite number")
+                    cols[name].append(value)
+        except csv.Error as exc:  # DictReader.line_num lags a row that fails to parse
+            raise ValueError(f"{path} line {reader.reader.line_num}: {exc}") from exc
     if not by_strategy:
         raise ValueError(f"empty trace file: {path}")
     out: Dict[str, Dict[str, np.ndarray]] = {}
@@ -120,28 +126,14 @@ def summarize(traces: List[StrategyTrace]) -> dict:
     return summary
 
 
-@dataclass
-class RunManifest:
-    """Reproducibility record: config, seed, and every artifact written."""
-
-    config: dict
-    seed: int
-    artifacts: List[str]
-    tool_version: str
-    created_at: str = field(
-        default_factory=lambda: datetime.now(timezone.utc).isoformat())
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
 def write_manifest(path: str, cfg: SimConfig, artifacts: List[str],
-                   tool_version: str) -> RunManifest:
+                   tool_version: str) -> None:
+    """Reproducibility record: config, seed, and every artifact written."""
     missing = [a for a in artifacts if not os.path.exists(a)]
     if missing:
         raise FileNotFoundError(f"manifest lists missing artifacts: {missing}")
-    manifest = RunManifest(config=cfg.to_dict(), seed=cfg.seed,
-                           artifacts=list(artifacts), tool_version=tool_version)
+    manifest = {"config": cfg.to_dict(), "seed": cfg.seed, "artifacts": list(artifacts),
+                "tool_version": tool_version,
+                "created_at": datetime.now(timezone.utc).isoformat()}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest.to_dict(), fh, indent=2, sort_keys=True)
-    return manifest
+        json.dump(manifest, fh, indent=2, sort_keys=True)

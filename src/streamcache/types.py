@@ -81,10 +81,9 @@ class TokenFactory:
 
 @dataclass
 class StepRecord:
-    """A procedural step: label, temporal span, and verbal description length."""
+    """A procedural step: class id, temporal span, and verbal description length."""
 
     step_id: int
-    label: str
     start_s: float
     end_s: float
     text_token_count: int

@@ -17,7 +17,7 @@ from typing import List
 import numpy as np
 
 from .config import SimConfig
-from .types import StepRecord, Token, TokenFactory
+from .types import Token, TokenFactory
 
 # Average text tokens per verbalized step; measured step descriptions run
 # just under six tokens, so the default budget math uses 5.7.
@@ -30,18 +30,13 @@ class PredictionLog:
     def __init__(self, tau: int) -> None:
         if tau < 0:
             raise ValueError(f"tau must be >= 0, got {tau}")
-        self.tau = tau
-        self._recent: deque = deque(maxlen=tau)
-
-    def __len__(self) -> int:
-        return len(self._recent)
+        self._recent: deque = deque(maxlen=tau)  # maxlen 0 keeps nothing
 
     def __contains__(self, step_id: int) -> bool:
         return step_id in self._recent
 
     def add(self, step_id: int) -> None:
-        if self.tau > 0:
-            self._recent.append(step_id)
+        self._recent.append(step_id)
 
 
 def should_verbalize(log: PredictionLog, step_id: int) -> bool:
@@ -85,15 +80,14 @@ class Verbalizer:
         self.factory = factory
         self.table = table
 
-    def verbalize(self, step: StepRecord) -> List[Token]:
-        """One marker token followed by ``text_token_count`` text tokens, all
-        sharing the step id. Payloads repeat across calls; ids are fresh."""
-        if step.text_token_count < 1:
-            raise ValueError(f"step {step.step_id}: nothing to verbalize")
-        tokens = [self.factory.marker(step.step_id, self.table.marker.copy())]
-        for vid in step_text_vocab_ids(step.step_id, step.text_token_count,
-                                       self.table.vocab_size):
-            tokens.append(self.factory.text(step.step_id, self.table.vocab_embedding(vid).copy()))
+    def verbalize(self, step_id: int, n_text: int) -> List[Token]:
+        """One marker token followed by ``n_text`` text tokens, all sharing
+        ``step_id``. Payloads repeat across calls; ids are fresh."""
+        if n_text < 1:
+            raise ValueError(f"step {step_id}: nothing to verbalize")
+        tokens = [self.factory.marker(step_id, self.table.marker.copy())]
+        for vid in step_text_vocab_ids(step_id, n_text, self.table.vocab_size):
+            tokens.append(self.factory.text(step_id, self.table.vocab_embedding(vid).copy()))
         return tokens
 
 

@@ -248,23 +248,26 @@ def test_report_scaling_missing_file_exits_2(tmp_path, capsys):
     assert main(["report", "--scaling", str(tmp_path / "nope.csv")]) == 2
 
 
-@pytest.mark.parametrize("value", ["inf", ""], ids=["inf", "short row"])
-def test_report_scaling_bad_row_exits_2(tmp_path, cfg_path, capsys, value):
+@pytest.mark.parametrize("edit,message", [
+    (lambda fields: fields[:3] + ["inf"], "line 6, column live_tokens"),
+    (lambda fields: fields[:3], "line 6, column live_tokens"),
+    (lambda fields: fields + ["999", "junk"], "line 6: 2 extra field(s)"),
+    (lambda fields: fields[:2] + ["b" * 131_073] + fields[3:], "line 6: field larger"),
+], ids=["inf", "short row", "extra fields", "oversized field"])
+def test_report_scaling_bad_row_exits_2(tmp_path, cfg_path, capsys, edit, message):
     out_dir = tmp_path / "run"
     main(["simulate", cfg_path, "--strategy", "a1", "--duration-s", "60",
           "--out-dir", str(out_dir)])
     capsys.readouterr()
     path = out_dir / "trace_a1.csv"
     lines = path.read_text().splitlines()
-    fields = lines[5].split(",")
-    # an inf live count, or a row cut short after the strategy column
-    lines[5] = ",".join(fields[:3] + [value] if value else fields[:3])
+    lines[5] = ",".join(edit(lines[5].split(",")))
     path.write_text("\n".join(lines) + "\n")
     assert main(["report", "--scaling", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: cannot read trace")
-    assert "line 6, column live_tokens" in captured.err
+    assert message in captured.err
 
 
 def test_usage_error_exits_2():
@@ -279,6 +282,21 @@ def test_simulate_non_finite_config_exits_2(tmp_path, capsys, text):
     code = main(["simulate", str(bad), "--duration-s", "30", "--out-dir", str(tmp_path / "r")])
     assert code == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "bench", "report"])
+def test_config_not_utf8_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{"seed": 3, "note": "\xff"}')
+    out_dir, out_csv = tmp_path / "run", tmp_path / "bench.csv"
+    argv = {"simulate": ["simulate", str(path), "--out-dir", str(out_dir)],
+            "bench": ["bench", str(path), "--sweep", "1:4:1", "--out", str(out_csv)],
+            "report": ["report", "--budget", "--config", str(path)]}[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot read config")
+    assert not out_dir.exists() and not out_csv.exists()
 
 
 def test_report_budget_non_finite_config_exits_2(tmp_path, capsys):

@@ -56,6 +56,23 @@ def test_type_errors_rejected(tmp_path):
         load_config(str(bad))
 
 
+# every int field of SimConfig, listed here so that the set the loader
+# derives from the annotations is pinned
+@pytest.mark.parametrize("field", ["tokens_per_frame", "d", "N_S", "N_L", "tau",
+                                   "vocab_size", "seed"])
+@pytest.mark.parametrize("value", [1.5, True, "3"], ids=["1.5", "true", "str"])
+def test_int_field_type_errors_rejected(field, value):
+    with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+        config_from_dict({field: value})
+
+
+def test_config_not_utf8_rejected(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b'{"seed": 3, "note": "\xff"}')
+    with pytest.raises(ConfigError, match="cannot read config"):
+        load_config(str(path))
+
+
 @pytest.mark.parametrize("field", ["fps", "mean_step_s", "step_s_jitter", "lambda_1"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_floats_rejected(cfg, field, value):

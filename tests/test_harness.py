@@ -72,7 +72,7 @@ def test_oracle_noise_zero_always_correct():
 
 def test_oracle_noise_one_accuracy_near_uniform():
     stream = generate_stream(small_cfg(), 10.0)
-    assert len(stream.class_ids) == 20
+    assert len(stream.class_token_counts) == 20
     frame = stream.frames[0]
     predictor = OraclePredictor(stream, 1.0, seed=0)
     hits = sum(predictor.predict(frame) == frame.step_id for _ in range(20000))

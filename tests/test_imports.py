@@ -1,7 +1,9 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports, and every private module-level
+name it defines, is read in that module.
 
-A stdlib ``ast`` check standing in for a linter's unused-import rule.
-``__init__.py`` is skipped: its imports are the package's re-exports.
+Stdlib ``ast`` checks standing in for a linter's unused-import and
+unused-private-name rules. ``__init__.py`` is skipped: its imports are the
+package's re-exports.
 """
 
 import ast
@@ -13,11 +15,31 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "streamcache"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
+def _names_read(tree: ast.AST) -> set:
+    """Names that ``tree`` reads, including those inside quoted annotations
+    such as ``"Token"``."""
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
+            and isinstance(n.ctx, ast.Load)}
+    for annotation in annotations:
+        for const in ast.walk(annotation):
+            if isinstance(const, ast.Constant) and isinstance(const.value, str):
+                used |= {n.id for n in ast.walk(ast.parse(const.value, mode="eval"))
+                         if isinstance(n, ast.Name)}
+    return used
+
+
 def unused_imports(source: str) -> list:
     """Names bound by an import statement that nothing in ``source`` reads."""
     tree = ast.parse(source)
     imported = {}
-    annotations = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -25,21 +47,28 @@ def unused_imports(source: str) -> list:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
-        elif isinstance(node, ast.arg) and node.annotation is not None:
-            annotations.append(node.annotation)
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
-            annotations.append(node.returns)
-        elif isinstance(node, ast.AnnAssign):
-            annotations.append(node.annotation)
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    # a quoted annotation such as "Token" names its types inside a string
-    for annotation in annotations:
-        for const in ast.walk(annotation):
-            if isinstance(const, ast.Constant) and isinstance(const.value, str):
-                used |= {n.id for n in ast.walk(ast.parse(const.value, mode="eval"))
-                         if isinstance(n, ast.Name)}
+    used = _names_read(tree)
     return sorted(f"{name} (line {line})" for name, line in imported.items()
                   if name not in used)
+
+
+def unread_privates(source: str) -> list:
+    """Private (``_name``) module-level functions, classes and constants that
+    nothing in ``source`` reads."""
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        defined[name.id] = node.lineno
+    used = _names_read(tree)
+    return sorted(f"{name} (line {line})" for name, line in defined.items()
+                  if name.startswith("_") and not name.startswith("__") and name not in used)
 
 
 def test_checker_finds_unused_names():
@@ -55,3 +84,26 @@ def test_checker_finds_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_checker_finds_unread_private_names():
+    source = ("import math\n"
+              "__all__ = ['f']\n"
+              "_TOL, _SPARE = 1e-9, 2\n"
+              "_LIMIT: int = 3\n"
+              "def _corners(x):\n"
+              "    return x\n"
+              "def _helper(x):\n"
+              "    return x\n"
+              "class _Cache:\n"
+              "    pass\n"
+              "def f(x: '_Cache') -> float:\n"
+              "    _local = 1\n"
+              "    return math.fabs(_helper(x) - _TOL) + _local\n")
+    assert unread_privates(source) == ["_LIMIT (line 4)", "_SPARE (line 3)",
+                                       "_corners (line 5)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_reads_its_private_names(path):
+    assert unread_privates(path.read_text(encoding="utf-8")) == []

@@ -56,19 +56,22 @@ def test_read_trace_rejects_garbage(tmp_path):
         read_trace_csv(str(empty))
 
 
-@pytest.mark.parametrize("edit,column", [
-    (lambda fields: fields[:3] + ["inf"] + fields[4:], "live_tokens"),
-    (lambda fields: fields[:3] + ["nan"] + fields[4:], "live_tokens"),
-    (lambda fields: fields[:-1], "verbalized"),
-], ids=["inf", "nan", "short row"])
-def test_read_trace_rejects_bad_row(tmp_path, short_run, edit, column):
+@pytest.mark.parametrize("edit,message", [
+    (lambda fields: fields[:3] + ["inf"] + fields[4:], "line 3, column live_tokens"),
+    (lambda fields: fields[:3] + ["nan"] + fields[4:], "line 3, column live_tokens"),
+    (lambda fields: fields[:-1], "line 3, column verbalized"),
+    (lambda fields: fields + ["999", "junk"], "line 3: 2 extra field"),
+    # past the csv module's default 131,072-character field limit
+    (lambda fields: fields[:2] + ["b" * 131_073] + fields[3:], "line 3: field larger"),
+], ids=["inf", "nan", "short row", "extra fields", "oversized field"])
+def test_read_trace_rejects_bad_row(tmp_path, short_run, edit, message):
     _, traces = short_run
     path = tmp_path / "trace.csv"
     write_trace_csv(str(path), traces[2])
     lines = path.read_text().splitlines()
     lines[2] = ",".join(edit(lines[2].split(",")))
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match=f"line 3, column {column}"):
+    with pytest.raises(ValueError, match=message):
         read_trace_csv(str(path))
 
 
@@ -98,8 +101,7 @@ def test_manifest_lists_existing_artifacts(tmp_path, short_run):
     cfg, traces = short_run
     csv_path = tmp_path / "t.csv"
     write_trace_csv(str(csv_path), traces[0])
-    manifest = write_manifest(str(tmp_path / "manifest.json"), cfg,
-                              [str(csv_path)], "0.1.0")
+    write_manifest(str(tmp_path / "manifest.json"), cfg, [str(csv_path)], "0.1.0")
     stored = json.loads((tmp_path / "manifest.json").read_text())
     assert stored["seed"] == cfg.seed
     assert stored["artifacts"] == [str(csv_path)]

@@ -22,11 +22,11 @@ def test_kind_field_requirements(factory):
 
 
 def test_step_record_validation():
-    StepRecord(0, "step-00", 0.0, 2.0, 5).validate()
+    StepRecord(0, 0.0, 2.0, 5).validate()
     with pytest.raises(ValueError):
-        StepRecord(0, "step-00", 2.0, 2.0, 5).validate()
+        StepRecord(0, 2.0, 2.0, 5).validate()
     with pytest.raises(ValueError):
-        StepRecord(0, "step-00", 0.0, 2.0, 0).validate()
+        StepRecord(0, 0.0, 2.0, 0).validate()
 
 
 def test_bbox_validate_and_round_trip():

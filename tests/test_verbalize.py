@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamcache import (EmbeddingTable, PredictionLog, SimConfig, StepRecord,
-                         TokenFactory, TokenKind, Verbalizer, budget_report,
-                         generate_stream, should_verbalize)
+from streamcache import (EmbeddingTable, PredictionLog, SimConfig, TokenFactory,
+                         TokenKind, Verbalizer, budget_report, generate_stream,
+                         should_verbalize)
 
 
 def make_verbalizer(cfg):
@@ -61,8 +61,7 @@ def test_no_two_events_within_tau(preds, tau):
 
 def test_verbalize_shape_and_step_ids(cfg):
     verb = make_verbalizer(cfg)
-    step = StepRecord(4, "step-04", 0.0, 32.0, 5)
-    tokens = verb.verbalize(step)
+    tokens = verb.verbalize(4, 5)
     assert len(tokens) == 6
     assert tokens[0].kind is TokenKind.LONG_TERM_MARKER
     assert all(t.kind is TokenKind.TEXT for t in tokens[1:])
@@ -71,9 +70,8 @@ def test_verbalize_shape_and_step_ids(cfg):
 
 def test_verbalize_repeat_same_payload_fresh_ids(cfg):
     verb = make_verbalizer(cfg)
-    step = StepRecord(4, "step-04", 0.0, 32.0, 3)
-    first = verb.verbalize(step)
-    second = verb.verbalize(step)
+    first = verb.verbalize(4, 3)
+    second = verb.verbalize(4, 3)
     assert [t.id for t in first] != [t.id for t in second]
     for a, b in zip(first, second):
         np.testing.assert_array_equal(a.embedding, b.embedding)
@@ -81,10 +79,8 @@ def test_verbalize_repeat_same_payload_fresh_ids(cfg):
 
 def test_verbalize_rejects_zero_tokens(cfg):
     verb = make_verbalizer(cfg)
-    step = StepRecord(4, "step-04", 0.0, 32.0, 1)
-    step.text_token_count = 0
     with pytest.raises(ValueError):
-        verb.verbalize(step)
+        verb.verbalize(4, 0)
 
 
 def test_verbalized_hour_close_to_expected_count(cfg):
@@ -92,7 +88,8 @@ def test_verbalized_hour_close_to_expected_count(cfg):
     # the expected 630-ish text tokens
     stream = generate_stream(cfg, 3600.0)
     verb = make_verbalizer(cfg)
-    text_tokens = sum(len(verb.verbalize(step)) - 1 for step in stream.steps)
+    text_tokens = sum(len(verb.verbalize(step.step_id, step.text_token_count)) - 1
+                      for step in stream.steps)
     assert text_tokens == pytest.approx(630, rel=0.10)
 
 
