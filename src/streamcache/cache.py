@@ -1,13 +1,13 @@
 """Interleaved FIFO token cache with one entry point and two typed exits.
 
-Visual frame tokens and verbalized text tokens live in a single ordered
-sequence. ``exit_short`` trims the oldest visual tokens down to the visual
-capacity, taking them from a FIFO of live visual tokens kept beside the
-sequence, so it never scans past the prompt and the text groups to find them;
-``exit_long`` trims whole verbalized groups (marker plus its step's text
-tokens) down to the long-term capacity. Prompt tokens are pinned and
-never evicted. Exits are explicit calls, not side effects of entry, so a
-run's op sequence is auditable.
+Visual frame tokens and verbalized text tokens live in one map from token id
+to token, in entry order. ``exit_short`` trims the oldest visual tokens down
+to the visual capacity, taking them from a FIFO of live visual tokens kept
+beside the map, so it never scans past the prompt and the text groups to find
+them; ``exit_long`` trims whole verbalized groups (marker plus its step's text
+tokens) down to the long-term capacity. Prompt tokens are pinned and never
+evicted. Exits are explicit calls, not side effects of entry, so a run's op
+sequence is auditable.
 
 Each cache owns its entry-position clock and its event log. Single-writer:
 all mutations come from one logical stream thread. Snapshots returned by
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, Optional
+from typing import Deque, Dict, List
 
 from .types import PositionClock, Token, TokenKind
 
@@ -44,25 +44,25 @@ class InterleavedCache:
     """FIFO cache of interleaved visual/text tokens with per-kind capacities.
 
     ``n_s`` caps VISUAL_FRAME tokens, ``n_l`` caps LONG_TERM_MARKER entries
-    (each marker's text tokens leave with it). ``n_l=None`` means unbounded.
+    (each marker's text tokens leave with it). Live tokens are one id-to-token
+    map in entry order, beside a FIFO of the live visual tokens.
     """
 
-    def __init__(self, n_s: int, n_l: Optional[int]) -> None:
+    def __init__(self, n_s: int, n_l: int) -> None:
         if n_s < 1:
             raise ValueError(f"n_s must be >= 1, got {n_s}")
-        if n_l is not None and n_l < 0:
+        if n_l < 0:
             raise ValueError(f"n_l must be >= 0, got {n_l}")
         self.n_s = n_s
         self.n_l = n_l
-        self.tokens: List[Token] = []
-        self._visual: Deque[Token] = deque()  # live visual tokens, oldest first
+        self._live: Dict[int, Token] = {}
+        self._visual: Deque[Token] = deque()
         self.long_count = 0
-        self._ids = set()
         self._clock = PositionClock()
         self.events: List[CacheEvent] = []
 
     def __len__(self) -> int:
-        return len(self.tokens)
+        return len(self._live)
 
     @property
     def visual_count(self) -> int:
@@ -70,23 +70,22 @@ class InterleavedCache:
 
     def live_tokens(self) -> tuple:
         """Snapshot of live tokens in entry order."""
-        return tuple(self.tokens)
+        return tuple(self._live.values())
 
     def live_ids(self) -> tuple:
-        return tuple(tok.id for tok in self.tokens)
+        return tuple(self._live)
 
     def entry(self, token: Token, t: float = 0.0) -> None:
         """Append ``token`` at the tail with a fresh entry position.
 
         No eviction happens here; overflow is resolved by the exit calls.
         """
-        if token.id in self._ids:
+        if token.id in self._live:
             raise ValueError(f"duplicate token id {token.id}")
         if token.entry_position is not None:
             raise ValueError(f"token {token.id} already entered a cache")
         token.entry_position = self._clock.next()
-        self.tokens.append(token)
-        self._ids.add(token.id)
+        self._live[token.id] = token
         if token.kind is TokenKind.VISUAL_FRAME:
             self._visual.append(token)
         elif token.kind is TokenKind.LONG_TERM_MARKER:
@@ -98,8 +97,7 @@ class InterleavedCache:
         evicted: List[Token] = []
         while len(self._visual) > self.n_s:
             tok = self._visual.popleft()
-            self.tokens.remove(tok)  # tokens compare by identity
-            self._ids.discard(tok.id)
+            del self._live[tok.id]
             evicted.append(tok)
         self.events.append(CacheEvent(t, "exit_short", [tok.id for tok in evicted],
                                       TokenKind.VISUAL_FRAME.value))
@@ -108,32 +106,29 @@ class InterleavedCache:
     def exit_long(self, t: float = 0.0) -> List[List[Token]]:
         """Evict oldest verbalized groups until the marker count fits ``n_l``.
 
-        A group is a marker plus the contiguous run of TEXT tokens right after
-        it that share its step_id.
+        A group is a marker plus the contiguous run of live TEXT tokens right
+        after it that share its step_id. The groups are collected in one walk
+        from the front, and a bare marker raises before anything is removed.
         """
         groups: List[List[Token]] = []
-        while self.n_l is not None and self.long_count > self.n_l:
-            idx = next(i for i, tok in enumerate(self.tokens)
-                       if tok.kind is TokenKind.LONG_TERM_MARKER)
-            marker = self.tokens[idx]
-            group = [self._pop(idx)]
-            while (idx < len(self.tokens)
-                   and self.tokens[idx].kind is TokenKind.TEXT
-                   and self.tokens[idx].step_id == marker.step_id):
-                group.append(self._pop(idx))
-            if len(group) == 1:
-                raise CacheStructureError(
-                    f"marker {marker.id} (step {marker.step_id}) has no attached text tokens")
-            groups.append(group)
-        flat = [tok.id for group in groups for tok in group]
+        group: List[Token] = []  # the newest group while its text run lasts
+        for tok in self._live.values():
+            if group and tok.kind is TokenKind.TEXT and tok.step_id == group[0].step_id:
+                group.append(tok)
+            elif len(groups) >= self.long_count - self.n_l:
+                break
+            elif tok.kind is TokenKind.LONG_TERM_MARKER:
+                group = [tok]
+                groups.append(group)
+            else:
+                group = []
+        for marker, *text in groups:
+            if not text:
+                raise CacheStructureError(f"bare marker {marker.id} (step {marker.step_id})")
+        flat = [tok.id for grp in groups for tok in grp]
+        for tok_id in flat:
+            del self._live[tok_id]
+        self.long_count -= len(groups)
         self.events.append(CacheEvent(t, "exit_long", flat,
                                       TokenKind.LONG_TERM_MARKER.value))
         return groups
-
-    def _pop(self, idx: int) -> Token:
-        """Remove the marker or text token at ``idx``."""
-        tok = self.tokens.pop(idx)
-        self._ids.discard(tok.id)
-        if tok.kind is TokenKind.LONG_TERM_MARKER:
-            self.long_count -= 1
-        return tok

@@ -7,6 +7,10 @@ import math
 from dataclasses import dataclass, fields, asdict
 
 
+MAX_D = 1024
+MAX_TABLE = 2 ** 24  # cap on d * vocab_size: a (vocab_size, d) float64 table stays <= 128 MiB
+
+
 class ConfigError(ValueError):
     """Raised when a config document or field value is invalid."""
 
@@ -43,8 +47,8 @@ def validate_config(cfg: SimConfig) -> SimConfig:
         raise ConfigError(f"fps must be > 0, got {cfg.fps}")
     if cfg.tokens_per_frame < 1:
         raise ConfigError(f"tokens_per_frame must be >= 1, got {cfg.tokens_per_frame}")
-    if cfg.d < 1:
-        raise ConfigError(f"d must be >= 1, got {cfg.d}")
+    if not 1 <= cfg.d <= MAX_D:
+        raise ConfigError(f"d must be in [1, {MAX_D}], got {cfg.d}")
     if cfg.N_S < 1:
         raise ConfigError(f"N_S must be >= 1, got {cfg.N_S}")
     if cfg.N_L < 0:
@@ -55,8 +59,9 @@ def validate_config(cfg: SimConfig) -> SimConfig:
         raise ConfigError(f"mean_step_s must be > 0, got {cfg.mean_step_s}")
     if cfg.step_s_jitter < 0:
         raise ConfigError(f"step_s_jitter must be >= 0, got {cfg.step_s_jitter}")
-    if cfg.vocab_size < 2:
-        raise ConfigError(f"vocab_size must be >= 2, got {cfg.vocab_size}")
+    if not 2 <= cfg.vocab_size <= MAX_TABLE // cfg.d:
+        raise ConfigError(f"vocab_size must be in [2, {MAX_TABLE // cfg.d}] at d={cfg.d}, "
+                          f"got {cfg.vocab_size}")
     if cfg.lambda_1 < 0:
         raise ConfigError(f"lambda_1 must be >= 0, got {cfg.lambda_1}")
     if not isinstance(cfg.seed, int):

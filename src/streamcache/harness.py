@@ -201,8 +201,11 @@ def run_strategy(kind: StrategyKind, stream: SyntheticStream, cfg: SimConfig, *,
     bounded = kind is not StrategyKind.PROGRESSIVE_VISUAL  # a1 never exits or verbalizes
     charge_recompute = kind is StrategyKind.VERBALIZED_SEPARATE
 
-    def append(tokens: Sequence[Token]) -> int:
-        """Append one entered block to the engine; returns its flop charge."""
+    def enter(tokens: Sequence[Token], t: float) -> int:
+        """Enter one block into the cache token by token, then append it to
+        the engine in one causal pass; returns its flop charge."""
+        for tok in tokens:
+            cache.entry(tok, t)
         if engine is None or not tokens:
             return 0
         before = engine.flop_counter
@@ -217,21 +220,13 @@ def run_strategy(kind: StrategyKind, stream: SyntheticStream, cfg: SimConfig, *,
         if engine is not None and tokens:
             engine.evict([tok.id for tok in tokens])
 
-    prompt = [factory.prompt(table.prompt_embedding(i)) for i in range(prompt_tokens)]
-    for tok in prompt:
-        cache.entry(tok, 0.0)
-    append(prompt)
+    enter([factory.prompt(table.prompt_embedding(i)) for i in range(prompt_tokens)], 0.0)
 
     for frame in stream.frames:
         t0 = time.perf_counter_ns()
-        recompute_flops = 0
-        text_flops = 0
-
-        visual = [factory.visual(frame.index, frame.feature)
-                  for _ in range(cfg.tokens_per_frame)]
-        for tok in visual:
-            cache.entry(tok, frame.time_s)
-        append_flops = append(visual)
+        recompute_flops = text_flops = 0
+        append_flops = enter([factory.visual(frame.index, frame.feature)
+                              for _ in range(cfg.tokens_per_frame)], frame.time_s)
 
         if bounded:
             evict(cache.exit_short(frame.time_s))
@@ -240,9 +235,7 @@ def run_strategy(kind: StrategyKind, stream: SyntheticStream, cfg: SimConfig, *,
         event = bounded and should_verbalize(log, pred)
         if event:
             group = verbalizer.verbalize(pred, int(stream.class_token_counts[pred]))
-            for tok in group:
-                cache.entry(tok, frame.time_s)
-            group_flops = append(group)
+            group_flops = enter(group, frame.time_s)
             if charge_recompute and engine is not None:
                 # a2 books the cache as if its short part (prompt and visual
                 # tokens) and long part (verbalized groups) were kept apart:
@@ -254,8 +247,7 @@ def run_strategy(kind: StrategyKind, stream: SyntheticStream, cfg: SimConfig, *,
                     layers=ENGINE_LAYERS)
             else:
                 text_flops = group_flops
-            for grp in cache.exit_long(frame.time_s):
-                evict(grp)
+            evict([tok for grp in cache.exit_long(frame.time_s) for tok in grp])
         log.add(pred)
 
         live = len(cache)

@@ -171,6 +171,17 @@ def test_exit_long_bare_marker_is_structural_error(factory):
     cache.entry(factory.marker(0, np.zeros(D)))
     with pytest.raises(CacheStructureError):
         cache.exit_long()
+    # the error leaves the cache and its event log as they were, also when a
+    # well-formed group waits ahead of the bare marker
+    for ahead in ([factory.prompt(np.zeros(D))],
+                  [factory.marker(1, np.zeros(D)), factory.text(1, np.zeros(D))]):
+        cache = InterleavedCache(8, 0)
+        for tok in ahead + [factory.marker(2, np.zeros(D))]:
+            cache.entry(tok)
+        before = (cache.live_ids(), cache.long_count, len(cache.events))
+        with pytest.raises(CacheStructureError):
+            cache.exit_long()
+        assert (cache.live_ids(), cache.long_count, len(cache.events)) == before
 
 
 def test_prompt_tokens_never_evicted(factory):
@@ -199,7 +210,7 @@ def test_live_tokens_snapshot(factory):
 
 
 def test_event_log_records_ops(factory):
-    cache = InterleavedCache(1, None)
+    cache = InterleavedCache(1, 0)
     cache.entry(factory.visual(0, np.zeros(D)), t=0.25)
     cache.entry(factory.visual(1, np.zeros(D)), t=0.5)
     cache.exit_short(t=0.5)
@@ -239,5 +250,24 @@ def test_differential_and_invariants(n_s, n_l, seq):
     assert drv.real.visual_count <= n_s
     assert drv.real.long_count <= n_l
     # FIFO within kind: evictions are an entry-order prefix
+    assert drv.evicted_visual == drv.entered_visual[: len(drv.evicted_visual)]
+    assert drv.evicted_groups == drv.entered_groups[: len(drv.evicted_groups)]
+
+
+def test_differential_at_default_capacities():
+    # the regime real runs use: N_S 64, N_L 5, a 4-token prompt, one visual
+    # token per frame and a verbalized group on about 5% of frames
+    rng = np.random.default_rng(11)
+    drv = Driver(64, 5)
+    for _ in range(4):
+        drv.enter_prompt()
+    for _ in range(3000):
+        drv.enter_visual()
+        drv.exit_short()
+        if rng.random() < 0.05:
+            drv.enter_group(int(rng.integers(5, 7)))  # a marker plus 5 or 6 text tokens
+            drv.exit_long()
+        drv.check_state()
+    assert drv.real.visual_count == 64 and drv.real.long_count == 5
     assert drv.evicted_visual == drv.entered_visual[: len(drv.evicted_visual)]
     assert drv.evicted_groups == drv.entered_groups[: len(drv.evicted_groups)]

@@ -299,6 +299,25 @@ def test_config_not_utf8_exits_2(tmp_path, capsys, command):
     assert not out_dir.exists() and not out_csv.exists()
 
 
+@pytest.mark.parametrize("doc,field", [
+    ({"vocab_size": 10000000000000000000}, "vocab_size"),
+    ({"d": 2 ** 40}, "d"),
+], ids=["huge-vocab", "huge-d"])
+@pytest.mark.parametrize("command", ["simulate", "bench", "report"])
+def test_oversized_tables_exit_2(tmp_path, capsys, command, doc, field):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    out_dir, out_csv = tmp_path / "run", tmp_path / "bench.csv"
+    argv = {"simulate": ["simulate", str(path), "--out-dir", str(out_dir)],
+            "bench": ["bench", str(path), "--sweep", "1:4:1", "--out", str(out_csv)],
+            "report": ["report", "--budget", "--config", str(path)]}[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {field} must be")
+    assert not out_dir.exists() and not out_csv.exists()
+
+
 def test_report_budget_non_finite_config_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"mean_step_s": Infinity}')

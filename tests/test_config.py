@@ -20,6 +20,9 @@ def test_defaults_validate(cfg):
     ("vocab_size", 1, "vocab_size"),
     ("lambda_1", -0.5, "lambda_1"),
     ("seed", -1, "seed"),
+    ("d", 1028, "^d must"),
+    ("vocab_size", 2 ** 19, "vocab_size"),
+    ("vocab_size", 10000000000000000000, "vocab_size"),
 ])
 def test_invalid_field_named_in_error(cfg, field, value, needle):
     import dataclasses
