@@ -21,8 +21,9 @@ from .attention import AttentionEngine
 from .config import ConfigError, SimConfig, load_config, validate_config
 from .connector import (grad_check, init_caption_decoder, init_connector,
                         load_scene, make_scene, stage1_value_and_grads)
-from .harness import (ENGINE_HEADS, ENGINE_LAYERS, StrategyAbort, StrategyKind,
-                      affine_fit, fit_growth, generate_stream, run_strategy)
+from .harness import (ENGINE_HEADS, ENGINE_LAYERS, MAX_LIVE_TOKENS, StrategyAbort,
+                      StrategyKind, affine_fit, fit_growth, frame_count, generate_stream,
+                      run_strategy)
 from .traceio import (read_trace_csv, summarize, write_events_jsonl,
                       write_manifest, write_trace_csv)
 from .types import PositionClock, TokenFactory
@@ -70,10 +71,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return _fail("--noise-p must be in [0, 1]", EXIT_CONFIG)
     if args.mem_cap_bytes is not None and args.mem_cap_bytes <= 0:
         return _fail("--mem-cap-bytes must be > 0", EXIT_CONFIG)
-    stream = generate_stream(cfg, args.duration_s)
-    if not stream.frames:
+    try:
+        n_frames = frame_count(cfg, args.duration_s)
+    except ValueError as exc:
+        return _fail(str(exc), EXIT_CONFIG)
+    if not n_frames:
         return _fail(f"--duration-s {args.duration_s} at {cfg.fps} fps gives no frames",
                      EXIT_CONFIG)
+    if n_frames * cfg.tokens_per_frame > MAX_LIVE_TOKENS:
+        return _fail(f"tokens_per_frame {cfg.tokens_per_frame} over {n_frames} frames gives "
+                     f"a1 {n_frames * cfg.tokens_per_frame} live tokens, above "
+                     f"MAX_LIVE_TOKENS = {MAX_LIVE_TOKENS}", EXIT_CONFIG)
+    stream = generate_stream(cfg, args.duration_s)
     try:
         os.makedirs(args.out_dir, exist_ok=True)
     except OSError as exc:
@@ -131,19 +140,21 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if start < 1 or step < 1 or stop < start:
         return _fail(f"bad sweep range {args.sweep!r}: need 1 <= from <= to, step >= 1",
                      EXIT_CONFIG)
+    if stop > MAX_LIVE_TOKENS:
+        return _fail(f"--sweep stop {stop} is above MAX_LIVE_TOKENS = {MAX_LIVE_TOKENS}",
+                     EXIT_CONFIG)
 
     engine = AttentionEngine(cfg.d, ENGINE_HEADS, ENGINE_LAYERS, cfg.vocab_size, cfg.seed)
     factory = TokenFactory()
     clock = PositionClock()
     rng = np.random.default_rng(cfg.seed)
-    grid = list(range(start, stop + 1, step))
     rows = []
     for n in range(1, stop + 1):
         tok = factory.prompt(rng.standard_normal(cfg.d))
         tok.entry_position = clock.next()
         before = engine.flop_counter
         engine.append_token(tok)
-        if n in grid:
+        if n >= start and (n - start) % step == 0:
             rows.append((n, engine.flop_counter - before))
 
     out = {"points": [{"live_tokens": n, "append_flops": f} for n, f in rows]}

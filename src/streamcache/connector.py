@@ -26,6 +26,8 @@ from scipy.optimize import linear_sum_assignment
 from .types import BBox
 
 _MATCH_TIE_TOL = 1e-9
+# cap on a scene file's side * side * dim: its float64 patches stay within 512 KiB
+MAX_SCENE_FLOATS = 2 ** 16
 
 
 class TrainingDivergence(RuntimeError):
@@ -467,6 +469,9 @@ def load_scene(path: str, vocab_size: int = 64) -> Scene:
     side, dim = _scene_number(doc["side"], "'side'", int), _scene_number(doc["dim"], "'dim'", int)
     if side < 1 or dim < 1:
         raise ValueError(f"scene side and dim must be >= 1, got {side} and {dim}")
+    if side * side * dim > MAX_SCENE_FLOATS:
+        raise ValueError(f"scene side * side * dim is {side * side * dim}, above "
+                         f"MAX_SCENE_FLOATS = {MAX_SCENE_FLOATS}")
     hands, objects = [], []
     for entry in entries:
         box = BBox(*(_scene_number(entry[f], f"box '{f}'") for f in ("cx", "cy", "w", "h")))

@@ -1,12 +1,18 @@
 """Synthetic procedural streams and the three caching strategies.
 
 A stream is a sequence of labelled steps rendered to per-frame feature
-vectors (class prototype plus Gaussian noise). Each strategy replays the
-stream through one interleaved cache and the attention engine and records a
-per-frame trace of token counts and multiply-add costs. Every frame runs
-entry, short exit, prediction, dedup-gated verbalization and long exit, in
-that order; the strategies differ only in which steps run and how the
-verbalized group's flops are booked:
+vectors (class prototype plus Gaussian noise). The steps come from a loop of
+seeded draws; the frames are array work: one ``searchsorted`` labels every
+frame with its step, one draw gives every frame's noise, and each step's
+prototype is added to its run of rows, so each frame's feature is a row of
+one ``(frames, d)`` array. ``MAX_FRAMES`` bounds a stream, checked before
+any of that runs.
+
+Each strategy replays the stream through one interleaved cache and the
+attention engine and records a per-frame trace of token counts and
+multiply-add costs. Every frame runs entry, short exit, prediction,
+dedup-gated verbalization and long exit, in that order; the strategies differ
+only in which steps run and how the verbalized group's flops are booked:
 
 - ``a1`` ProgressiveVisual: every frame token kept forever; no exit and no
   verbalization.
@@ -44,6 +50,11 @@ ENGINE_HEADS = 4
 ENGINE_LAYERS = 2
 DEFAULT_PROMPT_TOKENS = 4
 FEATURE_NOISE = 0.1  # standard deviation of a frame feature around its class prototype
+# admission bounds, checked before any work or allocation: at d = 64 a stream
+# of MAX_FRAMES frames holds 32 MiB of features, and an engine holding
+# MAX_LIVE_TOKENS tokens holds 128 MiB of K/V (both scale with d)
+MAX_FRAMES = 2 ** 16  # 4.5 hours at 4 fps
+MAX_LIVE_TOKENS = 2 ** 16  # a1's visual tokens over a whole stream, or bench's sweep stop
 
 
 class StrategyKind(Enum):
@@ -67,12 +78,24 @@ class SyntheticStream:
     class_token_counts: np.ndarray  # text tokens describing each class id
 
 
+def frame_count(cfg: SimConfig, duration_s: float) -> int:
+    """Frames in a ``duration_s`` stream at ``cfg.fps``. Raises ``ValueError``
+    for a duration that is not finite and positive, or for more than
+    ``MAX_FRAMES`` frames."""
+    if not (math.isfinite(duration_s) and duration_s > 0):
+        raise ValueError(f"duration_s must be finite and > 0, got {duration_s}")
+    frames = duration_s * cfg.fps
+    if round(min(frames, MAX_FRAMES + 1)) > MAX_FRAMES:  # min: round(inf) raises
+        raise ValueError(f"duration_s {duration_s:g} at fps {cfg.fps:g} gives {frames:.6g} "
+                         f"frames, above MAX_FRAMES = {MAX_FRAMES}")
+    return int(round(frames))
+
+
 def generate_stream(cfg: SimConfig, duration_s: float, n_classes: int = 20) -> SyntheticStream:
     """Deterministic stream: step durations are clamped normals around
     ``mean_step_s`` and adjacent steps always change class."""
     validate_config(cfg)
-    if not (math.isfinite(duration_s) and duration_s > 0):
-        raise ValueError(f"duration_s must be finite and > 0, got {duration_s}")
+    n_frames = frame_count(cfg, duration_s)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x57]))
     prototypes = rng.standard_normal((n_classes, cfg.d))
     # description lengths of 5 or 6 tokens, 70% long: mean 5.7 per class
@@ -94,16 +117,19 @@ def generate_stream(cfg: SimConfig, duration_s: float, n_classes: int = 20) -> S
         prev_class = c
         t = end
 
-    n_frames = int(round(duration_s * cfg.fps))
-    frames: List[StreamFrame] = []
-    step_idx = 0
-    for i in range(n_frames):
-        ts = i / cfg.fps
-        while step_idx + 1 < len(steps) and ts >= steps[step_idx].end_s:
-            step_idx += 1
-        c = steps[step_idx].step_id
-        feature = prototypes[c] + FEATURE_NOISE * rng.standard_normal(cfg.d)
-        frames.append(StreamFrame(index=i, time_s=ts, step_id=c, feature=feature))
+    # a frame belongs to the first step that ends after it, else to the last
+    times = np.arange(n_frames) / cfg.fps
+    labels = np.minimum(np.searchsorted([s.end_s for s in steps], times, side="right"),
+                        len(steps) - 1)
+    # one draw gives the same values as one draw of d per frame, in frame order
+    features = rng.standard_normal((n_frames, cfg.d))
+    features *= FEATURE_NOISE
+    # labels never decrease, so each step's frames are one run of rows
+    edges = np.searchsorted(labels, np.arange(len(steps) + 1))
+    for step, lo, hi in zip(steps, edges[:-1], edges[1:]):
+        features[lo:hi] += prototypes[step.step_id]
+    step_ids = np.array([s.step_id for s in steps])[labels].tolist()
+    frames = list(map(StreamFrame, range(n_frames), times.tolist(), step_ids, features))
     return SyntheticStream(steps, frames, class_token_counts)
 
 

@@ -27,23 +27,17 @@ TRACE_COLUMNS = ["frame", "t_s", "strategy", "live_tokens", "append_flops",
 
 
 def write_trace_csv(path: str, trace: StrategyTrace) -> None:
-    d = trace.cfg.d
+    """One fixed-format row per frame, in the bytes ``csv.writer`` would
+    write: no field needs quoting, and every line ends in ``\r\n``."""
+    bytes_per_token = trace.cfg.d * 8
+    kind = trace.kind.value
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        for row in trace.rows:
-            writer.writerow([
-                row.frame,
-                f"{row.t_s:.3f}",
-                trace.kind.value,
-                row.live_token_count,
-                row.append_flops,
-                row.extra_recompute_flops,
-                row.live_token_count * d * 8,
-                row.predicted_step_id,
-                int(row.correct),
-                int(row.verbalization_event),
-            ])
+        fh.write(",".join(TRACE_COLUMNS) + "\r\n")
+        fh.writelines(
+            f"{row.frame},{row.t_s:.3f},{kind},{row.live_token_count},{row.append_flops},"
+            f"{row.extra_recompute_flops},{row.live_token_count * bytes_per_token},"
+            f"{row.predicted_step_id},{int(row.correct)},{int(row.verbalization_event)}\r\n"
+            for row in trace.rows)
 
 
 def read_trace_csv(path: str) -> Dict[str, Dict[str, np.ndarray]]:
@@ -94,9 +88,14 @@ def read_trace_csv(path: str) -> Dict[str, Dict[str, np.ndarray]]:
 
 
 def write_events_jsonl(path: str, trace: StrategyTrace) -> None:
+    """One fixed-format line per cache event, in the bytes
+    ``json.dumps(event.to_dict(), sort_keys=True)`` would write: ``t`` is a
+    float, and ``op`` and ``kind`` are plain identifiers that need no escape."""
     with open(path, "w", encoding="utf-8") as fh:
-        for event in trace.cache_events:
-            fh.write(json.dumps(event.to_dict(), sort_keys=True) + "\n")
+        fh.writelines(
+            f'{{"kind": "{e.kind}", "op": "{e.op}", "t": {e.t!r}, '
+            f'"token_ids": [{", ".join(map(str, e.token_ids))}]}}\n'
+            for e in trace.cache_events)
 
 
 def summarize(traces: List[StrategyTrace]) -> dict:

@@ -4,18 +4,22 @@ These transliterate the cache mechanics in the most literal way possible:
 counts by scanning, eviction by pop-at-index, the streaming loop as a flat
 for-loop. They exist only to differential-test the package implementations.
 ``lexicographic_match`` is the connector matcher's tie-break search in its
-first form: one exact solve per tried column.
+first form: one exact solve per tried column. ``generate_stream`` is the
+stream generator in its first form: one noise draw, one add and one frame per
+loop turn.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from streamcache import OraclePredictor, SimConfig, SyntheticStream
+from streamcache import OraclePredictor, SimConfig, StepRecord, SyntheticStream, validate_config
+from streamcache.harness import FEATURE_NOISE, StreamFrame
 
 VISUAL = "v"
 TEXT = "t"
@@ -113,6 +117,46 @@ def transcribe_interleaved(stream: SyntheticStream, cfg: SimConfig,
                            tuple(t.id for grp in dropped for t in grp)))
         out.append(pred)
     return events, cache.ids()
+
+
+def generate_stream(cfg: SimConfig, duration_s: float, n_classes: int = 20) -> SyntheticStream:
+    """Deterministic stream: step durations are clamped normals around
+    ``mean_step_s`` and adjacent steps always change class."""
+    validate_config(cfg)
+    if not (math.isfinite(duration_s) and duration_s > 0):
+        raise ValueError(f"duration_s must be finite and > 0, got {duration_s}")
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x57]))
+    prototypes = rng.standard_normal((n_classes, cfg.d))
+    # description lengths of 5 or 6 tokens, 70% long: mean 5.7 per class
+    class_token_counts = 5 + (rng.random(n_classes) < 0.7).astype(np.int64)
+
+    steps: List[StepRecord] = []
+    t = 0.0
+    prev_class = -1
+    min_dur = 1.0 / cfg.fps
+    while t < duration_s:
+        c = int(rng.integers(n_classes))
+        if c == prev_class:
+            c = (c + 1) % n_classes
+        dur = float(rng.normal(cfg.mean_step_s, cfg.step_s_jitter))
+        dur = max(dur, min_dur)
+        end = min(t + dur, duration_s)
+        steps.append(StepRecord(step_id=c, start_s=t, end_s=end,
+                                text_token_count=int(class_token_counts[c])).validate())
+        prev_class = c
+        t = end
+
+    n_frames = int(round(duration_s * cfg.fps))
+    frames: List[StreamFrame] = []
+    step_idx = 0
+    for i in range(n_frames):
+        ts = i / cfg.fps
+        while step_idx + 1 < len(steps) and ts >= steps[step_idx].end_s:
+            step_idx += 1
+        c = steps[step_idx].step_id
+        feature = prototypes[c] + FEATURE_NOISE * rng.standard_normal(cfg.d)
+        frames.append(StreamFrame(index=i, time_s=ts, step_id=c, feature=feature))
+    return SyntheticStream(steps, frames, class_token_counts)
 
 
 MATCH_TIE_TOL = 1e-9

@@ -1,10 +1,16 @@
 import json
 import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from streamcache import SimConfig, make_scene, save_scene
+import streamcache
+from streamcache import SimConfig, load_scene, make_scene, save_scene
 from streamcache.cli import main
+from streamcache.connector import MAX_SCENE_FLOATS
 
 
 @pytest.fixture
@@ -160,6 +166,11 @@ _SCENE_BREAKS = {
     "box-cx-null": lambda doc: doc["gt_boxes"][0].update(cx=None),
     "caption-number": lambda doc: doc.update(caption=5),
     "patches-seed-null": lambda doc: doc["patches"].update(seed=None),
+    # one float of base64 patches: without the bound, the reshape fails first
+    "side-dim-over-cap": lambda doc: doc.update(side=1, dim=MAX_SCENE_FLOATS + 1,
+                                                patches="AAAAAAAAAAA="),
+    "side-squared-over-cap": lambda doc: doc.update(side=100000, dim=1,
+                                                    patches="AAAAAAAAAAA="),
 }
 
 
@@ -174,6 +185,9 @@ _SCENE_BREAKS = {
     ("box-cx-null", "box 'cx' must be a number, got None"),
     ("caption-number", "'caption' must be a list of token ids, got 5"),
     ("patches-seed-null", "patches 'seed' must be an integer, got None"),
+    ("side-dim-over-cap", f"side * side * dim is {MAX_SCENE_FLOATS + 1}, above "
+                          "MAX_SCENE_FLOATS"),
+    ("side-squared-over-cap", "side * side * dim is 10000000000, above MAX_SCENE_FLOATS"),
 ])
 def test_gradcheck_malformed_scene_exits_2(tmp_path, capsys, case, reason):
     doc = _seeded_scene_doc()
@@ -184,6 +198,14 @@ def test_gradcheck_malformed_scene_exits_2(tmp_path, capsys, case, reason):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: cannot load scene") and reason in captured.err
+
+
+def test_scene_at_the_size_bound_loads(tmp_path):
+    doc = _seeded_scene_doc()
+    doc.update(side=256, dim=MAX_SCENE_FLOATS // 256 ** 2)
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(doc))
+    assert load_scene(str(path)).grid.patches.size == MAX_SCENE_FLOATS
 
 
 def test_gradcheck_zero_eps_usage_error(capsys):
@@ -383,3 +405,71 @@ def test_simulate_out_dir_is_a_file_exits_2(tmp_path, cfg_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error:") and "--out-dir" in captured.err
     assert target.read_text() == "not a directory"
+
+
+# Each case asks for work or memory past a bound: without the bound it would
+# run for minutes or allocate gigabytes, so the cases run in one child process
+# with capped address space and a timeout, never in the test process.
+_RUNAWAY_SCRIPT = """
+import contextlib, io, json, sys
+from streamcache.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def _cap_address_space():
+    limit = 1536 * 2 ** 20
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_work_past_admission_bounds_exits_2(tmp_path):
+    def config(name, doc):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    default = config("default", {})
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(dict(_seeded_scene_doc(), side=100000)))
+    out = tmp_path / "out"
+    # (argv, text the error line must hold)
+    cases = [
+        (["simulate", config("fast", {"fps": 1e9}), "--duration-s", "1200"],
+         "fps 1e+09 gives 1.2e+12 frames, above MAX_FRAMES"),
+        (["simulate", default, "--duration-s", "1e12"],
+         "duration_s 1e+12 at fps 4 gives 4e+12 frames, above MAX_FRAMES"),
+        (["simulate", config("one-fps", {"fps": 1.0}), "--duration-s", "65537"],
+         "duration_s 65537 at fps 1 gives 65537 frames, above MAX_FRAMES = 65536"),
+        (["simulate", config("wide", {"tokens_per_frame": 100000000}), "--duration-s", "10"],
+         "tokens_per_frame 100000000 over 40 frames"),
+        (["simulate", config("two", {"tokens_per_frame": 2}), "--duration-s", "8192.25"],
+         "tokens_per_frame 2 over 32769 frames gives a1 65538 live tokens, above "
+         "MAX_LIVE_TOKENS = 65536"),
+        (["bench", default, "--sweep", "1:100000000:1000000"],
+         "--sweep stop 100000000 is above MAX_LIVE_TOKENS"),
+        (["bench", default, "--sweep", "1:65537:65536"],
+         "--sweep stop 65537 is above MAX_LIVE_TOKENS"),
+        (["gradcheck", "--scene", str(scene)],
+         "side * side * dim is 240000000000, above MAX_SCENE_FLOATS"),
+    ]
+    argvs = [argv + (["--out-dir", str(out)] if argv[0] == "simulate" else
+                     ["--out", str(out)] if argv[0] == "bench" else [])
+             for argv, _ in cases]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(streamcache.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _RUNAWAY_SCRIPT, json.dumps(argvs)],
+                          capture_output=True, text=True, timeout=15, env=env,
+                          preexec_fn=_cap_address_space)
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)
+    assert len(results) == len(cases)
+    for (argv, message), (code, stdout, stderr) in zip(cases, results):
+        assert (code, stdout) == (2, ""), argv
+        assert stderr.startswith("error:") and message in stderr, (argv, stderr)
+    assert not out.exists()

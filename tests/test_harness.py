@@ -8,8 +8,9 @@ import pytest
 from streamcache import (OraclePredictor, SimConfig, StrategyAbort, StrategyKind,
                          append_flop_cost, fit_growth, generate_stream,
                          recompute_flop_cost, run_strategy, spike_ratio)
-from streamcache.harness import ENGINE_LAYERS
+from streamcache.harness import ENGINE_LAYERS, MAX_FRAMES, frame_count
 
+import naive_reference
 from naive_reference import transcribe_interleaved
 
 
@@ -59,6 +60,43 @@ def test_generate_stream_rejects_bad_duration(cfg):
 def test_generate_stream_rejects_non_finite_duration(cfg, duration):
     with pytest.raises(ValueError, match="finite"):
         generate_stream(cfg, duration)
+
+
+def _stream_bytes(stream):
+    """Steps, then every frame's (index, time_s, step_id) with their types,
+    then the bytes of all the frame features in order."""
+    labels = [(f.index, f.time_s, f.step_id) for f in stream.frames]
+    types = {tuple(map(type, label)) for label in labels}
+    features = b"".join(f.feature.tobytes() for f in stream.frames)
+    return stream.steps, labels, types, features, stream.class_token_counts.tobytes()
+
+
+@pytest.mark.parametrize("n_classes", [20, 6])
+@pytest.mark.parametrize("fps", [4.0, 2.5, 30.0])
+@pytest.mark.parametrize("seed", range(4))
+def test_generate_stream_matches_frame_loop(seed, fps, n_classes):
+    for duration in (0.75, 2.0, 33.3, 120.0, 1800.0):
+        cfg = SimConfig(seed=seed, fps=fps)
+        assert _stream_bytes(generate_stream(cfg, duration, n_classes)) == \
+            _stream_bytes(naive_reference.generate_stream(cfg, duration, n_classes))
+
+
+def test_generate_stream_matches_frame_loop_on_step_ends():
+    # steps of exactly 2 s end on frame times: such a frame opens the next step
+    cfg = SimConfig(seed=3, step_s_jitter=0.0, mean_step_s=2.0)
+    stream = generate_stream(cfg, 30.0)
+    ends = {step.end_s for step in stream.steps}
+    assert sum(frame.time_s in ends for frame in stream.frames) == 14
+    assert _stream_bytes(stream) == _stream_bytes(naive_reference.generate_stream(cfg, 30.0))
+
+
+def test_frame_count_bound():
+    assert frame_count(SimConfig(), 3600.0) == 14400
+    assert frame_count(SimConfig(fps=1.0), float(MAX_FRAMES)) == MAX_FRAMES
+    for fps, duration in [(1.0, MAX_FRAMES + 1.0), (1e9, 1200.0), (4.0, 1e12),
+                          (1e300, 1e300)]:  # the last product overflows to inf
+        with pytest.raises(ValueError, match="MAX_FRAMES"):
+            frame_count(SimConfig(fps=fps), duration)
 
 
 # -- oracle predictor -------------------------------------------------------

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -43,6 +45,27 @@ def test_trace_csv_byte_identical_across_runs(tmp_path, short_run):
     write_events_jsonl(str(ea), traces[1])
     write_events_jsonl(str(eb), rerun)
     assert ea.read_bytes() == eb.read_bytes()
+
+
+def test_writers_match_csv_and_json_modules(tmp_path, short_run):
+    # the fixed row formats against the writers they replaced
+    cfg, traces = short_run
+    for trace in traces:
+        expected_csv = io.StringIO(newline="")
+        writer = csv.writer(expected_csv)
+        writer.writerow(TRACE_COLUMNS)
+        for r in trace.rows:
+            writer.writerow([r.frame, f"{r.t_s:.3f}", trace.kind.value, r.live_token_count,
+                             r.append_flops, r.extra_recompute_flops,
+                             r.live_token_count * cfg.d * 8, r.predicted_step_id,
+                             int(r.correct), int(r.verbalization_event)])
+        expected_jsonl = "".join(json.dumps(e.to_dict(), sort_keys=True) + "\n"
+                                 for e in trace.cache_events)
+        csv_path, jsonl_path = tmp_path / "t.csv", tmp_path / "e.jsonl"
+        write_trace_csv(str(csv_path), trace)
+        write_events_jsonl(str(jsonl_path), trace)
+        assert csv_path.read_bytes() == expected_csv.getvalue().encode()
+        assert jsonl_path.read_bytes() == expected_jsonl.encode()
 
 
 def test_read_trace_rejects_garbage(tmp_path):
