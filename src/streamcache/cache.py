@@ -27,7 +27,7 @@ class CacheStructureError(RuntimeError):
     """The cache contents violate the marker/text group structure."""
 
 
-@dataclass
+@dataclass(slots=True)
 class CacheEvent:
     """One audit-log row: an entry or an exit with the token ids it touched."""
 

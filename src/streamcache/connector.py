@@ -9,7 +9,8 @@ objectness score. All trainable weights live in one params dict keyed by
 ``PARAM_KEYS``, built by ``init_connector``. Training pairs a
 language-modeling loss (through a frozen caption readout) with a matched
 GIoU + L1 box loss; gradients are written out by hand and checked against
-central differences.
+central differences. scipy is imported on the first assignment solve, not
+when the module loads.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .types import BBox
 
@@ -232,6 +232,8 @@ def _match(cost: np.ndarray) -> List[int]:
     same order, never exceeds the rows' optimum), or an exact solve of those
     rows decides, and a fit becomes the new reference.
     """
+    # imported here so that processes which never match do not load scipy (~45 MB)
+    from scipy.optimize import linear_sum_assignment
     rows, ref = linear_sum_assignment(cost)
     best = float(cost[rows, ref].sum())
     ref = ref.tolist()
@@ -631,14 +633,20 @@ def grad_check(params: Dict[str, np.ndarray],
     value, grads = value_and_grad_fn(params)
     if not np.isfinite(value):
         raise ValueError("loss is not finite at the evaluation point")
-    coords = [(name, idx) for name in sorted(params)
-              for idx in np.ndindex(params[name].shape)]
-    if len(coords) > max_coords:
+    # coordinates are numbered in sorted-name, row-major order and never listed
+    names = sorted(params)
+    sizes = [params[name].size for name in names]
+    ends, total = np.cumsum(sizes), sum(sizes)
+    if total > max_coords:
         rng = rng if rng is not None else np.random.default_rng(0)
-        picks = rng.choice(len(coords), size=max_coords, replace=False)
-        coords = [coords[i] for i in picks]
+        picks = rng.choice(total, size=max_coords, replace=False)
+    else:
+        picks = range(total)
     worst = 0.0
-    for name, idx in coords:
+    for c in picks:
+        k = int(np.searchsorted(ends, c, side="right"))
+        name = names[k]
+        idx = np.unravel_index(c - (ends[k] - sizes[k]), params[name].shape)
         original = params[name][idx]
         params[name][idx] = original + eps
         up = value_and_grad_fn(params)[0]

@@ -63,7 +63,7 @@ class StrategyKind(Enum):
     INTERLEAVED = "b"
 
 
-@dataclass
+@dataclass(slots=True)
 class StreamFrame:
     index: int
     time_s: float
@@ -150,7 +150,7 @@ class OraclePredictor:
         return int(frame.step_id)
 
 
-@dataclass
+@dataclass(slots=True)
 class FrameRecord:
     frame: int
     t_s: float

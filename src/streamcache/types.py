@@ -22,7 +22,7 @@ class TokenKind(Enum):
     PROMPT = "prompt"
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Token:
     """One cache entry: a visual frame token, a text token, a group marker
     delimiting a verbalized step, or a pinned prompt token.

@@ -6,14 +6,15 @@ for-loop. They exist only to differential-test the package implementations.
 ``lexicographic_match`` is the connector matcher's tie-break search in its
 first form: one exact solve per tried column. ``generate_stream`` is the
 stream generator in its first form: one noise draw, one add and one frame per
-loop turn.
+loop turn. ``grad_check`` is the finite-difference checker in its first form:
+a list of every parameter coordinate, sampled by index.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -195,3 +196,31 @@ def lexicographic_match(cost: np.ndarray) -> List[int]:
         else:
             raise RuntimeError("assignment search failed")  # unreachable
     return assignment
+
+
+def grad_check(params: Dict[str, np.ndarray],
+               value_and_grad_fn: Callable[[Dict[str, np.ndarray]], Tuple[float, Dict[str, np.ndarray]]],
+               eps: float, max_coords: int = 400,
+               rng: Optional[np.random.Generator] = None) -> float:
+    """Max relative error between analytic and central-difference gradients,
+    over every coordinate or a seeded sample of ``max_coords`` of them."""
+    value, grads = value_and_grad_fn(params)
+    coords = [(name, idx) for name in sorted(params)
+              for idx in np.ndindex(params[name].shape)]
+    if len(coords) > max_coords:
+        rng = rng if rng is not None else np.random.default_rng(0)
+        picks = rng.choice(len(coords), size=max_coords, replace=False)
+        coords = [coords[i] for i in picks]
+    worst = 0.0
+    for name, idx in coords:
+        original = params[name][idx]
+        params[name][idx] = original + eps
+        up = value_and_grad_fn(params)[0]
+        params[name][idx] = original - eps
+        down = value_and_grad_fn(params)[0]
+        params[name][idx] = original
+        numeric = (up - down) / (2 * eps)
+        analytic = grads[name][idx]
+        rel = abs(numeric - analytic) / max(abs(numeric), abs(analytic), 1e-8)
+        worst = max(worst, rel)
+    return worst

@@ -473,3 +473,29 @@ def test_work_past_admission_bounds_exits_2(tmp_path):
         assert (code, stdout) == (2, ""), argv
         assert stderr.startswith("error:") and message in stderr, (argv, stderr)
     assert not out.exists()
+
+
+_SCIPY_FREE_SCRIPT = """
+import contextlib, io, sys
+from streamcache import BBox, hungarian_match
+from streamcache.cli import main
+config, out_dir = sys.argv[1:]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["simulate", config, "--duration-s", "20", "--out-dir", out_dir]),
+             main(["bench", config, "--sweep", "1:8:1"]),
+             main(["report", "--budget"])]
+assert codes == [0, 0, 0], codes
+assert "scipy" not in sys.modules, "the stream path loaded scipy"
+box = BBox(0.5, 0.5, 0.2, 0.2)
+assert hungarian_match([box, box], [box]) == [0]
+assert "scipy" in sys.modules, "hungarian_match ran without scipy"
+"""
+
+
+def test_stream_path_does_not_load_scipy(tmp_path, cfg_path):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(streamcache.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_FREE_SCRIPT, cfg_path,
+                           str(tmp_path / "run")],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr

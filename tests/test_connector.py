@@ -1,8 +1,10 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
@@ -15,6 +17,7 @@ from streamcache import (BBox, PatchGrid, TrainingDivergence, connector_forward,
                          train_toy)
 from streamcache.connector import _box_cost, _match, giou_and_grad
 
+import naive_reference
 from naive_reference import lexicographic_match
 
 FEAT_DIM, QDIM, MLP = 24, 16, 24
@@ -352,7 +355,7 @@ def test_stage1_solves_one_assignment_per_group(monkeypatch):
         calls.append(cost.shape)
         return linear_sum_assignment(cost)
 
-    monkeypatch.setattr(connector, "linear_sum_assignment", counting)
+    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", counting)
     stage1_value_and_grads(params, init_caption_decoder(QDIM, 64, seed=9), scene, 2.0)
     assert calls == [(2, 2), (2, 2)]
 
@@ -427,6 +430,69 @@ def test_grad_check_rejects_max_coords_below_one():
     for max_coords in (0, -1):
         with pytest.raises(ValueError, match="max_coords must be >= 1"):
             grad_check(probe, quad, eps=1e-5, max_coords=max_coords)
+
+
+def _checked_coords(check, params, **kwargs):
+    """(name, flat index) of every coordinate ``check`` perturbs, in order,
+    and the error it returns. The analytic gradient is off by a factor that
+    grows with the flat index, so the error depends on which coordinates are
+    checked."""
+    base = {name: x.copy() for name, x in params.items()}
+    seen = []
+
+    def cubic(p):
+        for name in sorted(p):
+            seen.extend((name, int(i)) for i in np.flatnonzero(p[name] != base[name]))
+        grads = {name: 3 * x ** 2 * (1 + 0.01 * np.arange(x.size).reshape(x.shape))
+                 for name, x in p.items()}
+        return float(sum((x ** 3).sum() for x in p.values())), grads
+
+    err = check(params, cubic, eps=1e-4, **kwargs)
+    assert seen[::2] == seen[1::2]  # each coordinate moves up, then down
+    return seen[::2], err
+
+
+@pytest.mark.parametrize("shapes", [
+    {"w": (3, 4), "b": (4,)},
+    {"q": (2, 3, 2), "s": (), "a": (5,), "z": (0, 3)},
+    {"only": (7, 6)},
+])
+@pytest.mark.parametrize("max_coords", [1, 17, 400])
+@pytest.mark.parametrize("seed", [None, 3])
+def test_grad_check_matches_list_reference(shapes, max_coords, seed):
+    def params():
+        rng = np.random.default_rng(len(shapes))
+        return {name: rng.uniform(0.5, 2.0, shape) for name, shape in shapes.items()}
+
+    def rng():
+        return None if seed is None else np.random.default_rng(seed)
+
+    got = _checked_coords(grad_check, params(), max_coords=max_coords, rng=rng())
+    want = _checked_coords(naive_reference.grad_check, params(), max_coords=max_coords,
+                           rng=rng())
+    assert got == want
+    total = sum(math.prod(shape) for shape in shapes.values())
+    assert len(got[0]) == min(total, max_coords)
+    if total <= max_coords:  # every coordinate, in sorted-name row-major order
+        assert got[0] == [(name, i) for name in sorted(shapes)
+                          for i in range(math.prod(shapes[name]))]
+
+
+def test_grad_check_samples_without_listing_coordinates():
+    params = {"w": np.zeros((500, 1000)), "b": np.zeros(1000)}
+    grads = {name: np.zeros_like(x) for name, x in params.items()}
+
+    def flat(p):
+        return 0.0, grads
+
+    grad_check({"b": params["b"]}, flat, eps=1e-4, max_coords=4)  # lazy imports load here
+    tracemalloc.start()
+    try:
+        assert grad_check(params, flat, eps=1e-4, max_coords=4) == 0.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20  # a list of the 501,000 coordinates alone takes tens of MB
 
 
 def test_full_pipeline_grad_check_mini_grid():
