@@ -240,13 +240,11 @@ class AttentionEngine:
             self._newest_id = self._ids[int(self._pos[:len(self._ids)].argmax())]
 
 
-def full_recompute(weights: AttentionWeights, tokens: Sequence[Token],
-                   return_attn: bool = False):
+def full_recompute(weights: AttentionWeights, tokens: Sequence[Token]) -> np.ndarray:
     """Oracle: causal attention over the whole sequence in one pass.
 
     ``tokens`` must be ordered by strictly increasing entry position. Returns
-    the (n, d) final-layer outputs; with ``return_attn`` also a list of
-    per-layer (heads, n, n) attention probability arrays.
+    the (n, d) final-layer outputs.
     """
     if not tokens:
         raise ValueError("empty token sequence")
@@ -262,7 +260,6 @@ def full_recompute(weights: AttentionWeights, tokens: Sequence[Token],
     deltas = positions[:, None] - positions[None, :]
     bias_idx = np.clip(deltas, -REL_BIAS_CLIP, REL_BIAS_CLIP)
     causal = deltas >= 0  # row i may attend to j iff pos_j <= pos_i
-    attn_layers = []
     for layer in range(weights.layers):
         q = (x @ weights.w_q[layer]).reshape(n, h, dh)
         k = (emb @ weights.w_k[layer]).reshape(n, h, dh)
@@ -273,10 +270,6 @@ def full_recompute(weights: AttentionWeights, tokens: Sequence[Token],
         scores -= scores.max(axis=2, keepdims=True)
         probs = np.exp(scores)
         probs /= probs.sum(axis=2, keepdims=True)
-        if return_attn:
-            attn_layers.append(probs)
         mixed = np.einsum("hij,jhd->ihd", probs, v).reshape(n, d)
         x = x + mixed @ weights.w_o[layer]
-    if return_attn:
-        return x, attn_layers
     return x

@@ -11,7 +11,7 @@ sequence is auditable.
 
 Each cache owns its entry-position clock and its event log. Single-writer:
 all mutations come from one logical stream thread. Snapshots returned by
-``live_tokens`` are immutable tuples, safe to hand elsewhere.
+``live_ids`` are immutable tuples, safe to hand elsewhere.
 """
 
 from __future__ import annotations
@@ -68,11 +68,8 @@ class InterleavedCache:
     def visual_count(self) -> int:
         return len(self._visual)
 
-    def live_tokens(self) -> tuple:
-        """Snapshot of live tokens in entry order."""
-        return tuple(self._live.values())
-
     def live_ids(self) -> tuple:
+        """Snapshot of live token ids in entry order."""
         return tuple(self._live)
 
     def entry(self, token: Token, t: float = 0.0) -> None:

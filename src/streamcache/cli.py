@@ -21,9 +21,9 @@ from .attention import AttentionEngine
 from .config import ConfigError, SimConfig, load_config, validate_config
 from .connector import (grad_check, init_caption_decoder, init_connector,
                         load_scene, make_scene, stage1_value_and_grads)
-from .harness import (ENGINE_HEADS, ENGINE_LAYERS, MAX_LIVE_TOKENS, StrategyAbort,
-                      StrategyKind, affine_fit, fit_growth, frame_count, generate_stream,
-                      run_strategy)
+from .harness import (DEFAULT_PROMPT_TOKENS, ENGINE_HEADS, ENGINE_LAYERS, MAX_BLOCK_CELLS,
+                      MAX_LIVE_TOKENS, StrategyAbort, StrategyKind, affine_fit, fit_growth,
+                      frame_count, generate_stream, run_strategy)
 from .traceio import (read_trace_csv, summarize, write_events_jsonl,
                       write_manifest, write_trace_csv)
 from .types import PositionClock, TokenFactory
@@ -82,6 +82,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return _fail(f"tokens_per_frame {cfg.tokens_per_frame} over {n_frames} frames gives "
                      f"a1 {n_frames * cfg.tokens_per_frame} live tokens, above "
                      f"MAX_LIVE_TOKENS = {MAX_LIVE_TOKENS}", EXIT_CONFIG)
+    # a1's last frame appends the largest block, over every token before it
+    cells = cfg.tokens_per_frame * (n_frames * cfg.tokens_per_frame + DEFAULT_PROMPT_TOKENS)
+    if cells > MAX_BLOCK_CELLS:
+        return _fail(f"tokens_per_frame {cfg.tokens_per_frame} over {n_frames} frames gives "
+                     f"a1 a last block of {cells} attention cells, above "
+                     f"MAX_BLOCK_CELLS = {MAX_BLOCK_CELLS}", EXIT_CONFIG)
+    try:  # summary.json reports the budget over the stream
+        budget_report(cfg, n_frames / cfg.fps)
+    except ValueError as exc:
+        return _fail(str(exc), EXIT_CONFIG)
     stream = generate_stream(cfg, args.duration_s)
     try:
         os.makedirs(args.out_dir, exist_ok=True)
@@ -217,7 +227,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             return _fail(str(exc), EXIT_CONFIG)
         try:
             out = budget_report(cfg, args.horizon_s, args.tokens_per_step).to_json()
-        except ValueError as exc:  # bad arguments, or a float that overflowed
+        except (ValueError, OverflowError) as exc:  # bad arguments, or overflowed numbers
             return _fail(str(exc), EXIT_CONFIG)
         print(out)
         return EXIT_OK

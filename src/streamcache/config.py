@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, fields, asdict
 
 
@@ -53,8 +54,8 @@ def validate_config(cfg: SimConfig) -> SimConfig:
         raise ConfigError(f"N_S must be >= 1, got {cfg.N_S}")
     if cfg.N_L < 0:
         raise ConfigError(f"N_L must be >= 0, got {cfg.N_L}")
-    if cfg.tau < 0:
-        raise ConfigError(f"tau must be >= 0, got {cfg.tau}")
+    if not 0 <= cfg.tau <= sys.maxsize:  # sys.maxsize: the longest deque
+        raise ConfigError(f"tau must be in [0, {sys.maxsize}], got {cfg.tau}")
     if cfg.mean_step_s <= 0:
         raise ConfigError(f"mean_step_s must be > 0, got {cfg.mean_step_s}")
     if cfg.step_s_jitter < 0:
@@ -95,7 +96,11 @@ def config_from_dict(data: dict) -> SimConfig:
         else:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f"{name} must be a number, got {value!r}")
-            kwargs[name] = float(value)
+            try:
+                kwargs[name] = float(value)
+            except OverflowError:  # an integer beyond the float range
+                raise ConfigError(f"{name} must fit in a float, got an integer beyond "
+                                  f"{sys.float_info.max:g}") from None
     return validate_config(SimConfig(**kwargs))
 
 

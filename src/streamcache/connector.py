@@ -58,14 +58,6 @@ class PatchGrid:
         return self.patches.shape[1]
 
 
-@dataclass
-class ConnectorOutput:
-    tokens: np.ndarray          # (m, d) compressed tokens
-    boxes: List[BBox]           # 2 + k predicted boxes (hands first)
-    scores: np.ndarray          # (2 + k,) objectness in [0, 1]
-    attn: np.ndarray            # (m + 2 + k, n_patches) attention rows
-
-
 PARAM_KEYS = ("q_v", "q_h", "q_o", "w_k", "w_v", "w_z", "w1", "b1", "w2", "b2")
 
 
@@ -135,19 +127,6 @@ def _forward(patches: np.ndarray, params: Dict[str, np.ndarray]) -> Dict[str, np
         "out": out, "tokens": tokens, "box_in": box_in, "hidden": hidden,
         "box_params": box_params, "obj": obj, "m": m, "d": d,
     }
-
-
-def connector_forward(grid: PatchGrid, params: Dict[str, np.ndarray]) -> ConnectorOutput:
-    """Compress ``grid`` into ``m`` tokens and predict 2 + k scored boxes."""
-    grid.validate()
-    if params["q_h"].shape[0] != 2:
-        raise ValueError("exactly two hand queries required")
-    if params["q_o"].shape[0] < 1:
-        raise ValueError("at least one object query required")
-    fwd = _forward(grid.patches, params)
-    boxes = [BBox.from_array(row) for row in fwd["box_params"]]
-    return ConnectorOutput(tokens=fwd["tokens"], boxes=boxes,
-                           scores=fwd["obj"], attn=fwd["attn"])
 
 
 # ---------------------------------------------------------------------------
@@ -256,17 +235,14 @@ def _match(cost: np.ndarray) -> List[int]:
     return ref
 
 
-def _matched_loss(cost: np.ndarray, assignment: Sequence[int],
-                  scores: Optional[np.ndarray]) -> float:
+def _matched_loss(cost: np.ndarray, assignment: Sequence[int], scores: np.ndarray) -> float:
     """Assigned ``cost`` entries plus -log(1 - score) per unassigned column."""
     total = 0.0  # pair by pair: np.sum's pairwise order would move the last bits
     for i, j in enumerate(assignment):
         total += float(cost[i, j])
-    if scores is not None:
-        scores = np.asarray(scores, dtype=np.float64)
-        for j in range(cost.shape[1]):
-            if j not in assignment:
-                total += -math.log(max(1.0 - scores[j], 1e-12))
+    for j in range(cost.shape[1]):
+        if j not in assignment:
+            total += -math.log(max(1.0 - scores[j], 1e-12))
     return total
 
 
@@ -280,20 +256,6 @@ def hungarian_match(pred: Sequence[BBox], gt: Sequence[BBox]) -> List[int]:
     if n_gt > n_pred:
         raise ValueError(f"more ground-truth boxes ({n_gt}) than predictions ({n_pred})")
     return _match(_box_cost(_box_array(gt)[:, None], _box_array(pred)[None])[0])
-
-
-def loss_ho(pred: Sequence[BBox], gt: Sequence[BBox], assignment: Sequence[int],
-            scores: Optional[np.ndarray] = None) -> float:
-    """Matched pairs contribute (1 - GIoU) + L1; unmatched predictions
-    contribute only the no-object score penalty -log(1 - score)."""
-    if len(assignment) != len(gt):
-        raise ValueError("assignment length must equal ground-truth count")
-    if len(set(assignment)) != len(assignment):
-        raise ValueError("assignment must be injective")
-    if any(j < 0 or j >= len(pred) for j in assignment):
-        raise ValueError("assignment index out of range")
-    cost, _ = _box_cost(_box_array(gt)[:, None], _box_array(pred)[None])
-    return _matched_loss(cost, assignment, scores)
 
 
 def loss_lm(logits: np.ndarray, targets: Sequence[int]) -> float:
@@ -432,23 +394,6 @@ def make_scene(seed: int, side: int = 16, dim: int = 48, n_hands: int = 2,
     patches = synth_patches(seed, side, dim, hands, objects, noise)
     caption = [1 + int(x) for x in rng.integers(0, vocab_size - 1, size=5)]
     return Scene(PatchGrid(patches, side).validate(), hands, objects, caption)
-
-
-def save_scene(scene: Scene, path: str) -> None:
-    doc = {
-        "patches": base64.b64encode(
-            np.ascontiguousarray(scene.grid.patches, dtype="<f8").tobytes()).decode("ascii"),
-        "side": scene.grid.side,
-        "dim": scene.grid.dim,
-        "gt_boxes": (
-            [{"cx": b.cx, "cy": b.cy, "w": b.w, "h": b.h, "kind": "hand"} for b in scene.hands]
-            + [{"cx": b.cx, "cy": b.cy, "w": b.w, "h": b.h, "kind": "object"}
-               for b in scene.objects]
-        ),
-        "caption": scene.caption,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
 
 
 def _scene_number(value, field: str, kind: type = float):

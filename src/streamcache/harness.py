@@ -43,7 +43,7 @@ import numpy as np
 from .attention import AttentionEngine, recompute_flop_cost
 from .cache import CacheEvent, InterleavedCache
 from .config import SimConfig, validate_config
-from .types import StepRecord, Token, TokenFactory
+from .types import Token, TokenFactory
 from .verbalize import EmbeddingTable, PredictionLog, Verbalizer, should_verbalize
 
 ENGINE_HEADS = 4
@@ -55,6 +55,9 @@ FEATURE_NOISE = 0.1  # standard deviation of a frame feature around its class pr
 # MAX_LIVE_TOKENS tokens holds 128 MiB of K/V (both scale with d)
 MAX_FRAMES = 2 ** 16  # 4.5 hours at 4 fps
 MAX_LIVE_TOKENS = 2 ** 16  # a1's visual tokens over a whole stream, or bench's sweep stop
+# a block append builds a (layers, heads, block, context) float64 bias: at this
+# many block x context cells it takes 256 MiB
+MAX_BLOCK_CELLS = 2 ** 22
 
 
 class StrategyKind(Enum):
@@ -73,7 +76,6 @@ class StreamFrame:
 
 @dataclass
 class SyntheticStream:
-    steps: List[StepRecord]
     frames: List[StreamFrame]
     class_token_counts: np.ndarray  # text tokens describing each class id
 
@@ -101,36 +103,32 @@ def generate_stream(cfg: SimConfig, duration_s: float, n_classes: int = 20) -> S
     # description lengths of 5 or 6 tokens, 70% long: mean 5.7 per class
     class_token_counts = 5 + (rng.random(n_classes) < 0.7).astype(np.int64)
 
-    steps: List[StepRecord] = []
+    step_ids: List[int] = []  # each step's class id
+    ends: List[float] = []  # and the time it ends
     t = 0.0
-    prev_class = -1
     min_dur = 1.0 / cfg.fps
     while t < duration_s:
         c = int(rng.integers(n_classes))
-        if c == prev_class:
+        if step_ids and c == step_ids[-1]:
             c = (c + 1) % n_classes
         dur = float(rng.normal(cfg.mean_step_s, cfg.step_s_jitter))
-        dur = max(dur, min_dur)
-        end = min(t + dur, duration_s)
-        steps.append(StepRecord(step_id=c, start_s=t, end_s=end,
-                                text_token_count=int(class_token_counts[c])).validate())
-        prev_class = c
-        t = end
+        t = min(t + max(dur, min_dur), duration_s)
+        step_ids.append(c)
+        ends.append(t)
 
     # a frame belongs to the first step that ends after it, else to the last
     times = np.arange(n_frames) / cfg.fps
-    labels = np.minimum(np.searchsorted([s.end_s for s in steps], times, side="right"),
-                        len(steps) - 1)
+    labels = np.minimum(np.searchsorted(ends, times, side="right"), len(ends) - 1)
     # one draw gives the same values as one draw of d per frame, in frame order
     features = rng.standard_normal((n_frames, cfg.d))
     features *= FEATURE_NOISE
     # labels never decrease, so each step's frames are one run of rows
-    edges = np.searchsorted(labels, np.arange(len(steps) + 1))
-    for step, lo, hi in zip(steps, edges[:-1], edges[1:]):
-        features[lo:hi] += prototypes[step.step_id]
-    step_ids = np.array([s.step_id for s in steps])[labels].tolist()
-    frames = list(map(StreamFrame, range(n_frames), times.tolist(), step_ids, features))
-    return SyntheticStream(steps, frames, class_token_counts)
+    edges = np.searchsorted(labels, np.arange(len(ends) + 1))
+    for c, lo, hi in zip(step_ids, edges[:-1], edges[1:]):
+        features[lo:hi] += prototypes[c]
+    frame_steps = np.array(step_ids)[labels].tolist()
+    frames = list(map(StreamFrame, range(n_frames), times.tolist(), frame_steps, features))
+    return SyntheticStream(frames, class_token_counts)
 
 
 class OraclePredictor:
@@ -297,11 +295,17 @@ def run_strategy(kind: StrategyKind, stream: SyntheticStream, cfg: SimConfig, *,
 
 
 def affine_fit(x: np.ndarray, y: np.ndarray) -> Tuple[float, float, float]:
-    """Least-squares line through ``(x, y)``: slope, intercept and R²."""
-    slope, intercept = np.polyfit(x, y, 1)
-    pred = slope * x + intercept
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    """Least-squares line through ``(x, y)``: slope, intercept and R².
+
+    Closed form over centred sums, each an exactly rounded ``math.fsum``, so
+    the fit does not depend on the BLAS kernel or on a summation order.
+    """
+    mean_x, mean_y = math.fsum(x.tolist()) / x.size, math.fsum(y.tolist()) / y.size
+    dx, dy = x - mean_x, y - mean_y
+    slope = math.fsum((dx * dy).tolist()) / math.fsum((dx * dx).tolist())
+    intercept = mean_y - slope * mean_x
+    ss_res = math.fsum(((y - (slope * x + intercept)) ** 2).tolist())
+    ss_tot = math.fsum((dy * dy).tolist())
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
     return slope, intercept, r2
 
@@ -332,8 +336,9 @@ def fit_growth(trace_or_series) -> GrowthFit:
     if n < 100:
         raise ValueError(f"need at least 100 frames to fit growth, got {n}")
     start = n // 4
-    x = np.log(np.arange(1, n + 1, dtype=np.float64))[start:]
-    y = np.log(np.clip(series, 1.0, None))[start:]
+    # math.log: numpy picks its log loop per CPU, and the loops differ in last bits
+    x = np.array(list(map(math.log, range(start + 1, n + 1))))
+    y = np.array(list(map(math.log, np.maximum(series[start:], 1.0).tolist())))
     slope, _, r2 = affine_fit(x, y)
 
     tail = series[n // 2:]

@@ -1,4 +1,4 @@
-"""Shared domain vocabulary: tokens, procedural steps, boxes.
+"""Shared domain vocabulary: tokens and boxes.
 
 Everything here is a plain value type. Instances are safe to share across
 threads; the single sanctioned mutation is the one-time assignment of a
@@ -79,23 +79,6 @@ class TokenFactory:
         return Token(self._take_id(), TokenKind.PROMPT, embedding).validate()
 
 
-@dataclass
-class StepRecord:
-    """A procedural step: class id, temporal span, and verbal description length."""
-
-    step_id: int
-    start_s: float
-    end_s: float
-    text_token_count: int
-
-    def validate(self) -> "StepRecord":
-        if self.end_s <= self.start_s:
-            raise ValueError(f"step {self.step_id}: end_s must exceed start_s")
-        if self.text_token_count < 1:
-            raise ValueError(f"step {self.step_id}: text_token_count must be >= 1")
-        return self
-
-
 @dataclass(frozen=True)
 class BBox:
     """Axis-aligned box in normalized center format (cx, cy, w, h)."""
@@ -114,11 +97,6 @@ class BBox:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.cx, self.cy, self.w, self.h], dtype=np.float64)
-
-    @classmethod
-    def from_array(cls, a) -> "BBox":
-        cx, cy, w, h = (float(v) for v in a)
-        return cls(cx, cy, w, h).validate()
 
 
 class PositionClock:

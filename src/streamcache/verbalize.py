@@ -124,6 +124,9 @@ def budget_report(cfg: SimConfig, horizon_s: float,
     visual = cfg.fps * horizon_s * cfg.tokens_per_frame
     steps = horizon_s / cfg.mean_step_s
     text = steps * tokens_per_step
+    if text == 0:  # underflowed: the horizon is too short for the step length
+        raise ValueError(f"horizon_s {horizon_s:g} at mean_step_s {cfg.mean_step_s:g} "
+                         "gives no text tokens")
     markers = steps
     return TokenBudgetReport(
         horizon_s=float(horizon_s),

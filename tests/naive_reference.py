@@ -7,11 +7,15 @@ for-loop. They exist only to differential-test the package implementations.
 first form: one exact solve per tried column. ``generate_stream`` is the
 stream generator in its first form: one noise draw, one add and one frame per
 loop turn. ``grad_check`` is the finite-difference checker in its first form:
-a list of every parameter coordinate, sampled by index.
+a list of every parameter coordinate, sampled by index. ``save_scene`` writes a
+scene in the file format that ``load_scene`` reads, so tests can make scene
+files.
 """
 
 from __future__ import annotations
 
+import base64
+import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
@@ -19,7 +23,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from streamcache import OraclePredictor, SimConfig, StepRecord, SyntheticStream, validate_config
+from streamcache import OraclePredictor, Scene, SimConfig, SyntheticStream, validate_config
 from streamcache.harness import FEATURE_NOISE, StreamFrame
 
 VISUAL = "v"
@@ -120,6 +124,16 @@ def transcribe_interleaved(stream: SyntheticStream, cfg: SimConfig,
     return events, cache.ids()
 
 
+@dataclass
+class StepRecord:
+    """A procedural step: class id, temporal span, and verbal description length."""
+
+    step_id: int
+    start_s: float
+    end_s: float
+    text_token_count: int
+
+
 def generate_stream(cfg: SimConfig, duration_s: float, n_classes: int = 20) -> SyntheticStream:
     """Deterministic stream: step durations are clamped normals around
     ``mean_step_s`` and adjacent steps always change class."""
@@ -143,7 +157,7 @@ def generate_stream(cfg: SimConfig, duration_s: float, n_classes: int = 20) -> S
         dur = max(dur, min_dur)
         end = min(t + dur, duration_s)
         steps.append(StepRecord(step_id=c, start_s=t, end_s=end,
-                                text_token_count=int(class_token_counts[c])).validate())
+                                text_token_count=int(class_token_counts[c])))
         prev_class = c
         t = end
 
@@ -157,7 +171,7 @@ def generate_stream(cfg: SimConfig, duration_s: float, n_classes: int = 20) -> S
         c = steps[step_idx].step_id
         feature = prototypes[c] + FEATURE_NOISE * rng.standard_normal(cfg.d)
         frames.append(StreamFrame(index=i, time_s=ts, step_id=c, feature=feature))
-    return SyntheticStream(steps, frames, class_token_counts)
+    return SyntheticStream(frames, class_token_counts)
 
 
 MATCH_TIE_TOL = 1e-9
@@ -224,3 +238,14 @@ def grad_check(params: Dict[str, np.ndarray],
         rel = abs(numeric - analytic) / max(abs(numeric), abs(analytic), 1e-8)
         worst = max(worst, rel)
     return worst
+
+
+def save_scene(scene: Scene, path: str) -> None:
+    """Write ``scene`` as a scene file: base64 patches, boxes and caption."""
+    boxes = [dict(vars(b), kind="hand") for b in scene.hands]
+    boxes += [dict(vars(b), kind="object") for b in scene.objects]
+    doc = {"patches": base64.b64encode(scene.grid.patches.astype("<f8").tobytes()).decode(),
+           "side": scene.grid.side, "dim": scene.grid.dim, "gt_boxes": boxes,
+           "caption": scene.caption}
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)

@@ -38,10 +38,13 @@ def test_first_token_attends_only_to_itself(rng):
     eng = fresh_engine()
     tok = stream_tokens(1, rng)[0]
     out, logits = eng.append_token(tok)
-    oracle, attn = full_recompute(eng.weights, [tok], return_attn=True)
+    oracle = full_recompute(eng.weights, [tok])
     np.testing.assert_allclose(out, oracle[0], atol=1e-12)
-    for layer in attn:
-        np.testing.assert_allclose(layer[:, 0, 0], 1.0, atol=1e-15)
+    # all of each head's weight on the token itself: every layer adds its own value
+    want = tok.embedding
+    for layer in range(L):
+        want = want + tok.embedding @ eng.weights.w_v[layer] @ eng.weights.w_o[layer]
+    np.testing.assert_allclose(out, want, atol=1e-12)
     assert logits.shape == (V,)
     np.testing.assert_allclose(logits, out @ eng.weights.w_lm, atol=1e-12)
 
@@ -139,16 +142,19 @@ def test_full_recompute_requires_position_order(rng):
 
 
 def test_softmax_rows_and_causal_mask(rng):
-    eng = fresh_engine()
+    weights = fresh_engine().weights
     toks = stream_tokens(12, rng)
-    for tok in toks:
-        eng.append_token(tok)
-    _, attn = full_recompute(eng.weights, toks, return_attn=True)
-    n = len(toks)
-    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
-    for layer in attn:
-        np.testing.assert_allclose(layer.sum(axis=2), 1.0, atol=1e-12)
-        assert np.all(layer[:, upper] == 0.0)
+    out = full_recompute(weights, toks)
+    # causal mask: no output depends on a later token
+    for n in range(1, len(toks)):
+        np.testing.assert_allclose(full_recompute(weights, toks[:n]), out[:n], atol=1e-12)
+    # softmax rows sum to one: with one embedding everywhere, every key and value
+    # is the same, so each output equals the first however its row splits weight
+    same = stream_tokens(12, rng)
+    for tok in same:
+        tok.embedding = same[0].embedding
+    out = full_recompute(weights, same)
+    np.testing.assert_allclose(out, np.broadcast_to(out[0], out.shape), atol=1e-12)
 
 
 def test_positions_survive_eviction_bias_unchanged(rng):

@@ -22,29 +22,31 @@ class Driver:
         self.entered_groups = []
         self.evicted_groups = []
         self.next_step = 0
+        self.tokens = {}  # every token entered, by id
+
+    def entry(self, tok, sym):
+        self.real.entry(tok)
+        self.naive.entry(sym)
+        self.tokens[tok.id] = tok
 
     def enter_visual(self):
         tok = self.factory.visual(0, np.zeros(D))
-        self.real.entry(tok)
-        self.naive.entry(Sym(VISUAL, tok.id))
+        self.entry(tok, Sym(VISUAL, tok.id))
         self.entered_visual.append(tok.id)
 
     def enter_prompt(self):
         tok = self.factory.prompt(np.zeros(D))
-        self.real.entry(tok)
-        self.naive.entry(Sym(PROMPT, tok.id))
+        self.entry(tok, Sym(PROMPT, tok.id))
 
     def enter_group(self, n_text):
         step = self.next_step
         self.next_step += 1
         marker = self.factory.marker(step, np.zeros(D))
-        self.real.entry(marker)
-        self.naive.entry(Sym(MARKER, marker.id, step))
+        self.entry(marker, Sym(MARKER, marker.id, step))
         ids = [marker.id]
         for _ in range(n_text):
             tok = self.factory.text(step, np.zeros(D))
-            self.real.entry(tok)
-            self.naive.entry(Sym(TEXT, tok.id, step))
+            self.entry(tok, Sym(TEXT, tok.id, step))
             ids.append(tok.id)
         self.entered_groups.append(tuple(ids))
 
@@ -62,10 +64,11 @@ class Driver:
 
     def check_state(self):
         assert self.real.live_ids() == self.naive.ids()
-        kinds = [t.kind for t in self.real.live_tokens()]
+        live = [self.tokens[tid] for tid in self.real.live_ids()]
+        kinds = [t.kind for t in live]
         assert self.real.visual_count == kinds.count(TokenKind.VISUAL_FRAME)
         assert self.real.long_count == kinds.count(TokenKind.LONG_TERM_MARKER)
-        positions = [t.entry_position for t in self.real.live_tokens()]
+        positions = [t.entry_position for t in live]
         assert positions == sorted(positions)
 
 
@@ -197,14 +200,14 @@ def test_prompt_tokens_never_evicted(factory):
     assert p.id in cache.live_ids()
 
 
-def test_live_tokens_snapshot(factory):
+def test_live_ids_snapshot(factory):
     cache = InterleavedCache(4, 2)
-    assert cache.live_tokens() == ()
+    assert cache.live_ids() == ()
     toks = [factory.visual(i, np.zeros(D)) for i in range(3)]
     for tok in toks:
         cache.entry(tok)
-    snap = cache.live_tokens()
-    assert [t.id for t in snap] == [t.id for t in toks]
+    snap = cache.live_ids()
+    assert list(snap) == [t.id for t in toks]
     cache.exit_short()
     assert len(snap) == 3  # snapshot unaffected by later ops
 

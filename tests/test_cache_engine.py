@@ -28,6 +28,7 @@ class CacheEngineMachine(RuleBasedStateMachine):
         self.engine = AttentionEngine(D, H, L, V, seed=5)
         self.factory = TokenFactory()
         self.rng = np.random.default_rng(11)
+        self.tokens = {}  # every token entered, by id
         self.enter([self.factory.prompt(self.embedding()) for _ in range(PROMPT)])
 
     def embedding(self):
@@ -38,9 +39,13 @@ class CacheEngineMachine(RuleBasedStateMachine):
         block's last output against the oracle over the cache's live tokens."""
         for tok in tokens:
             self.cache.entry(tok)
+            self.tokens[tok.id] = tok
         out, _ = self.engine.append_tokens(tokens)
-        ref = full_recompute(self.engine.weights, self.cache.live_tokens())[-1]
+        ref = full_recompute(self.engine.weights, self.live())[-1]
         assert np.max(np.abs(out[-1] - ref)) <= TOL
+
+    def live(self):
+        return [self.tokens[tid] for tid in self.cache.live_ids()]
 
     def evict(self, tokens):
         if tokens:
@@ -67,13 +72,13 @@ class CacheEngineMachine(RuleBasedStateMachine):
 
     @invariant()
     def engine_matches_cache(self):
-        live = self.cache.live_tokens()
-        assert self.engine.live_ids() == tuple(tok.id for tok in live)
+        live = self.live()
+        assert self.engine.live_ids() == self.cache.live_ids()
         # a probe append on a copy checks the engine's state, not just its ids
         probe = self.factory.prompt(self.embedding())
         probe.entry_position = live[-1].entry_position + 1
         out, _ = copy.deepcopy(self.engine).append_token(probe)
-        ref = full_recompute(self.engine.weights, list(live) + [probe])[-1]
+        ref = full_recompute(self.engine.weights, live + [probe])[-1]
         assert np.max(np.abs(out - ref)) <= TOL
 
 

@@ -8,9 +8,11 @@ from pathlib import Path
 import pytest
 
 import streamcache
-from streamcache import SimConfig, load_scene, make_scene, save_scene
+from streamcache import SimConfig, load_scene, make_scene
 from streamcache.cli import main
 from streamcache.connector import MAX_SCENE_FLOATS
+
+from naive_reference import save_scene
 
 
 @pytest.fixture
@@ -371,6 +373,46 @@ def test_report_budget_overflow_is_not_printed(capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("field", ["fps", "mean_step_s", "step_s_jitter", "lambda_1"])
+@pytest.mark.parametrize("command", ["simulate", "bench", "report"])
+def test_config_integer_beyond_float_range_exits_2(tmp_path, capsys, command, field):
+    # JSON integers are unbounded; one in a float field may not fit in a float
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({field: 10 ** 400}))
+    out_dir, out_csv = tmp_path / "run", tmp_path / "bench.csv"
+    argv = {"simulate": ["simulate", str(path), "--out-dir", str(out_dir)],
+            "bench": ["bench", str(path), "--sweep", "1:4:1", "--out", str(out_csv)],
+            "report": ["report", "--budget", "--config", str(path)]}[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {field} must fit in a float")
+    assert not out_dir.exists() and not out_csv.exists()
+
+
+def test_config_tau_beyond_deque_limit_exits_2(tmp_path, capsys):
+    path, out_dir = tmp_path / "config.json", tmp_path / "run"
+    argv = ["simulate", str(path), "--duration-s", "1", "--out-dir", str(out_dir)]
+    path.write_text(json.dumps({"tau": sys.maxsize + 1}))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: tau must be in [0, {sys.maxsize}]")
+    assert not out_dir.exists()
+    path.write_text(json.dumps({"tau": sys.maxsize}))  # the longest deque still runs
+    assert main(argv) == 0
+
+
+def test_report_budget_integer_overflow_exits_2(tmp_path, capsys):
+    # tokens_per_frame is an int field, so only the budget arithmetic overflows
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"tokens_per_frame": 10 ** 400}))
+    assert main(["report", "--budget", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 @pytest.mark.parametrize("command", ["simulate", "bench"])
 def test_d_not_divisible_by_engine_heads_exits_2(tmp_path, capsys, command):
     path = tmp_path / "config.json"
@@ -472,6 +514,46 @@ def test_work_past_admission_bounds_exits_2(tmp_path):
     for (argv, message), (code, stdout, stderr) in zip(cases, results):
         assert (code, stdout) == (2, ""), argv
         assert stderr.startswith("error:") and message in stderr, (argv, stderr)
+    assert not out.exists()
+
+
+def test_budget_without_text_tokens_exits_2(tmp_path, capsys):
+    # a horizon far below mean_step_s underflows the step count, and the
+    # budget's ratios would divide by zero text tokens
+    path, out_dir = tmp_path / "config.json", tmp_path / "run"
+    path.write_text(json.dumps({"mean_step_s": 1e308, "fps": 1e300}))
+    assert main(["report", "--budget", "--config", str(path), "--horizon-s", "1e-300"]) == 2
+    assert main(["simulate", str(path), "--duration-s", "1e-300", "--out-dir",
+                 str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error: horizon_s 1e-300 at mean_step_s 1e+308 gives no "
+                              "text tokens") == 2
+    assert not out_dir.exists()
+
+
+def test_block_past_cell_bound_exits_2(tmp_path):
+    # a1's last block of 16384 tokens over 65540 asks numpy for a 17 GiB bias;
+    # 1024 tokens over 4 frames is the first size past the bound at 4 fps
+    out = tmp_path / "out"
+    cases = [(16384, "tokens_per_frame 16384 over 4 frames gives a1 a last block of "
+                     "1073807360 attention cells, above MAX_BLOCK_CELLS = 4194304"),
+             (1024, "tokens_per_frame 1024 over 4 frames gives a1 a last block of "
+                    "4198400 attention cells, above MAX_BLOCK_CELLS = 4194304")]
+    argvs = []
+    for tokens_per_frame, _ in cases:
+        path = tmp_path / f"wide-{tokens_per_frame}.json"
+        path.write_text(json.dumps({"tokens_per_frame": tokens_per_frame}))
+        argvs.append(["simulate", str(path), "--duration-s", "1", "--out-dir", str(out)])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(streamcache.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _RUNAWAY_SCRIPT, json.dumps(argvs)],
+                          capture_output=True, text=True, timeout=15, env=env,
+                          preexec_fn=_cap_address_space)
+    assert proc.returncode == 0, proc.stderr
+    for (_, message), (code, stdout, stderr) in zip(cases, json.loads(proc.stdout)):
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith("error:") and message in stderr, stderr
     assert not out.exists()
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -10,15 +11,14 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 import streamcache.connector as connector
-from streamcache import (BBox, PatchGrid, TrainingDivergence, connector_forward, giou,
-                         giou_batch, grad_check, hungarian_match, init_caption_decoder,
-                         init_connector, load_scene, loss_ho, loss_lm, loss_total,
-                         make_scene, save_scene, stage1_losses, stage1_value_and_grads,
-                         train_toy)
-from streamcache.connector import _box_cost, _match, giou_and_grad
+from streamcache import (BBox, PatchGrid, TrainingDivergence, giou, giou_batch, grad_check,
+                         hungarian_match, init_caption_decoder, init_connector, load_scene,
+                         loss_lm, loss_total, make_scene, stage1_losses,
+                         stage1_value_and_grads, train_toy)
+from streamcache.connector import _box_cost, _forward, _match, giou_and_grad
 
 import naive_reference
-from naive_reference import lexicographic_match
+from naive_reference import lexicographic_match, save_scene
 
 FEAT_DIM, QDIM, MLP = 24, 16, 24
 
@@ -47,46 +47,41 @@ def brute_force_match(pred, gt):
 
 def test_forward_shapes_12_tokens_4_boxes(rng):
     params = small_setup(m=12, k=2)
-    grid = PatchGrid(rng.standard_normal((256, FEAT_DIM)), 16)
-    out = connector_forward(grid, params)
-    assert out.tokens.shape == (12, QDIM)
-    assert len(out.boxes) == 4
-    assert out.scores.shape == (4,)
-    assert np.all((out.scores >= 0) & (out.scores <= 1))
-    assert out.attn.shape == (16, 256)
+    fwd = _forward(rng.standard_normal((256, FEAT_DIM)), params)
+    assert fwd["tokens"].shape == (12, QDIM)
+    assert fwd["box_params"].shape == (4, 4)
+    assert fwd["obj"].shape == (4,)
+    assert np.all((fwd["obj"] >= 0) & (fwd["obj"] <= 1))
+    assert fwd["attn"].shape == (16, 256)
 
 
 def test_forward_zero_visual_queries(rng):
     params = small_setup(m=0, k=2)
-    grid = PatchGrid(rng.standard_normal((256, FEAT_DIM)), 16)
-    out = connector_forward(grid, params)
-    assert out.tokens.shape == (0, QDIM)
-    assert len(out.boxes) == 4
+    fwd = _forward(rng.standard_normal((256, FEAT_DIM)), params)
+    assert fwd["tokens"].shape == (0, QDIM)
+    assert fwd["box_params"].shape == (4, 4)
 
 
 def test_forward_uniform_grid_symmetry():
     params = small_setup(m=4, k=2)
     params["q_h"][1] = params["q_h"][0]  # identical hand query inits
-    grid = PatchGrid(np.ones((64, FEAT_DIM)), 8)
-    out = connector_forward(grid, params)
-    np.testing.assert_allclose(out.attn, 1.0 / 64, atol=1e-12)
-    assert out.boxes[0] == out.boxes[1]
-    assert out.scores[0] == out.scores[1]
+    fwd = _forward(np.ones((64, FEAT_DIM)), params)
+    np.testing.assert_allclose(fwd["attn"], 1.0 / 64, atol=1e-12)
+    np.testing.assert_array_equal(fwd["box_params"][0], fwd["box_params"][1])
+    assert fwd["obj"][0] == fwd["obj"][1]
 
 
 def test_forward_attention_rows_sum_to_one(rng):
     params = small_setup()
-    grid = PatchGrid(rng.standard_normal((64, FEAT_DIM)), 8)
-    out = connector_forward(grid, params)
-    np.testing.assert_allclose(out.attn.sum(axis=1), 1.0, atol=1e-12)
-    assert np.all(out.attn >= 0)
+    fwd = _forward(rng.standard_normal((64, FEAT_DIM)), params)
+    np.testing.assert_allclose(fwd["attn"].sum(axis=1), 1.0, atol=1e-12)
+    assert np.all(fwd["attn"] >= 0)
 
 
-def test_forward_dim_mismatch(rng):
-    params = small_setup()
-    grid = PatchGrid(rng.standard_normal((64, FEAT_DIM + 1)), 8)
+def test_forward_dim_mismatch():
+    scene = make_scene(seed=1, side=4, dim=FEAT_DIM + 1)
     with pytest.raises(ValueError, match="dim"):
-        connector_forward(grid, params)
+        stage1_losses(small_setup(), init_caption_decoder(QDIM, 64, seed=9), scene, 2.0)
 
 
 def test_grid_validation(rng):
@@ -96,12 +91,6 @@ def test_grid_validation(rng):
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):
         PatchGrid(bad, 16).validate()
-    grid = PatchGrid(rng.standard_normal((64, FEAT_DIM)), 8)
-    for key, rows, match in (("q_h", 1, "hand"), ("q_o", 0, "object")):
-        params = small_setup()
-        params[key] = params[key][:rows]
-        with pytest.raises(ValueError, match=match):
-            connector_forward(grid, params)
 
 
 # -- giou -------------------------------------------------------------------
@@ -153,7 +142,7 @@ def test_giou_batch_matches_scalar(rng):
                          rng.uniform(0.05, 0.5, 50), rng.uniform(0.05, 0.5, 50)])
     batch = giou_batch(a, b)
     for i in range(50):
-        assert batch[i] == pytest.approx(giou(BBox.from_array(a[i]), BBox.from_array(b[i])))
+        assert batch[i] == pytest.approx(giou(BBox(*a[i]), BBox(*b[i])))
 
 
 def test_giou_grad_matches_finite_differences(rng):
@@ -278,73 +267,91 @@ def test_match_equals_tie_oracles_on_planted_ties():
 
 # -- losses -----------------------------------------------------------------
 
+def predicted_boxes(params, scene):
+    """The 2 + k boxes (hands first) and objectness scores that stage 1 scores."""
+    fwd = _forward(scene.grid.patches, params)
+    return [BBox(*map(float, row)) for row in fwd["box_params"]], fwd["obj"]
+
+
+def scalar_ho(params, scene):
+    """The box loss written out pair by pair: (1 - GIoU) + L1 per brute-force
+    matched pair, -log(1 - score) per unmatched prediction, hands then objects."""
+    boxes, scores = predicted_boxes(params, scene)
+    total = 0.0
+    for pred, gt, group_scores in ((boxes[:2], scene.hands, scores[:2]),
+                                   (boxes[2:], scene.objects, scores[2:])):
+        sigma = brute_force_match(pred, gt)[0]
+        for g, j in zip(gt, sigma):
+            total += (1 - giou(g, pred[j])) + sum(
+                abs(a - b) for a, b in zip(g.as_array(), pred[j].as_array()))
+        total += sum(-math.log(1 - group_scores[j]) for j in range(len(pred))
+                     if j not in sigma)
+    return total
+
+
 def test_loss_ho_perfect_predictions_zero():
-    boxes = [BBox(0.3, 0.3, 0.2, 0.2), BBox(0.7, 0.7, 0.3, 0.3)]
-    sigma = hungarian_match(boxes, boxes)
-    assert loss_ho(boxes, boxes, sigma, scores=np.array([0.9, 0.2])) == 0.0
+    scene = make_scene(seed=0, side=4, dim=FEAT_DIM)
+    params = small_setup(k=2)
+    boxes, _ = predicted_boxes(params, scene)
+    scene = dataclasses.replace(scene, hands=boxes[:2], objects=boxes[2:])
+    assert stage1_losses(params, init_caption_decoder(QDIM, 64, seed=9), scene, 2.0)["ho"] == 0.0
 
 
 def test_loss_ho_single_pair_definition():
-    pred = [BBox(0.5, 0.5, 0.2, 0.2)]
-    gt = [BBox(0.42, 0.47, 0.25, 0.18)]
-    g = giou(gt[0], pred[0])
-    l1 = float(np.abs(gt[0].as_array() - pred[0].as_array()).sum())
-    assert loss_ho(pred, gt, [0]) == pytest.approx((1 - g) + l1)
+    scene = make_scene(seed=0, side=4, dim=FEAT_DIM)
+    params = small_setup(k=2)
+    gt = BBox(0.42, 0.47, 0.25, 0.18)
+    boxes, scores = predicted_boxes(params, scene)
+    pair = [(1 - giou(gt, p)) + float(np.abs(gt.as_array() - p.as_array()).sum())
+            for p in boxes[:2]]
+    j = int(np.argmin(pair))  # the one hand box is matched, the rest pay for objectness
+    expected = pair[j] + sum(-math.log(1 - scores[i]) for i in range(4) if i != j)
+    scene = dataclasses.replace(scene, hands=[gt], objects=[])
+    got = stage1_losses(params, init_caption_decoder(QDIM, 64, seed=9), scene, 2.0)["ho"]
+    assert got == pytest.approx(expected, rel=1e-12)
 
 
-def test_loss_ho_three_box_instance_matches_scalar_script(rng):
-    pred = [random_box(rng) for _ in range(3)]
-    gt = [random_box(rng) for _ in range(3)]
-    sigma = hungarian_match(pred, gt)
-    expected = 0.0
-    for i, g in enumerate(gt):
-        p = pred[sigma[i]]
-        expected += (1 - giou(g, p)) + sum(
-            abs(a - b) for a, b in zip(g.as_array(), p.as_array()))
-    assert loss_ho(pred, gt, sigma) == pytest.approx(expected)
+def test_loss_ho_three_box_instance_matches_scalar_script():
+    rng = np.random.default_rng(77)
+    decoder = init_caption_decoder(QDIM, 64, seed=9)
+    scenes = [(make_scene(seed=50, side=4, dim=FEAT_DIM, n_hands=0, n_objects=3), 3)]
+    for trial in range(50):
+        k = int(rng.integers(2, 5))
+        scenes.append((make_scene(seed=trial, side=4, dim=FEAT_DIM,
+                                  n_hands=int(rng.integers(0, 3)),
+                                  n_objects=int(rng.integers(0, k + 1))), k))
+    for trial, (scene, k) in enumerate(scenes):
+        params = small_setup(k=k, seed=trial)
+        got = stage1_losses(params, decoder, scene, lambda_1=2.0)["ho"]
+        assert got == pytest.approx(scalar_ho(params, scene), rel=1e-12), trial
 
 
 def test_loss_ho_unmatched_score_penalty():
-    pred = [BBox(0.3, 0.3, 0.2, 0.2), BBox(0.7, 0.7, 0.3, 0.3)]
-    gt = [BBox(0.3, 0.3, 0.2, 0.2)]
-    scores = np.array([0.1, 0.4])
-    value = loss_ho(pred, gt, [0], scores=scores)
-    assert value == pytest.approx(-math.log(1 - 0.4))
+    scene = make_scene(seed=0, side=4, dim=FEAT_DIM)
+    params = small_setup(k=2)
+    boxes, scores = predicted_boxes(params, scene)
+    scene = dataclasses.replace(scene, hands=boxes[:2], objects=boxes[2:3])
+    losses, grads = stage1_value_and_grads(params, init_caption_decoder(QDIM, 64, seed=9),
+                                           scene, lambda_1=2.0)
+    # only the second object query is unmatched: the loss is its penalty alone,
+    # and the objectness bias gets lambda_1 * score from it and nothing else
+    assert losses["ho"] == pytest.approx(-math.log(1 - scores[3]), rel=1e-12)
+    assert grads["b2"][4] == pytest.approx(2.0 * scores[3], rel=1e-12)
 
 
 def test_loss_ho_validates_assignment():
-    pred = [BBox(0.3, 0.3, 0.2, 0.2), BBox(0.7, 0.7, 0.3, 0.3)]
-    gt = [pred[0], pred[1]]
-    with pytest.raises(ValueError):
-        loss_ho(pred, gt, [0])
-    with pytest.raises(ValueError):
-        loss_ho(pred, gt, [0, 0])
-    with pytest.raises(ValueError):
-        loss_ho(pred, gt, [0, 5])
-
-
-def test_stage1_box_loss_equals_public_wrappers():
-    rng = np.random.default_rng(77)
     decoder = init_caption_decoder(QDIM, 64, seed=9)
-    for trial in range(50):
-        k = int(rng.integers(2, 5))
-        scene = make_scene(seed=trial, side=4, dim=FEAT_DIM, n_hands=int(rng.integers(0, 3)),
-                           n_objects=int(rng.integers(0, k + 1)))
-        params = small_setup(k=k, seed=trial)
-        out = connector_forward(scene.grid, params)
-        want = 0.0
-        for pred, gt, scores in ((out.boxes[:2], scene.hands, out.scores[:2]),
-                                 (out.boxes[2:], scene.objects, out.scores[2:])):
-            want += loss_ho(pred, gt, hungarian_match(pred, gt), scores)
-        got = stage1_losses(params, decoder, scene, lambda_1=2.0)["ho"]
-        assert got.hex() == want.hex(), (trial, got, want)
+    for n_hands, n_objects in ((3, 2), (2, 3)):
+        scene = make_scene(seed=0, side=4, dim=FEAT_DIM, n_hands=n_hands, n_objects=n_objects)
+        with pytest.raises(ValueError, match="more ground-truth boxes than queries"):
+            stage1_value_and_grads(small_setup(k=2), decoder, scene, 2.0)
 
 
 def test_stage1_solves_one_assignment_per_group(monkeypatch):
     scene = make_scene(seed=0, side=4, dim=FEAT_DIM)
     params = small_setup(k=2)
-    out = connector_forward(scene.grid, params)
-    for pred, gt in ((out.boxes[:2], scene.hands), (out.boxes[2:], scene.objects)):
+    boxes, _ = predicted_boxes(params, scene)
+    for pred, gt in ((boxes[:2], scene.hands), (boxes[2:], scene.objects)):
         cost = _box_cost(connector._box_array(gt)[:, None], connector._box_array(pred)[None])[0]
         totals = sorted(sum(cost[i, j] for i, j in enumerate(perm))
                         for perm in itertools.permutations(range(len(pred)), len(gt)))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from streamcache import BBox, StepRecord, Token, TokenFactory, TokenKind
+from streamcache import BBox, Token, TokenFactory, TokenKind
 
 
 def test_factory_ids_strictly_increase(factory):
@@ -21,19 +21,11 @@ def test_kind_field_requirements(factory):
     Token(3, TokenKind.PROMPT, np.zeros(3)).validate()
 
 
-def test_step_record_validation():
-    StepRecord(0, 0.0, 2.0, 5).validate()
-    with pytest.raises(ValueError):
-        StepRecord(0, 2.0, 2.0, 5).validate()
-    with pytest.raises(ValueError):
-        StepRecord(0, 0.0, 2.0, 0).validate()
-
-
 def test_bbox_validate_and_round_trip():
     box = BBox(0.1, 0.5, 0.4, 0.2).validate()
     with pytest.raises(ValueError):
         BBox(0.5, 0.5, 0.0, 0.1).validate()
-    round_trip = BBox.from_array(box.as_array())
+    round_trip = BBox(*box.as_array())
     assert round_trip == box
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 
 import numpy as np
@@ -88,8 +89,9 @@ def test_verbalized_hour_close_to_expected_count(cfg):
     # the expected 630-ish text tokens
     stream = generate_stream(cfg, 3600.0)
     verb = make_verbalizer(cfg)
-    text_tokens = sum(len(verb.verbalize(step.step_id, step.text_token_count)) - 1
-                      for step in stream.steps)
+    steps = [c for c, _ in itertools.groupby(f.step_id for f in stream.frames)]
+    text_tokens = sum(len(verb.verbalize(c, int(stream.class_token_counts[c]))) - 1
+                      for c in steps)
     assert text_tokens == pytest.approx(630, rel=0.10)
 
 
