@@ -326,6 +326,27 @@ def test_loss_ho_three_box_instance_matches_scalar_script():
         assert got == pytest.approx(scalar_ho(params, scene), rel=1e-12), trial
 
 
+def test_stage1_box_loss_equals_public_wrappers():
+    # stage 1's box loss, bit for bit, against the public `hungarian_match`
+    # and the matched-loss helper applied group by group
+    rng = np.random.default_rng(77)
+    decoder = init_caption_decoder(QDIM, 64, seed=9)
+    for trial in range(50):
+        k = int(rng.integers(2, 5))
+        scene = make_scene(seed=trial, side=4, dim=FEAT_DIM, n_hands=int(rng.integers(0, 3)),
+                           n_objects=int(rng.integers(0, k + 1)))
+        params = small_setup(k=k, seed=trial)
+        boxes, scores = predicted_boxes(params, scene)
+        want = 0.0
+        for pred, gt, group_scores in ((boxes[:2], scene.hands, scores[:2]),
+                                       (boxes[2:], scene.objects, scores[2:])):
+            cost = _box_cost(connector._box_array(gt)[:, None],
+                             connector._box_array(pred)[None])[0]
+            want += connector._matched_loss(cost, hungarian_match(pred, gt), group_scores)
+        got = stage1_losses(params, decoder, scene, lambda_1=2.0)["ho"]
+        assert got.hex() == want.hex(), (trial, got, want)
+
+
 def test_loss_ho_unmatched_score_penalty():
     scene = make_scene(seed=0, side=4, dim=FEAT_DIM)
     params = small_setup(k=2)
