@@ -85,6 +85,14 @@ def append_flop_cost(n_live: int, d: int, layers: int, vocab_size: int) -> int:
     return layers * (4 * d * d + 2 * n_live * d) + d * vocab_size
 
 
+def block_flop_cost(n_live: int, k: int, d: int, layers: int, vocab_size: int) -> int:
+    """Multiply-adds for appending a block of ``k`` tokens at live size
+    ``n_live`` (the block not included): k single appends at live sizes
+    n+1 .. n+k, an arithmetic series."""
+    return k * (append_flop_cost(n_live + 1, d, layers, vocab_size)
+                + append_flop_cost(n_live + k, d, layers, vocab_size)) // 2
+
+
 def recompute_flop_cost(n_queries: int, n_prefix: int, d: int, layers: int) -> int:
     """Multiply-adds to re-encode ``n_queries`` tokens causally over a fixed
     ``n_prefix``-token prefix: the conversion penalty of a separately cached
@@ -211,9 +219,7 @@ class AttentionEngine:
             x += mixed.transpose(1, 0, 2).reshape(k, d) @ self._w_o[layer]
 
         logits = x @ self.weights.w_lm
-        # k single appends at live sizes n+1 .. n+k: an arithmetic series
-        self.flop_counter += k * (append_flop_cost(n + 1, d, self.layers, self.vocab_size)
-                                  + append_flop_cost(n_ctx, d, self.layers, self.vocab_size)) // 2
+        self.flop_counter += block_flop_cost(n, k, d, self.layers, self.vocab_size)
         for slot, tok in enumerate(tokens, n):
             self._slot[tok.id] = slot
             self._ids.append(tok.id)

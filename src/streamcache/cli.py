@@ -22,8 +22,8 @@ from .config import ConfigError, SimConfig, load_config, validate_config
 from .connector import (grad_check, init_caption_decoder, init_connector,
                         load_scene, make_scene, stage1_value_and_grads)
 from .harness import (DEFAULT_PROMPT_TOKENS, ENGINE_HEADS, ENGINE_LAYERS, MAX_BLOCK_CELLS,
-                      MAX_LIVE_TOKENS, StrategyAbort, StrategyKind, affine_fit, fit_growth,
-                      frame_count, generate_stream, run_strategy)
+                      MAX_DESCRIPTION_TOKENS, MAX_LIVE_TOKENS, StrategyAbort, StrategyKind,
+                      affine_fit, fit_growth, frame_count, generate_stream, run_strategy)
 from .traceio import (read_trace_csv, summarize, write_events_jsonl,
                       write_manifest, write_trace_csv)
 from .types import PositionClock, TokenFactory
@@ -88,6 +88,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return _fail(f"tokens_per_frame {cfg.tokens_per_frame} over {n_frames} frames gives "
                      f"a1 a last block of {cells} attention cells, above "
                      f"MAX_BLOCK_CELLS = {MAX_BLOCK_CELLS}", EXIT_CONFIG)
+    # b and a2 hold up to N_S + 1 frames and N_L + 1 verbalized groups between
+    # an entry and its exit, on top of the prompt
+    bounded_live = (DEFAULT_PROMPT_TOKENS + min(n_frames, cfg.N_S + 1) * cfg.tokens_per_frame
+                    + min(n_frames, cfg.N_L + 1) * (1 + MAX_DESCRIPTION_TOKENS))
+    if bounded_live > MAX_LIVE_TOKENS:
+        return _fail(f"N_S {cfg.N_S}, N_L {cfg.N_L} and tokens_per_frame "
+                     f"{cfg.tokens_per_frame} over {n_frames} frames give b and a2 up to "
+                     f"{bounded_live} live tokens, above MAX_LIVE_TOKENS = {MAX_LIVE_TOKENS}",
+                     EXIT_CONFIG)
     try:  # summary.json reports the budget over the stream
         budget_report(cfg, n_frames / cfg.fps)
     except ValueError as exc:
@@ -128,7 +137,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         artifacts.extend([csv_path, jsonl_path])
     summary_path = os.path.join(args.out_dir, "summary.json")
     with open(summary_path, "w", encoding="utf-8") as fh:
-        json.dump(summarize(traces), fh, indent=2, sort_keys=True)
+        json.dump(summarize(traces), fh, indent=2, sort_keys=True, allow_nan=False)
     artifacts.append(summary_path)
     write_manifest(os.path.join(args.out_dir, "manifest.json"), cfg, artifacts,
                    __version__)

@@ -8,11 +8,11 @@ prototype is added to its run of rows, so each frame's feature is a row of
 one ``(frames, d)`` array. ``MAX_FRAMES`` bounds a stream, checked before
 any of that runs.
 
-Each strategy replays the stream through one interleaved cache and the
-attention engine and records a per-frame trace of token counts and
-multiply-add costs. Every frame runs entry, short exit, prediction,
-dedup-gated verbalization and long exit, in that order; the strategies differ
-only in which steps run and how the verbalized group's flops are booked:
+Each strategy replays the stream through one interleaved cache and records a
+per-frame trace of token counts and multiply-add costs. Every frame runs
+entry, short exit, prediction, dedup-gated verbalization and long exit, in
+that order; the strategies differ only in which steps run and how the
+verbalized group's flops are booked:
 
 - ``a1`` ProgressiveVisual: every frame token kept forever; no exit and no
   verbalization.
@@ -20,14 +20,18 @@ only in which steps run and how the verbalized group's flops are booked:
   part (prompt and visual tokens) and long part (verbalized groups) were kept
   apart. Every verbalization re-encodes the short part over the grown long
   prefix, and that cost plus the group's append is booked to the frame as
-  conversion recompute. Its cache events and engine flops equal ``b``'s.
+  conversion recompute. Its cache events and engine flops equal ``b``'s, so
+  it runs no attention engine, and its ``FrameRecord.wall_ns`` is its own
+  loop's frame time without any attention work.
 - ``b``  Interleaved: retained text tokens are appended incrementally, so the
   only prediction-path cost is the frame append itself.
 
 Each strategy enters a prompt, a frame's visual tokens or a verbalized group
-into its cache token by token, then appends the whole block to the engine in
-one causal pass. Strategies never share mutable state; each run builds its own
-factory, cache, and engine.
+into its cache token by token and charges the block ``block_flop_cost`` at the
+cache's live size before it; ``a1`` and ``b`` also append the whole block to
+their engine in one causal pass. A frame's ``wall_ns`` runs from before its
+visual tokens enter the cache until its ``FrameRecord`` is built. Strategies
+never share mutable state; each run builds its own factory, cache, and engine.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .attention import AttentionEngine, recompute_flop_cost
+from .attention import AttentionEngine, block_flop_cost, recompute_flop_cost
 from .cache import CacheEvent, InterleavedCache
 from .config import SimConfig, validate_config
 from .types import Token, TokenFactory
@@ -50,11 +54,12 @@ ENGINE_HEADS = 4
 ENGINE_LAYERS = 2
 DEFAULT_PROMPT_TOKENS = 4
 FEATURE_NOISE = 0.1  # standard deviation of a frame feature around its class prototype
+MAX_DESCRIPTION_TOKENS = 6  # text tokens in the longest step description
 # admission bounds, checked before any work or allocation: at d = 64 a stream
 # of MAX_FRAMES frames holds 32 MiB of features, and an engine holding
 # MAX_LIVE_TOKENS tokens holds 128 MiB of K/V (both scale with d)
 MAX_FRAMES = 2 ** 16  # 4.5 hours at 4 fps
-MAX_LIVE_TOKENS = 2 ** 16  # a1's visual tokens over a whole stream, or bench's sweep stop
+MAX_LIVE_TOKENS = 2 ** 16  # the most tokens a strategy can hold, or bench's sweep stop
 # a block append builds a (layers, heads, block, context) float64 bias: at this
 # many block x context cells it takes 256 MiB
 MAX_BLOCK_CELLS = 2 ** 22
@@ -101,7 +106,8 @@ def generate_stream(cfg: SimConfig, duration_s: float, n_classes: int = 20) -> S
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x57]))
     prototypes = rng.standard_normal((n_classes, cfg.d))
     # description lengths of 5 or 6 tokens, 70% long: mean 5.7 per class
-    class_token_counts = 5 + (rng.random(n_classes) < 0.7).astype(np.int64)
+    class_token_counts = (MAX_DESCRIPTION_TOKENS - 1
+                          + (rng.random(n_classes) < 0.7).astype(np.int64))
 
     step_ids: List[int] = []  # each step's class id
     ends: List[float] = []  # and the time it ends
@@ -209,8 +215,11 @@ def run_strategy(kind: StrategyKind, stream: SyntheticStream, cfg: SimConfig, *,
                  with_engine: bool = True) -> StrategyTrace:
     """Replay ``stream`` under one caching strategy and trace every frame.
 
-    ``with_engine=False`` runs the cache mechanics only (all flop columns
-    zero), which is enough for symbolic replay comparisons.
+    The engines of ``a1`` and ``b`` must end with their counters equal to the
+    charged total. ``a2`` builds none: it would replay ``b``'s appends
+    exactly, and nothing reads its outputs. ``with_engine=False`` runs the
+    cache mechanics only (all flop columns zero), which is enough for
+    symbolic replay comparisons.
     """
     validate_config(cfg)
     factory = TokenFactory()
@@ -218,27 +227,30 @@ def run_strategy(kind: StrategyKind, stream: SyntheticStream, cfg: SimConfig, *,
     verbalizer = Verbalizer(factory, table)
     predictor = OraclePredictor(stream, noise_p, cfg.seed)
     log = PredictionLog(cfg.tau)
+    charge_recompute = kind is StrategyKind.VERBALIZED_SEPARATE
     engine = AttentionEngine(cfg.d, ENGINE_HEADS, ENGINE_LAYERS, cfg.vocab_size,
-                             cfg.seed) if with_engine else None
+                             cfg.seed) if with_engine and not charge_recompute else None
     cache = InterleavedCache(cfg.N_S * cfg.tokens_per_frame, cfg.N_L)
     trace = StrategyTrace(kind=kind, cfg=cfg, cache_events=cache.events)
     bounded = kind is not StrategyKind.PROGRESSIVE_VISUAL  # a1 never exits or verbalizes
-    charge_recompute = kind is StrategyKind.VERBALIZED_SEPARATE
 
     def enter(tokens: Sequence[Token], t: float) -> int:
         """Enter one block into the cache token by token, then append it to
-        the engine in one causal pass; returns its flop charge."""
+        the engine, if any, in one causal pass; returns its flop charge."""
+        n_live = len(cache)
         for tok in tokens:
             cache.entry(tok, t)
-        if engine is None or not tokens:
+        if not with_engine or not tokens:
             return 0
-        before = engine.flop_counter
-        if len(tokens) == 1:
-            # keeps single appends on append_token, the call perfbench's tracer spans
-            engine.append_token(tokens[0])
-        else:
-            engine.append_tokens(tokens)
-        return engine.flop_counter - before
+        if engine is not None:
+            if len(tokens) == 1:
+                # keeps single appends on append_token, the call perfbench's tracer spans
+                engine.append_token(tokens[0])
+            else:
+                engine.append_tokens(tokens)
+        flops = block_flop_cost(n_live, len(tokens), cfg.d, ENGINE_LAYERS, cfg.vocab_size)
+        trace.engine_total_flops += flops
+        return flops
 
     def evict(tokens: Sequence[Token]) -> None:
         if engine is not None and tokens:
@@ -260,7 +272,7 @@ def run_strategy(kind: StrategyKind, stream: SyntheticStream, cfg: SimConfig, *,
         if event:
             group = verbalizer.verbalize(pred, int(stream.class_token_counts[pred]))
             group_flops = enter(group, frame.time_s)
-            if charge_recompute and engine is not None:
+            if charge_recompute and with_engine:
                 # a2 books the cache as if its short part (prompt and visual
                 # tokens) and long part (verbalized groups) were kept apart:
                 # the grown long prefix forces a re-encode of the short part
@@ -283,14 +295,16 @@ def run_strategy(kind: StrategyKind, stream: SyntheticStream, cfg: SimConfig, *,
             wall_ns=time.perf_counter_ns() - t0))
         if live_token_cap is not None and live > live_token_cap:
             trace.truncated_at = frame.index
-            trace.engine_total_flops = engine.flop_counter if engine else 0
             raise StrategyAbort(
                 f"{kind.value}: live tokens {live} exceed cap {live_token_cap} "
                 f"at frame {frame.index}", trace)
 
-    if engine is not None and set(engine.live_ids()) != set(cache.live_ids()):
-        raise RuntimeError("attention store diverged from cache contents")
-    trace.engine_total_flops = engine.flop_counter if engine else 0
+    if engine is not None:
+        if set(engine.live_ids()) != set(cache.live_ids()):
+            raise RuntimeError("attention store diverged from cache contents")
+        if engine.flop_counter != trace.engine_total_flops:
+            raise RuntimeError(f"engine counted {engine.flop_counter} flops, its blocks "
+                               f"were charged {trace.engine_total_flops}")
     return trace
 
 

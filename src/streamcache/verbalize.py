@@ -115,7 +115,8 @@ def budget_report(cfg: SimConfig, horizon_s: float,
     """Expected token budgets over ``horizon_s`` seconds of stream.
 
     Marker tokens are counted separately from the text tokens; both ratios are
-    reported.
+    reported. Raises ``ValueError`` when a total is zero text tokens or is
+    not finite, so the report is always standard JSON.
     """
     if not 0 < horizon_s < math.inf:
         raise ValueError(f"horizon_s must be finite and > 0, got {horizon_s}")
@@ -128,7 +129,7 @@ def budget_report(cfg: SimConfig, horizon_s: float,
         raise ValueError(f"horizon_s {horizon_s:g} at mean_step_s {cfg.mean_step_s:g} "
                          "gives no text tokens")
     markers = steps
-    return TokenBudgetReport(
+    report = TokenBudgetReport(
         horizon_s=float(horizon_s),
         visual_tokens=visual,
         verbalized_text_tokens=text,
@@ -137,3 +138,9 @@ def budget_report(cfg: SimConfig, horizon_s: float,
         reduction_ratio=visual / text,
         reduction_ratio_with_markers=visual / (text + markers),
     )
+    for name, value in report.to_dict().items():
+        if not math.isfinite(value):  # overflowed, e.g. a tiny mean_step_s
+            raise ValueError(f"horizon_s {horizon_s:g} at mean_step_s {cfg.mean_step_s:g}, "
+                             f"fps {cfg.fps:g} and tokens_per_frame {cfg.tokens_per_frame} "
+                             f"gives {name} = {value}, which is not finite")
+    return report

@@ -47,6 +47,17 @@ def test_simulate_single_strategy(tmp_path, cfg_path):
     assert not (out_dir / "trace_a1.csv").exists()
 
 
+def test_simulate_single_a2_writes_the_bytes_of_all(tmp_path, cfg_path):
+    # a2 run alone writes the bytes it writes beside a1 and b
+    runs = {}
+    for strategy in ("a2", "all"):
+        runs[strategy] = tmp_path / strategy
+        assert main(["simulate", cfg_path, "--strategy", strategy, "--duration-s", "120",
+                     "--noise-p", "0.25", "--out-dir", str(runs[strategy])]) == 0
+    for name in ("trace_a2.csv", "events_a2.jsonl"):
+        assert (runs["a2"] / name).read_bytes() == (runs["all"] / name).read_bytes(), name
+
+
 def test_simulate_bad_config_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"N_S": 0}))
@@ -514,6 +525,50 @@ def test_work_past_admission_bounds_exits_2(tmp_path):
     for (argv, message), (code, stdout, stderr) in zip(cases, results):
         assert (code, stdout) == (2, ""), argv
         assert stderr.startswith("error:") and message in stderr, (argv, stderr)
+    assert not out.exists()
+
+
+def test_budget_that_overflows_exits_2_before_writing(tmp_path, capsys):
+    # 1 s over a mean_step_s of 5e-324 is an infinite step count, which
+    # summary.json once held as the non-standard JSON constant Infinity
+    path, out_dir = tmp_path / "config.json", tmp_path / "run"
+    path.write_text(json.dumps({"mean_step_s": 5e-324}))
+    assert main(["simulate", str(path), "--duration-s", "1", "--out-dir", str(out_dir)]) == 2
+    assert main(["report", "--budget", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 2
+    for line, horizon in zip(lines, ("1", "3600")):
+        assert line.startswith(f"error: horizon_s {horizon} at mean_step_s 4.94066e-324")
+        assert line.endswith("gives verbalized_text_tokens = inf, which is not finite")
+    assert not out_dir.exists()
+
+
+def test_bounded_live_tokens_past_bound_exits_2(tmp_path):
+    # b and a2 keep every verbalized group when N_L is huge and tau is 0: a1's
+    # bound admits these streams, whose b would hold over 65,536 live tokens
+    cases = [({"N_S": 1000000, "N_L": 1000000, "tau": 0}, "3600",
+              "N_S 1000000, N_L 1000000 and tokens_per_frame 1 over 14400 frames give b "
+              "and a2 up to 115204 live tokens, above MAX_LIVE_TOKENS = 65536"),
+             ({"N_L": 1000000, "tau": 0}, "2340.5",
+              "N_S 64, N_L 1000000 and tokens_per_frame 1 over 9362 frames give b and a2 "
+              "up to 65603 live tokens, above MAX_LIVE_TOKENS = 65536")]
+    out = tmp_path / "out"
+    argvs = []
+    for i, (doc, duration, _) in enumerate(cases):
+        path = tmp_path / f"long-{i}.json"
+        path.write_text(json.dumps(doc))
+        argvs.append(["simulate", str(path), "--duration-s", duration, "--out-dir", str(out)])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(streamcache.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _RUNAWAY_SCRIPT, json.dumps(argvs)],
+                          capture_output=True, text=True, timeout=15, env=env,
+                          preexec_fn=_cap_address_space)
+    assert proc.returncode == 0, proc.stderr
+    for (_, _, message), (code, stdout, stderr) in zip(cases, json.loads(proc.stdout)):
+        assert (code, stdout) == (2, "")
+        assert stderr == f"error: {message}\n"
     assert not out.exists()
 
 

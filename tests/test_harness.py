@@ -254,6 +254,54 @@ def test_separate_strategy_charge_replays_from_event_log(prompt_tokens, tokens_p
     assert all(r.text_entry_flops == 0 for r in a2.rows)
 
 
+def test_only_a1_and_b_build_an_attention_engine(monkeypatch):
+    built = []
+
+    class CountingEngine(streamcache.harness.AttentionEngine):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(streamcache.harness, "AttentionEngine", CountingEngine)
+    cfg = small_cfg()
+    stream = generate_stream(cfg, 60.0)
+    counts = {}
+    for with_engine in (True, False):
+        for kind in StrategyKind:
+            built.clear()
+            run_strategy(kind, stream, cfg, noise_p=0.25, with_engine=with_engine)
+            counts[kind.value, with_engine] = len(built)
+    assert counts == {("a1", True): 1, ("a2", True): 0, ("b", True): 1,
+                      ("a1", False): 0, ("a2", False): 0, ("b", False): 0}
+
+
+@pytest.mark.parametrize("tokens_per_frame", [1, 3])
+def test_engine_free_a2_charges_b_engine_flops(tokens_per_frame):
+    # a2's closed-form charges equal what b's engine counts, block by block
+    cfg = small_cfg(tokens_per_frame=tokens_per_frame)
+    stream = generate_stream(cfg, 240.0)
+    a2, b = (run_strategy(kind, stream, cfg, noise_p=0.25, prompt_tokens=2)
+             for kind in (StrategyKind.VERBALIZED_SEPARATE, StrategyKind.INTERLEAVED))
+    assert [r.append_flops for r in a2.rows] == [r.append_flops for r in b.rows]
+    assert a2.engine_total_flops == b.engine_total_flops > 0
+    verbalizing = [(x, y) for x, y in zip(a2.rows, b.rows) if y.verbalization_event]
+    assert verbalizing
+    assert all(x.extra_recompute_flops > y.text_entry_flops > 0 for x, y in verbalizing)
+
+
+def test_engine_count_must_match_the_charged_flops(monkeypatch):
+    # a charge that drifts from the engine's own counter fails the run
+    cfg = small_cfg()
+    stream = generate_stream(cfg, 30.0)
+    charge = streamcache.harness.block_flop_cost
+    monkeypatch.setattr(streamcache.harness, "block_flop_cost",
+                        lambda *args: charge(*args) + 1)
+    for kind in (StrategyKind.PROGRESSIVE_VISUAL, StrategyKind.INTERLEAVED):
+        with pytest.raises(RuntimeError, match="engine counted"):
+            run_strategy(kind, stream, cfg)
+    run_strategy(StrategyKind.VERBALIZED_SEPARATE, stream, cfg)  # no engine to disagree
+
+
 def test_interleaved_keeps_prediction_path_flat():
     cfg = small_cfg()
     stream = generate_stream(cfg, 240.0)
