@@ -97,6 +97,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                      f"{cfg.tokens_per_frame} over {n_frames} frames give b and a2 up to "
                      f"{bounded_live} live tokens, above MAX_LIVE_TOKENS = {MAX_LIVE_TOKENS}",
                      EXIT_CONFIG)
+    # their largest block, a frame or a verbalized group, can come over all of those
+    cells = max(cfg.tokens_per_frame, 1 + MAX_DESCRIPTION_TOKENS) * bounded_live
+    if cells > MAX_BLOCK_CELLS:
+        return _fail(f"N_S {cfg.N_S}, N_L {cfg.N_L} and tokens_per_frame "
+                     f"{cfg.tokens_per_frame} over {n_frames} frames give b and a2 a block "
+                     f"of up to {cells} attention cells, above MAX_BLOCK_CELLS = "
+                     f"{MAX_BLOCK_CELLS}", EXIT_CONFIG)
     try:  # summary.json reports the budget over the stream
         budget_report(cfg, n_frames / cfg.fps)
     except ValueError as exc:

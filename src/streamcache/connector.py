@@ -9,8 +9,9 @@ objectness score. All trainable weights live in one params dict keyed by
 ``PARAM_KEYS``, built by ``init_connector``. Training pairs a
 language-modeling loss (through a frozen caption readout) with a matched
 GIoU + L1 box loss; gradients are written out by hand and checked against
-central differences. scipy is imported on the first assignment solve, not
-when the module loads.
+central differences. Box assignments come from ``_match``: one
+shortest-augmenting-path solve in plain Python (``_assign``), whose dual
+potentials bound which tie-break candidates need a solve of their own.
 """
 
 from __future__ import annotations
@@ -202,36 +203,105 @@ def _box_cost(gt: np.ndarray, pred: np.ndarray) -> Tuple[np.ndarray, np.ndarray]
     return np.abs(gt - pred).sum(-1) + (1.0 - value), grad
 
 
+def _assign(cost: List[List[float]], m: int
+            ) -> Tuple[List[int], List[float], List[float]]:
+    """Minimum-cost assignment of each of the n <= ``m`` rows of ``cost`` to
+    its own column, with the dual potentials that prove it optimal.
+
+    Shortest augmenting paths over row potentials ``u`` and column potentials
+    ``v`` (Jonker-Volgenant): each row in turn grows a Dijkstra tree over the
+    reduced costs ``cost[i][j] - u[i] - v[j]`` until it reaches a free
+    column, the potentials absorb the path lengths, and the path flips. At the
+    end every reduced cost is >= 0 (up to rounding) and 0 on the assignment;
+    ``v`` is <= 0, and 0 on every column left unassigned.
+    """
+    n = len(cost)
+    u, v = [0.0] * n, [0.0] * m
+    col_of, row_of = [-1] * n, [-1] * m
+    for start in range(n):
+        dist, pred, done = [math.inf] * m, [-1] * m, [False] * m
+        cols = []
+        i, base = start, 0.0
+        while True:
+            row, ui = cost[i], base - u[i]
+            low, at = math.inf, -1
+            for j in range(m):
+                if done[j]:
+                    continue
+                d = ui + row[j] - v[j]
+                if d < dist[j]:
+                    dist[j], pred[j] = d, i
+                else:
+                    d = dist[j]
+                if d < low or (d == low and row_of[j] < 0):  # a free column ends the path
+                    low, at = d, j
+            if low == math.inf:
+                raise ValueError("no assignment of finite cost")
+            base = low
+            done[at] = True
+            cols.append(at)
+            i = row_of[at]
+            if i < 0:
+                break
+        u[start] += base
+        for j in cols:  # each column on the tree, and the row it held
+            v[j] -= base - dist[j]
+            if row_of[j] >= 0:
+                u[row_of[j]] += base - dist[j]
+        j = at
+        while True:  # flip the path back to the starting row
+            i = pred[j]
+            row_of[j] = i
+            col_of[i], j = j, col_of[i]
+            if i == start:
+                break
+    return col_of, u, v
+
+
 def _match(cost: np.ndarray) -> List[int]:
     """Lexicographically smallest row -> column assignment whose ``cost`` sum
     lies within ``_MATCH_TIE_TOL`` of the optimum.
 
-    Walks one optimal solve row by row. A smaller unused column can only win
-    on a tie: the remaining rows' minima reject it (their sum, taken in the
-    same order, never exceeds the rows' optimum), or an exact solve of those
-    rows decides, and a fit becomes the new reference.
+    ``_assign`` solves once; the walk then goes row by row, trying each
+    smaller unused column in turn. With ``r = cost - u - v`` the reduced
+    costs of that solve's duals, any assignment costs the optimum plus at
+    least its ``r`` sum (``r >= 0``, ``v <= 0`` and ``v == 0`` off the
+    optimum). So the prefix's ``r`` sum, plus ``r[i, j]``, plus the remaining
+    rows' minima of ``r`` over the remaining columns bounds a candidate's
+    excess from below: one past the tolerance is skipped, and only the rest
+    get an exact solve of their tail. ``r[i, j]`` alone rejects most
+    candidates, so the minima are taken only when it does not. The
+    acceptance test stays in raw costs, and a fit becomes the new reference.
     """
-    # imported here so that processes which never match do not load scipy (~45 MB)
-    from scipy.optimize import linear_sum_assignment
-    rows, ref = linear_sum_assignment(cost)
-    best = float(cost[rows, ref].sum())
-    ref = ref.tolist()
-    acc = 0.0
+    rows = cost.tolist()
+    if not math.isfinite(sum(map(sum, rows))):  # a NaN or an infinity survives the sum
+        raise ValueError("assignment costs must be finite")
+    m = cost.shape[1]
+    ref, u, v = _assign(rows, m)
+    acc, r = 0.0, None
     for i in range(len(ref)):
+        used = ref[:i]
         for j in range(ref[i]):
-            if j in ref[:i]:
+            if j in used:
                 continue
-            remaining = [c for c in range(cost.shape[1]) if c != j and c not in ref[:i]]
-            tail_cost = cost[i + 1:, remaining]
-            if acc + cost[i, j] + tail_cost.min(axis=1, initial=np.inf).sum() \
-                    > best + _MATCH_TIE_TOL:
+            if r is None:  # the first candidate: ref is still the solve, and the
+                # rows with no smaller column to try never pay for these
+                best = sum(rows[k][c] for k, c in enumerate(ref))
+                r = [[c - ui - vj for c, vj in zip(row, v)] for row, ui in zip(rows, u)]
+            low = sum(r[k][ref[k]] for k in range(i)) + r[i][j]
+            if low > _MATCH_TIE_TOL:
                 continue
-            tail_rows, tail_cols = linear_sum_assignment(tail_cost)
-            tail = float(tail_cost[tail_rows, tail_cols].sum())
-            if acc + cost[i, j] + tail <= best + _MATCH_TIE_TOL:
+            remaining = [c for c in range(m) if c != j and c not in used]
+            if low + sum(min(r[k][c] for c in remaining) for k in range(i + 1, len(ref))) \
+                    > _MATCH_TIE_TOL:
+                continue
+            tail_cost = [[rows[k][c] for c in remaining] for k in range(i + 1, len(ref))]
+            tail_cols = _assign(tail_cost, len(remaining))[0]
+            tail = sum(tail_cost[k][c] for k, c in enumerate(tail_cols))
+            if acc + rows[i][j] + tail <= best + _MATCH_TIE_TOL:
                 ref[i:] = [j] + [remaining[c] for c in tail_cols]
                 break
-        acc += cost[i, ref[i]]
+        acc += rows[i][ref[i]]
     return ref
 
 
@@ -400,7 +470,10 @@ def _scene_number(value, field: str, kind: type = float):
     if isinstance(value, bool) or not isinstance(value, (int, kind)):
         what = "an integer" if kind is int else "a number"
         raise ValueError(f"scene {field} must be {what}, got {value!r}")
-    return kind(value)
+    try:
+        return kind(value)
+    except OverflowError:  # an integer past the largest float
+        raise ValueError(f"scene {field} does not fit in a float") from None
 
 
 def load_scene(path: str, vocab_size: int = 64) -> Scene:
@@ -422,7 +495,10 @@ def load_scene(path: str, vocab_size: int = 64) -> Scene:
     hands, objects = [], []
     for entry in entries:
         box = BBox(*(_scene_number(entry[f], f"box '{f}'") for f in ("cx", "cy", "w", "h")))
-        (hands if entry.get("kind") == "hand" else objects).append(box.validate())
+        box.validate()
+        if not all(0.0 <= v <= 1.0 for v in (box.cx, box.cy, box.w, box.h)):
+            raise ValueError(f"scene box fields are normalized to [0, 1], got {box}")
+        (hands if entry.get("kind") == "hand" else objects).append(box)
     raw = doc["patches"]
     if isinstance(raw, str):
         buf = np.frombuffer(base64.b64decode(raw), dtype="<f8")

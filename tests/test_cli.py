@@ -179,6 +179,11 @@ _SCENE_BREAKS = {
     "box-cx-null": lambda doc: doc["gt_boxes"][0].update(cx=None),
     "caption-number": lambda doc: doc.update(caption=5),
     "patches-seed-null": lambda doc: doc["patches"].update(seed=None),
+    # the scene fuzzer's finds: float() overflowed, and a far box overflowed
+    # synth_patches' Gaussian bump and GIoU's hull area
+    "box-cx-past-float": lambda doc: doc["gt_boxes"][0].update(cx=10 ** 400),
+    "box-cx-far-outside": lambda doc: doc["gt_boxes"][0].update(cx=1e308),
+    "box-w-past-frame": lambda doc: doc["gt_boxes"][1].update(w=1.5),
     # one float of base64 patches: without the bound, the reshape fails first
     "side-dim-over-cap": lambda doc: doc.update(side=1, dim=MAX_SCENE_FLOATS + 1,
                                                 patches="AAAAAAAAAAA="),
@@ -198,6 +203,9 @@ _SCENE_BREAKS = {
     ("box-cx-null", "box 'cx' must be a number, got None"),
     ("caption-number", "'caption' must be a list of token ids, got 5"),
     ("patches-seed-null", "patches 'seed' must be an integer, got None"),
+    ("box-cx-past-float", "box 'cx' does not fit in a float"),
+    ("box-cx-far-outside", "box fields are normalized to [0, 1], got BBox(cx=1e+308"),
+    ("box-w-past-frame", "box fields are normalized to [0, 1], got BBox(cx=0.6, cy=0.4, w=1.5"),
     ("side-dim-over-cap", f"side * side * dim is {MAX_SCENE_FLOATS + 1}, above "
                           "MAX_SCENE_FLOATS"),
     ("side-squared-over-cap", "side * side * dim is 10000000000, above MAX_SCENE_FLOATS"),
@@ -547,13 +555,23 @@ def test_budget_that_overflows_exits_2_before_writing(tmp_path, capsys):
 
 def test_bounded_live_tokens_past_bound_exits_2(tmp_path):
     # b and a2 keep every verbalized group when N_L is huge and tau is 0: a1's
-    # bound admits these streams, whose b would hold over 65,536 live tokens
+    # bounds admit these streams, whose b would hold over 65,536 live tokens,
+    # or append a 128-token block over more than 2**22 / 128 of them (a1's
+    # last block over 255 frames is 4178432 cells; 243 frames is the first
+    # count past b's bound)
+    wide = {"tokens_per_frame": 128, "N_S": 1000, "N_L": 1000, "tau": 0}
     cases = [({"N_S": 1000000, "N_L": 1000000, "tau": 0}, "3600",
               "N_S 1000000, N_L 1000000 and tokens_per_frame 1 over 14400 frames give b "
               "and a2 up to 115204 live tokens, above MAX_LIVE_TOKENS = 65536"),
              ({"N_L": 1000000, "tau": 0}, "2340.5",
               "N_S 64, N_L 1000000 and tokens_per_frame 1 over 9362 frames give b and a2 "
-              "up to 65603 live tokens, above MAX_LIVE_TOKENS = 65536")]
+              "up to 65603 live tokens, above MAX_LIVE_TOKENS = 65536"),
+             (wide, "63.75",
+              "N_S 1000, N_L 1000 and tokens_per_frame 128 over 255 frames give b and a2 a "
+              "block of up to 4406912 attention cells, above MAX_BLOCK_CELLS = 4194304"),
+             (wide, "60.75",
+              "N_S 1000, N_L 1000 and tokens_per_frame 128 over 243 frames give b and a2 a "
+              "block of up to 4199552 attention cells, above MAX_BLOCK_CELLS = 4194304")]
     out = tmp_path / "out"
     argvs = []
     for i, (doc, duration, _) in enumerate(cases):
@@ -614,22 +632,27 @@ def test_block_past_cell_bound_exits_2(tmp_path):
 
 _SCIPY_FREE_SCRIPT = """
 import contextlib, io, sys
-from streamcache import BBox, hungarian_match
+from streamcache import (BBox, hungarian_match, init_caption_decoder, init_connector,
+                         make_scene, train_toy)
 from streamcache.cli import main
 config, out_dir = sys.argv[1:]
 with contextlib.redirect_stdout(io.StringIO()):
-    codes = [main(["simulate", config, "--duration-s", "20", "--out-dir", out_dir]),
+    codes = [main(["simulate", config, "--duration-s", "30", "--out-dir", out_dir]),
              main(["bench", config, "--sweep", "1:8:1"]),
-             main(["report", "--budget"])]
-assert codes == [0, 0, 0], codes
-assert "scipy" not in sys.modules, "the stream path loaded scipy"
+             main(["report", "--budget"]),
+             main(["report", "--scaling", out_dir + "/trace_b.csv"]),
+             main(["gradcheck"])]
+assert codes == [0, 0, 0, 0, 0], codes
 box = BBox(0.5, 0.5, 0.2, 0.2)
 assert hungarian_match([box, box], [box]) == [0]
-assert "scipy" in sys.modules, "hungarian_match ran without scipy"
+scene = make_scene(0, side=4, dim=24)
+train_toy(init_connector(feat_dim=24, d=16, m=4, k=2, d_mlp=24, seed=0),
+          init_caption_decoder(16, 64, seed=0), [scene], epochs=2, lr=0.1)
+assert "scipy" not in sys.modules, "a command loaded scipy"
 """
 
 
-def test_stream_path_does_not_load_scipy(tmp_path, cfg_path):
+def test_no_command_loads_scipy(tmp_path, cfg_path):
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=str(Path(streamcache.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", _SCIPY_FREE_SCRIPT, cfg_path,

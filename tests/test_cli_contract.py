@@ -1,13 +1,16 @@
-"""Contract fuzzer for the CLI's config documents.
+"""Contract fuzzer for the CLI's config and scene documents.
 
-Each document mixes ``SimConfig`` fields and unknown keys with extreme and
-wrongly typed values, and goes through ``simulate``, ``bench`` and
-``report --budget``. Whatever it holds, ``main`` must return a documented exit
+Each config document mixes ``SimConfig`` fields and unknown keys with extreme
+and wrongly typed values, and goes through ``simulate``, ``bench`` and
+``report --budget``. Each scene document is a small valid scene with one
+field replaced by such a value, or removed, and goes through ``gradcheck
+--scene``. Whatever a document holds, ``main`` must return a documented exit
 code (0, 2, 3 or 4) without raising, print only standard JSON on stdout, and
 on exit 2 print an ``error:`` line and leave no output path behind.
 """
 
 import contextlib
+import copy
 import dataclasses
 import io
 import json
@@ -57,3 +60,41 @@ def test_config_documents_keep_the_exit_code_contract(doc):
             if code == 2:
                 assert stdout == "" and stderr.startswith("error: "), (argv[0], stderr)
                 assert target is None or not os.path.exists(target), argv[0]
+
+
+SCENE = {"patches": {"seed": 3, "noise": 0.05}, "side": 2, "dim": 3, "caption": [5, 12, 9],
+         "gt_boxes": [{"cx": 0.4, "cy": 0.5, "w": 0.2, "h": 0.3, "kind": "hand"},
+                      {"cx": 0.6, "cy": 0.4, "w": 0.3, "h": 0.2}]}
+SCENE_PATHS = [("side",), ("dim",), ("patches",), ("patches", "seed"), ("patches", "noise"),
+               ("gt_boxes",), ("gt_boxes", 0), ("caption",), ("caption", 0), ("banana",)]
+SCENE_PATHS += [("gt_boxes", i, f) for i in (0, 1) for f in ("cx", "cy", "w", "h", "kind")]
+REMOVE = object()
+
+
+def _mutated_scene(path, value):
+    doc = copy.deepcopy(SCENE)
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    if value is REMOVE:
+        if last in node if isinstance(node, dict) else True:
+            del node[last]
+    else:
+        node[last] = value
+    return doc
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(SCENE_PATHS), st.sampled_from(VALUES + [0.5, "", {}, REMOVE]))
+def test_scene_documents_keep_the_exit_code_contract(path, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        scene = os.path.join(tmp, "scene.json")
+        with open(scene, "w", encoding="utf-8") as fh:
+            json.dump(_mutated_scene(path, value), fh)
+        code, stdout, stderr = _run(["gradcheck", "--scene", scene])
+    assert code in (0, 2, 3, 4), (path, value, code, stderr)
+    for line in stdout.splitlines():
+        json.loads(line, parse_constant=_reject_constant)
+    if code == 2:
+        assert stdout == "" and stderr.startswith("error: "), (path, value, stderr)

@@ -5,7 +5,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
@@ -15,7 +14,7 @@ from streamcache import (BBox, PatchGrid, TrainingDivergence, giou, giou_batch, 
                          hungarian_match, init_caption_decoder, init_connector, load_scene,
                          loss_lm, loss_total, make_scene, stage1_losses,
                          stage1_value_and_grads, train_toy)
-from streamcache.connector import _box_cost, _forward, _match, giou_and_grad
+from streamcache.connector import _assign, _box_cost, _forward, _match, giou_and_grad
 
 import naive_reference
 from naive_reference import lexicographic_match, save_scene
@@ -242,7 +241,7 @@ def test_match_equals_tie_oracles_on_planted_ties():
             if boxes is not None:
                 assert hungarian_match(*boxes) == brute_force_match(*boxes)[0]
             brute_checked += 1
-        first = linear_sum_assignment(cost)[1].tolist()
+        first = _assign(cost.tolist(), cost.shape[1])[0]
         moved = [i for i in range(len(got)) if got[i] != first[i]]
         if moved:
             off_first_solve[min(moved[0], 1)] += 1
@@ -263,6 +262,67 @@ def test_match_equals_tie_oracles_on_planted_ties():
                         connector._box_array(pred)[None])[0], (pred, gt))
     assert off_first_solve[0] > 0 and off_first_solve[1] > 0, off_first_solve
     assert brute_checked > 1500, brute_checked
+
+
+def test_match_near_duplicate_columns_24x24():
+    # 24 predictions in 4 clusters of boxes about 1e-10 apart: some swaps of
+    # two rows' columns stay within the tie tolerance of the optimum, and
+    # others miss it by less than 1e-8
+    rng = np.random.default_rng(24)
+    pool = np.array([random_box(rng).as_array() for _ in range(4)])
+    pred = pool[rng.integers(0, 4, size=24)] + rng.uniform(-1e-10, 1e-10, size=(24, 4))
+    gt = np.array([random_box(rng).as_array() for _ in range(24)])
+    cost = _box_cost(gt[:, None], pred[None])[0]
+    got = _match(cost)
+    assert got == lexicographic_match(cost)
+    assert got != _assign(cost.tolist(), 24)[0]  # the walk moved off the first solve
+    rows = np.arange(24)
+    excess = []
+    for a, b in itertools.combinations(range(24), 2):
+        swapped = list(got)
+        swapped[a], swapped[b] = swapped[b], swapped[a]
+        excess.append(cost[rows, swapped].sum() - cost[rows, got].sum())
+    excess = np.array(excess)
+    assert (np.abs(excess) <= 1e-9).any() and ((excess > 1e-9) & (excess < 1e-8)).any()
+
+
+def test_match_refuses_non_finite_costs():
+    # box costs of finite boxes are finite, so a NaN or an infinite cost is
+    # refused rather than skipped (scipy's solver also took a feasible inf)
+    for cost in ([[math.nan, 1.0], [1.0, 2.0]], [[math.inf, 1.0], [1.0, 2.0]], [[math.inf]]):
+        with pytest.raises(ValueError, match="must be finite"):
+            _match(np.array(cost))
+    for cost, m in (([[math.inf, math.inf]], 2), ([[1.0], [2.0]], 1)):
+        with pytest.raises(ValueError, match="no assignment of finite cost"):
+            _assign(cost, m)
+
+
+def _solver_cases():
+    rng = np.random.default_rng(31)
+    for trial in range(600):
+        n = int(rng.integers(0, 11))
+        m = int(rng.integers(max(n, 1), 11))
+        if trial % 3:  # half-integer costs: many tied optima
+            yield 0.5 * rng.integers(0, 4, size=(n, m))
+        else:
+            yield rng.uniform(-2.0, 3.0, size=(n, m))
+    for _ in range(5):
+        yield rng.random((40, 60))
+    yield np.zeros((0, 3))
+
+
+def test_assign_matches_scipy_with_feasible_duals():
+    for cost in _solver_cases():
+        n, m = cost.shape
+        cols, u, v = _assign(cost.tolist(), m)
+        rows, want = linear_sum_assignment(cost)
+        assert len(cols) == n and len(set(cols)) == n and all(0 <= j < m for j in cols)
+        assert abs(cost[np.arange(n), cols].sum() - cost[rows, want].sum()) <= 1e-9, cost
+        u, v = np.array(u), np.array(v)
+        reduced = cost - u[:, None] - v[None, :]
+        assert reduced.size == 0 or reduced.min() >= -1e-12, cost
+        assert np.all(np.abs(reduced[np.arange(n), cols]) <= 1e-12), cost
+        assert np.all(v <= 0) and np.all(v[np.setdiff1d(np.arange(m), cols)] == 0), cost
 
 
 # -- losses -----------------------------------------------------------------
@@ -379,11 +439,11 @@ def test_stage1_solves_one_assignment_per_group(monkeypatch):
         assert totals[1] - totals[0] > 1e-6  # the optimum is unique
     calls = []
 
-    def counting(cost):
-        calls.append(cost.shape)
-        return linear_sum_assignment(cost)
+    def counting(cost, m):
+        calls.append((len(cost), m))
+        return _assign(cost, m)
 
-    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", counting)
+    monkeypatch.setattr(connector, "_assign", counting)
     stage1_value_and_grads(params, init_caption_decoder(QDIM, 64, seed=9), scene, 2.0)
     assert calls == [(2, 2), (2, 2)]
 

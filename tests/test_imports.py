@@ -1,18 +1,23 @@
 """Every name a package module imports, and every private module-level
-name it defines, is read in that module.
+name it defines, is read in that module; and the package imports nothing
+beyond the standard library, numpy and itself.
 
 Stdlib ``ast`` checks standing in for a linter's unused-import and
-unused-private-name rules. ``__init__.py`` is skipped: its imports are the
-package's re-exports.
+unused-private-name rules. ``__init__.py`` is skipped by those two: its
+imports are the package's re-exports.
 """
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "streamcache"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "streamcache"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+RUNTIME_DEPENDENCIES = {"numpy"}
 
 
 def _names_read(tree: ast.AST) -> set:
@@ -107,3 +112,44 @@ def test_checker_finds_unread_private_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_reads_its_private_names(path):
     assert unread_privates(path.read_text(encoding="utf-8")) == []
+
+
+def foreign_imports(source: str) -> list:
+    """Modules that ``source`` imports from outside the standard library,
+    the runtime dependencies and the package itself."""
+    allowed = set(sys.stdlib_module_names) | RUNTIME_DEPENDENCIES | {"streamcache"}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [f"{name} (line {node.lineno})" for name in names
+                  if name.split(".")[0] not in allowed]
+    return sorted(found)
+
+
+def test_checker_finds_foreign_imports():
+    source = ("import math, numpy as np\n"
+              "from . import types\n"
+              "from .types import BBox\n"
+              "from streamcache import cli\n"
+              "from scipy.optimize import x\n"
+              "def f():\n"
+              "    import pandas.io\n")
+    assert foreign_imports(source) == ["pandas.io (line 7)", "scipy.optimize (line 5)"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_imports_only_stdlib_and_numpy(path):
+    assert foreign_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_runtime_dependencies_are_numpy_only():
+    tomllib = pytest.importorskip("tomllib", reason="tomllib is in the stdlib from 3.11")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    names = {re.match(r"[A-Za-z0-9_.-]+", req).group().lower()
+             for req in project["dependencies"]}
+    assert names == RUNTIME_DEPENDENCIES
