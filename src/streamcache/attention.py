@@ -2,13 +2,16 @@
 
 The engine appends a block of tokens at a time (one token is the common case):
 the block's keys and values are written, in one assignment, into the next free
-slots of one ``(2, layers, heads, cap, d/heads)`` slab (keys, then values), each
-query attends over every live slot and the block tokens up to itself, and an
-exact multiply-add count is charged. Tokens can later be evicted from the
-middle of the sequence: the token in the last live slot moves into each hole,
-so an eviction moves one slab row per evicted token. Slot order is therefore
-not entry order; attention does not depend on it, since each slot keeps its
-entry position for the bias, and ``live_ids`` sorts by position.
+slots of one ``(2, layers, heads, capacity, d/heads)`` slab (keys, then values),
+each query attends over every live slot and the block tokens up to itself, and
+an exact multiply-add count is charged. The slab is allocated once, at the
+``capacity`` a caller passes (the harness passes its strategy's most live
+tokens), and doubles only when a block does not fit. Tokens can later be
+evicted from the middle of the sequence: the token in the last live slot moves
+into each hole, so an eviction moves one slab row per evicted token. Slot
+order is therefore not entry order; attention does not depend on it, since
+each slot keeps its entry position for the bias, and ``live_ids`` sorts by
+position.
 
 Two choices make mid-sequence eviction exact rather than approximate: the
 position signal is a relative bias on entry-position deltas (no re-indexing
@@ -104,12 +107,17 @@ def recompute_flop_cost(n_queries: int, n_prefix: int, d: int, layers: int) -> i
 class AttentionEngine:
     """Incremental decoder state: one K/V slab over all layers plus a flop counter.
 
-    Live tokens fill slots ``[0, n)`` of a ``(2, layers, heads, cap, d/heads)``
-    slab holding keys (index 0) and values (index 1), with one entry position
-    per slot; the slab doubles when full.
+    Live tokens fill slots ``[0, n)`` of a ``(2, layers, heads, capacity,
+    d/heads)`` slab holding keys (index 0) and values (index 1), with one entry
+    position per slot. ``capacity`` slots are allocated up front; a caller that
+    knows its most live tokens passes that, and the slab never moves. Past it,
+    the slab doubles.
     """
 
-    def __init__(self, d: int, heads: int, layers: int, vocab_size: int, seed: int) -> None:
+    def __init__(self, d: int, heads: int, layers: int, vocab_size: int, seed: int,
+                 capacity: int = 64) -> None:
+        if not isinstance(capacity, (int, np.integer)) or capacity < 1:
+            raise ValueError(f"capacity must be an int >= 1, got {capacity!r}")
         self.weights = init_weights(d, heads, layers, vocab_size, seed)
         self.d = d
         self.heads = heads
@@ -126,12 +134,18 @@ class AttentionEngine:
         self._w_in = np.concatenate([self._w_q[0], w_kv], axis=1)
         # slot 0 is -inf, the causal mask; slot 1 + delta is the bias for delta
         self._bias = np.concatenate([np.full((layers, heads, 1), -np.inf), w.rel_bias], axis=2)
-        self._kv = np.zeros((2, layers, heads, 64, d // heads))
-        self._pos = np.zeros(64, dtype=np.int64)
+        self._kv = np.zeros((2, layers, heads, capacity, d // heads))
+        self._pos = np.zeros(capacity, dtype=np.int64)
         self._ids: List[int] = []  # token id by slot
         self._slot: Dict[int, int] = {}
         self._newest_id: Optional[int] = None  # the live token with the largest position
         self.flop_counter = 0
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes allocated to the K/V slab and its position array, used or not:
+        ``(2 * layers * d * 8 + 8) * capacity``."""
+        return self._kv.nbytes + self._pos.nbytes
 
     def live_ids(self) -> tuple:
         """Live token ids in entry order (slot order is not entry order)."""

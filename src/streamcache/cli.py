@@ -20,10 +20,10 @@ from . import __version__
 from .attention import AttentionEngine
 from .config import ConfigError, SimConfig, load_config, validate_config
 from .connector import (grad_check, init_caption_decoder, init_connector,
-                        load_scene, make_scene, stage1_value_and_grads)
-from .harness import (DEFAULT_PROMPT_TOKENS, ENGINE_HEADS, ENGINE_LAYERS, MAX_BLOCK_CELLS,
-                      MAX_DESCRIPTION_TOKENS, MAX_LIVE_TOKENS, StrategyAbort, StrategyKind,
-                      affine_fit, fit_growth, frame_count, generate_stream, run_strategy)
+                        load_scene, make_scene, stage1_losses, stage1_value_and_grads)
+from .harness import (ENGINE_HEADS, ENGINE_LAYERS, MAX_BLOCK_CELLS, MAX_DESCRIPTION_TOKENS,
+                      MAX_LIVE_TOKENS, StrategyAbort, StrategyKind, affine_fit, fit_growth,
+                      frame_count, generate_stream, live_token_bound, run_strategy)
 from .traceio import (read_trace_csv, summarize, write_events_jsonl,
                       write_manifest, write_trace_csv)
 from .types import PositionClock, TokenFactory
@@ -83,15 +83,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                      f"a1 {n_frames * cfg.tokens_per_frame} live tokens, above "
                      f"MAX_LIVE_TOKENS = {MAX_LIVE_TOKENS}", EXIT_CONFIG)
     # a1's last frame appends the largest block, over every token before it
-    cells = cfg.tokens_per_frame * (n_frames * cfg.tokens_per_frame + DEFAULT_PROMPT_TOKENS)
+    cells = cfg.tokens_per_frame * live_token_bound(StrategyKind.PROGRESSIVE_VISUAL, cfg,
+                                                    n_frames)
     if cells > MAX_BLOCK_CELLS:
         return _fail(f"tokens_per_frame {cfg.tokens_per_frame} over {n_frames} frames gives "
                      f"a1 a last block of {cells} attention cells, above "
                      f"MAX_BLOCK_CELLS = {MAX_BLOCK_CELLS}", EXIT_CONFIG)
-    # b and a2 hold up to N_S + 1 frames and N_L + 1 verbalized groups between
-    # an entry and its exit, on top of the prompt
-    bounded_live = (DEFAULT_PROMPT_TOKENS + min(n_frames, cfg.N_S + 1) * cfg.tokens_per_frame
-                    + min(n_frames, cfg.N_L + 1) * (1 + MAX_DESCRIPTION_TOKENS))
+    bounded_live = live_token_bound(StrategyKind.INTERLEAVED, cfg, n_frames)
     if bounded_live > MAX_LIVE_TOKENS:
         return _fail(f"N_S {cfg.N_S}, N_L {cfg.N_L} and tokens_per_frame "
                      f"{cfg.tokens_per_frame} over {n_frames} frames give b and a2 up to "
@@ -170,7 +168,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         return _fail(f"--sweep stop {stop} is above MAX_LIVE_TOKENS = {MAX_LIVE_TOKENS}",
                      EXIT_CONFIG)
 
-    engine = AttentionEngine(cfg.d, ENGINE_HEADS, ENGINE_LAYERS, cfg.vocab_size, cfg.seed)
+    engine = AttentionEngine(cfg.d, ENGINE_HEADS, ENGINE_LAYERS, cfg.vocab_size, cfg.seed,
+                             capacity=stop)
     factory = TokenFactory()
     clock = PositionClock()
     rng = np.random.default_rng(cfg.seed)
@@ -227,8 +226,11 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
         losses, grads = stage1_value_and_grads(p, decoder, scene, lambda_1=2.0)
         return losses["total"], grads
 
+    def value(p):
+        return stage1_losses(p, decoder, scene, lambda_1=2.0)["total"]
+
     err = grad_check(params, value_and_grad, eps=args.eps,
-                     rng=np.random.default_rng(args.seed))
+                     rng=np.random.default_rng(args.seed), value_fn=value)
     if not math.isfinite(err):
         return _fail(f"gradient check gave a non-finite error: {err}", EXIT_VERIFY)
     _print_json({"max_rel_error": err, "eps": args.eps, "pass": bool(err <= 1e-4)})
@@ -275,8 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-p", type=_finite_float, default=0.0)
     p.add_argument("--mem-cap-bytes", type=int, default=None,
                    help="abort once live tokens * d * 8 bytes (a proxy; the engine "
-                        "holds 2 * layers * d * 8 bytes of K/V per live token, plus "
-                        "slab headroom) exceeds this")
+                        "holds 2 * layers * d * 8 bytes of K/V per slot, in a slab "
+                        "sized once to the strategy's most live tokens) exceeds this")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("bench", help="sweep live-cache sizes and fit flops-per-append")

@@ -640,18 +640,24 @@ def stage1_value_and_grads(params: Dict[str, np.ndarray], decoder: CaptionDecode
 def grad_check(params: Dict[str, np.ndarray],
                value_and_grad_fn: Callable[[Dict[str, np.ndarray]], Tuple[float, Dict[str, np.ndarray]]],
                eps: float, max_coords: int = 400,
-               rng: Optional[np.random.Generator] = None) -> float:
+               rng: Optional[np.random.Generator] = None,
+               value_fn: Optional[Callable[[Dict[str, np.ndarray]], float]] = None) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     Relative error uses max(|analytic|, |numeric|, 1e-8) as denominator. All
     coordinates are checked when the parameter count allows, otherwise a
-    seeded sample of ``max_coords``.
+    seeded sample of ``max_coords``. The perturbed evaluations call
+    ``value_fn``, which must return the same value as ``value_and_grad_fn``
+    without its gradients, when given.
     """
     if eps <= 0:
         raise ValueError(f"eps must be > 0, got {eps}")
     if max_coords < 1:
         raise ValueError(f"max_coords must be >= 1, got {max_coords}")
     value, grads = value_and_grad_fn(params)
+    if value_fn is None:
+        def value_fn(p):
+            return value_and_grad_fn(p)[0]
     if not np.isfinite(value):
         raise ValueError("loss is not finite at the evaluation point")
     # coordinates are numbered in sorted-name, row-major order and never listed
@@ -670,9 +676,9 @@ def grad_check(params: Dict[str, np.ndarray],
         idx = np.unravel_index(c - (ends[k] - sizes[k]), params[name].shape)
         original = params[name][idx]
         params[name][idx] = original + eps
-        up = value_and_grad_fn(params)[0]
+        up = value_fn(params)
         params[name][idx] = original - eps
-        down = value_and_grad_fn(params)[0]
+        down = value_fn(params)
         params[name][idx] = original
         numeric = (up - down) / (2 * eps)
         analytic = grads[name][idx]

@@ -29,9 +29,11 @@ verbalized group's flops are booked:
 Each strategy enters a prompt, a frame's visual tokens or a verbalized group
 into its cache token by token and charges the block ``block_flop_cost`` at the
 cache's live size before it; ``a1`` and ``b`` also append the whole block to
-their engine in one causal pass. A frame's ``wall_ns`` runs from before its
-visual tokens enter the cache until its ``FrameRecord`` is built. Strategies
-never share mutable state; each run builds its own factory, cache, and engine.
+their engine in one causal pass. Each engine's slab is allocated once, at
+``live_token_bound`` slots, so it never grows or copies. A frame's ``wall_ns``
+runs from before its visual tokens enter the cache until its ``FrameRecord``
+is built. Strategies never share mutable state; each run builds its own
+factory, cache, and engine.
 """
 
 from __future__ import annotations
@@ -96,6 +98,20 @@ def frame_count(cfg: SimConfig, duration_s: float) -> int:
         raise ValueError(f"duration_s {duration_s:g} at fps {cfg.fps:g} gives {frames:.6g} "
                          f"frames, above MAX_FRAMES = {MAX_FRAMES}")
     return int(round(frames))
+
+
+def live_token_bound(kind: StrategyKind, cfg: SimConfig, n_frames: int,
+                     prompt_tokens: int = DEFAULT_PROMPT_TOKENS) -> int:
+    """The most tokens strategy ``kind`` can hold at once over ``n_frames``
+    frames, and at least 1: a1 keeps every token; b and a2 hold up to
+    ``N_S + 1`` frames and ``N_L + 1`` verbalized groups between an entry and
+    its exit, on top of the prompt."""
+    if kind is StrategyKind.PROGRESSIVE_VISUAL:
+        live = prompt_tokens + n_frames * cfg.tokens_per_frame
+    else:
+        live = (prompt_tokens + min(n_frames, cfg.N_S + 1) * cfg.tokens_per_frame
+                + min(n_frames, cfg.N_L + 1) * (1 + MAX_DESCRIPTION_TOKENS))
+    return max(1, live)
 
 
 def generate_stream(cfg: SimConfig, duration_s: float, n_classes: int = 20) -> SyntheticStream:
@@ -228,8 +244,11 @@ def run_strategy(kind: StrategyKind, stream: SyntheticStream, cfg: SimConfig, *,
     predictor = OraclePredictor(stream, noise_p, cfg.seed)
     log = PredictionLog(cfg.tau)
     charge_recompute = kind is StrategyKind.VERBALIZED_SEPARATE
-    engine = AttentionEngine(cfg.d, ENGINE_HEADS, ENGINE_LAYERS, cfg.vocab_size,
-                             cfg.seed) if with_engine and not charge_recompute else None
+    engine = None
+    if with_engine and not charge_recompute:
+        # sized once: the slab never reallocates, and a1's ends exactly full
+        engine = AttentionEngine(cfg.d, ENGINE_HEADS, ENGINE_LAYERS, cfg.vocab_size, cfg.seed,
+                                 live_token_bound(kind, cfg, len(stream.frames), prompt_tokens))
     cache = InterleavedCache(cfg.N_S * cfg.tokens_per_frame, cfg.N_L)
     trace = StrategyTrace(kind=kind, cfg=cfg, cache_events=cache.events)
     bounded = kind is not StrategyKind.PROGRESSIVE_VISUAL  # a1 never exits or verbalizes

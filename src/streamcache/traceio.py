@@ -19,7 +19,7 @@ from typing import Dict, List
 import numpy as np
 
 from .config import SimConfig
-from .harness import StrategyTrace, fit_growth, spike_ratio
+from .harness import StrategyKind, StrategyTrace, fit_growth, spike_ratio
 from .verbalize import budget_report
 
 TRACE_COLUMNS = ["frame", "t_s", "strategy", "live_tokens", "append_flops",
@@ -43,35 +43,49 @@ def write_trace_csv(path: str, trace: StrategyTrace) -> None:
 def read_trace_csv(path: str) -> Dict[str, Dict[str, np.ndarray]]:
     """Per-strategy column arrays from a trace CSV.
 
-    Raises ``ValueError`` naming the line of a row that the csv module cannot
-    parse or that has extra fields, and the line and column of a missing
-    field or of a numeric field that is not a finite number.
+    A valid trace names a strategy ``a1``, ``a2`` or ``b`` on every row, and
+    each strategy's ``frame`` column runs 0, 1, ... n-1 in order. Raises
+    ``ValueError`` naming the line of a row that the csv module cannot parse
+    or that has extra fields, and the line and column of a missing field, of
+    a numeric field that is not a finite number, of an unknown strategy or of
+    a frame out of order.
     """
     by_strategy: Dict[str, Dict[str, list]] = {}
+    strategies = [kind.value for kind in StrategyKind]
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         try:
             if reader.fieldnames != TRACE_COLUMNS:
                 raise ValueError(f"unexpected trace columns: {reader.fieldnames}")
             for rec in reader:
+                where = f"{path} line {reader.line_num}"
                 if None in rec:  # DictReader files fields beyond the header under None
-                    raise ValueError(f"{path} line {reader.line_num}: "
-                                     f"{len(rec[None])} extra field(s)")
-                cols = by_strategy.setdefault(rec["strategy"],
-                                              {name: [] for name in TRACE_COLUMNS})
+                    raise ValueError(f"{where}: {len(rec[None])} extra field(s)")
+                values = []
                 for name in TRACE_COLUMNS:
                     value = rec[name]
                     if value is None:
-                        raise ValueError(f"{path} line {reader.line_num}, column {name}: "
-                                         "missing field")
-                    if name != "strategy":
+                        raise ValueError(f"{where}, column {name}: missing field")
+                    if name == "strategy":
+                        if value not in strategies:
+                            raise ValueError(f"{where}, column strategy: {value!r} is not "
+                                             f"one of {', '.join(strategies)}")
+                    else:
                         try:
                             value = float(value)
                         except ValueError:
                             value = math.nan
                         if not math.isfinite(value):
-                            raise ValueError(f"{path} line {reader.line_num}, column "
-                                             f"{name}: {rec[name]!r} is not a finite number")
+                            raise ValueError(f"{where}, column {name}: {rec[name]!r} is "
+                                             "not a finite number")
+                    values.append(value)
+                cols = by_strategy.setdefault(rec["strategy"],
+                                              {name: [] for name in TRACE_COLUMNS})
+                if values[0] != len(cols["frame"]):
+                    raise ValueError(f"{where}, column frame: {rec['frame']!r} is not "
+                                     f"{len(cols['frame'])}, the next frame of "
+                                     f"strategy {rec['strategy']}")
+                for name, value in zip(TRACE_COLUMNS, values):
                     cols[name].append(value)
         except csv.Error as exc:  # DictReader.line_num lags a row that fails to parse
             raise ValueError(f"{path} line {reader.reader.line_num}: {exc}") from exc

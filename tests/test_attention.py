@@ -327,6 +327,35 @@ def test_slab_growth_past_64_and_128_with_newest_and_last_slot_evictions(rng):
     assert len(eng.live_ids()) == len(live) > 128
 
 
+@pytest.mark.parametrize("capacity", [0, -1, 2.5])
+def test_capacity_must_be_a_positive_int(capacity):
+    with pytest.raises(ValueError, match="capacity"):
+        AttentionEngine(D, H, L, V, 7, capacity)
+
+
+def test_slab_holds_its_capacity_then_doubles(rng):
+    # nbytes counts the K/V slab and the position array; it stays put while
+    # appends fit, evictions included, and doubles on the first append past
+    # the capacity
+    per_slot = 2 * L * D * 8 + 8
+    assert fresh_engine().nbytes == per_slot * 64
+    eng = AttentionEngine(D, H, L, V, 7, capacity=5)
+    assert eng.nbytes == per_slot * 5
+    factory, clock = TokenFactory(), PositionClock()
+    live = stream_tokens(6, rng, factory, clock)
+    eng.append_tokens(live[:3])
+    eng.evict([live[1].id])
+    del live[1]
+    eng.append_tokens(live[2:])
+    assert len(eng.live_ids()) == 5 and eng.nbytes == per_slot * 5
+    tail = stream_tokens(1, rng, factory, clock)[0]
+    out, _ = eng.append_token(tail)  # one past the capacity
+    live.append(tail)
+    assert eng.nbytes == per_slot * 10
+    assert eng.live_ids() == tuple(t.id for t in live)
+    np.testing.assert_allclose(out, full_recompute(eng.weights, live)[-1], atol=1e-6)
+
+
 # -- block appends ----------------------------------------------------------
 
 def test_block_rows_match_oracle_with_clipped_bias_and_evictions():

@@ -101,6 +101,23 @@ def test_bench_affine_fit(tmp_path, cfg_path, capsys):
     assert out_csv.read_text().startswith("live_tokens,append_flops")
 
 
+def test_bench_sizes_its_slab_to_the_sweep_stop(monkeypatch, cfg_path, capsys):
+    # the sweep fills the engine to exactly its stop, so the slab never grows
+    sizes = []
+
+    class SizeWatchingEngine(streamcache.cli.AttentionEngine):
+        def append_tokens(self, tokens):
+            out = super().append_tokens(tokens)
+            sizes.append(self.nbytes)
+            return out
+
+    monkeypatch.setattr(streamcache.cli, "AttentionEngine", SizeWatchingEngine)
+    assert main(["bench", cfg_path, "--sweep", "8:200:8"]) == 0
+    d = json.loads(Path(cfg_path).read_text())["d"]
+    assert len(sizes) == 200
+    assert set(sizes) == {(2 * 2 * d * 8 + 8) * 200}  # two engine layers
+
+
 def test_bench_single_point_refuses_fit(cfg_path, capsys):
     assert main(["bench", cfg_path, "--sweep", "16:16:1"]) == 0
     result = json.loads(capsys.readouterr().out)
@@ -306,6 +323,40 @@ def test_report_scaling_bad_row_exits_2(tmp_path, cfg_path, capsys, edit, messag
     lines = path.read_text().splitlines()
     lines[5] = ",".join(edit(lines[5].split(",")))
     path.write_text("\n".join(lines) + "\n")
+    assert main(["report", "--scaling", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot read trace")
+    assert message in captured.err
+
+
+def _reversed_rows(lines):
+    return lines[:1] + lines[:0:-1]
+
+
+def _empty_strategy(lines):
+    fields = lines[5].split(",")
+    return lines[:5] + [",".join(fields[:2] + [""] + fields[3:])] + lines[6:]
+
+
+def _fractional_frame(lines):
+    return lines[:2] + ["1.5" + lines[2][1:]] + lines[3:]
+
+
+@pytest.mark.parametrize("edit,message", [
+    # each of these used to exit 0: reversed rows fit as "sublinear" with
+    # exponent -1.82, and an empty strategy was reported under the key ""
+    (_reversed_rows, "line 2, column frame: '239' is not 0, the next frame of strategy a1"),
+    (_empty_strategy, "line 6, column strategy: '' is not one of a1, a2, b"),
+    (_fractional_frame, "line 3, column frame: '1.5' is not 1"),
+], ids=["reversed rows", "empty strategy", "fractional frame"])
+def test_report_scaling_invalid_trace_exits_2(tmp_path, cfg_path, capsys, edit, message):
+    out_dir = tmp_path / "run"
+    main(["simulate", cfg_path, "--strategy", "a1", "--duration-s", "60",
+          "--out-dir", str(out_dir)])
+    capsys.readouterr()
+    path = out_dir / "trace_a1.csv"
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
     assert main(["report", "--scaling", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -493,6 +493,26 @@ def test_grad_check_quadratic_probe():
     assert grad_check(probe, quad, eps=1e-5) <= 1e-7
 
 
+def test_grad_check_value_fn_serves_the_perturbed_calls():
+    # with value_fn, gradients are computed once, at the evaluation point,
+    # and the error is the same as when every call computes them
+    probe = {"x": np.linspace(-2, 3, 12).reshape(3, 4)}
+    calls = []
+
+    def quad(p):
+        calls.append("value_and_grad")
+        return float((p["x"] ** 3).sum()), {"x": 3 * p["x"] ** 2}
+
+    def value(p):
+        calls.append("value")
+        return float((p["x"] ** 3).sum())
+
+    plain = grad_check(probe, quad, eps=1e-5)
+    calls.clear()
+    assert grad_check(probe, quad, eps=1e-5, value_fn=value) == plain
+    assert calls == ["value_and_grad"] + ["value"] * 24
+
+
 def test_grad_check_rejects_bad_eps_and_nonfinite():
     probe = {"x": np.ones(3)}
 

@@ -13,7 +13,8 @@ import streamcache
 from streamcache import (OraclePredictor, SimConfig, StrategyAbort, StrategyKind,
                          append_flop_cost, fit_growth, generate_stream,
                          recompute_flop_cost, run_strategy, spike_ratio)
-from streamcache.harness import ENGINE_LAYERS, MAX_FRAMES, affine_fit, frame_count
+from streamcache.harness import (ENGINE_LAYERS, MAX_FRAMES, affine_fit, frame_count,
+                                 live_token_bound)
 
 import naive_reference
 from naive_reference import transcribe_interleaved
@@ -273,6 +274,49 @@ def test_only_a1_and_b_build_an_attention_engine(monkeypatch):
             counts[kind.value, with_engine] = len(built)
     assert counts == {("a1", True): 1, ("a2", True): 0, ("b", True): 1,
                       ("a1", False): 0, ("a2", False): 0, ("b", False): 0}
+
+
+@pytest.mark.parametrize("prompt_tokens", [0, 4])
+@pytest.mark.parametrize("noise", [0.0, 0.25])
+@pytest.mark.parametrize("n_s,n_l", [(1, 0), (64, 5)])
+@pytest.mark.parametrize("tokens_per_frame", [1, 3])
+@pytest.mark.parametrize("kind", [StrategyKind.PROGRESSIVE_VISUAL, StrategyKind.INTERLEAVED],
+                         ids=lambda k: k.value)
+def test_engine_slab_is_sized_once(monkeypatch, kind, tokens_per_frame, n_s, n_l, noise,
+                                   prompt_tokens):
+    # the engine is built at its strategy's live-token bound, so no append
+    # reallocates the slab, and a1, which never evicts, ends exactly full
+    engines, sizes = [], []
+
+    class SizeWatchingEngine(streamcache.harness.AttentionEngine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            engines.append(self)
+            sizes.append(self.nbytes)
+
+        def append_tokens(self, tokens):
+            out = super().append_tokens(tokens)
+            sizes.append(self.nbytes)
+            return out
+
+    monkeypatch.setattr(streamcache.harness, "AttentionEngine", SizeWatchingEngine)
+    cfg = small_cfg(tokens_per_frame=tokens_per_frame, N_S=n_s, N_L=n_l)
+    stream = generate_stream(cfg, 90.0)
+    run_strategy(kind, stream, cfg, noise_p=noise, prompt_tokens=prompt_tokens)
+    [engine] = engines
+    capacity = live_token_bound(kind, cfg, len(stream.frames), prompt_tokens)
+    assert set(sizes) == {(2 * ENGINE_LAYERS * cfg.d * 8 + 8) * capacity}
+    assert len(sizes) > len(stream.frames)
+    if kind is StrategyKind.PROGRESSIVE_VISUAL:
+        assert len(engine.live_ids()) == capacity
+
+
+def test_live_token_bound_is_at_least_one():
+    cfg = small_cfg()
+    assert live_token_bound(StrategyKind.PROGRESSIVE_VISUAL, cfg, 0, 0) == 1
+    assert live_token_bound(StrategyKind.INTERLEAVED, cfg, 0, 0) == 1
+    # b's bound counts N_S + 1 frames and N_L + 1 groups of up to 7 tokens
+    assert live_token_bound(StrategyKind.INTERLEAVED, cfg, 1000, 4) == 4 + 9 + 4 * 7
 
 
 @pytest.mark.parametrize("tokens_per_frame", [1, 3])
