@@ -36,6 +36,9 @@ import numpy as np
 from .types import Token
 
 REL_BIAS_CLIP = 1024  # position deltas beyond this share one bias slot
+# a block append builds a (layers, heads, block, context) float64 bias: at this
+# many block x context cells it takes 256 MiB
+MAX_BLOCK_CELLS = 2 ** 22
 
 
 @dataclass
@@ -167,7 +170,9 @@ class AttentionEngine:
         Every token's key/value pair is written into the next free slots, then
         each query attends over all live slots and the block tokens up to
         itself. Outputs and the flop charge equal k single appends. The whole
-        block is checked before any state changes.
+        block is checked before any state changes, and a block whose
+        ``k * (live + k)`` attention cells exceed ``MAX_BLOCK_CELLS`` raises
+        ``ValueError`` before anything is allocated.
         """
         tokens = list(tokens)
         if not tokens:
@@ -175,6 +180,10 @@ class AttentionEngine:
         d, h = self.d, self.heads
         dh = d // h
         n, k = len(self._ids), len(tokens)
+        if k * (n + k) > MAX_BLOCK_CELLS:
+            raise ValueError(f"a block of {k} tokens over {n} live tokens spans "
+                             f"{k * (n + k)} attention cells, above MAX_BLOCK_CELLS = "
+                             f"{MAX_BLOCK_CELLS}")
         newest = int(self._pos[self._slot[self._newest_id]]) if n else None
         block_ids = set()
         positions = []

@@ -17,13 +17,13 @@ from typing import List, Optional
 import numpy as np
 
 from . import __version__
-from .attention import AttentionEngine
+from .attention import MAX_BLOCK_CELLS, AttentionEngine
 from .config import ConfigError, SimConfig, load_config, validate_config
 from .connector import (grad_check, init_caption_decoder, init_connector,
                         load_scene, make_scene, stage1_losses, stage1_value_and_grads)
-from .harness import (ENGINE_HEADS, ENGINE_LAYERS, MAX_BLOCK_CELLS, MAX_DESCRIPTION_TOKENS,
-                      MAX_LIVE_TOKENS, StrategyAbort, StrategyKind, affine_fit, fit_growth,
-                      frame_count, generate_stream, live_token_bound, run_strategy)
+from .harness import (ENGINE_HEADS, ENGINE_LAYERS, MAX_DESCRIPTION_TOKENS, MAX_LIVE_TOKENS,
+                      StrategyAbort, StrategyKind, affine_fit, fit_growth, frame_count,
+                      generate_stream, live_token_bound, run_strategy)
 from .traceio import (read_trace_csv, summarize, write_events_jsonl,
                       write_manifest, write_trace_csv)
 from .types import PositionClock, TokenFactory

@@ -4,9 +4,11 @@ A stream is a sequence of labelled steps rendered to per-frame feature
 vectors (class prototype plus Gaussian noise). The steps come from a loop of
 seeded draws; the frames are array work: one ``searchsorted`` labels every
 frame with its step, one draw gives every frame's noise, and each step's
-prototype is added to its run of rows, so each frame's feature is a row of
-one ``(frames, d)`` array. ``MAX_FRAMES`` bounds a stream, checked before
-any of that runs.
+prototype is added to its run of rows. A ``SyntheticStream`` holds the
+frames as arrays: their times and step ids as lists and their features as
+one ``(frames, d)`` array. No per-frame record is built; ``frames`` is a
+read-only view that builds a ``StreamFrame`` only for the index or slice
+asked of it. ``MAX_FRAMES`` bounds a stream, checked before any of that runs.
 
 Each strategy replays the stream through one interleaved cache and records a
 per-frame trace of token counts and multiply-add costs. Every frame runs
@@ -40,9 +42,10 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -62,9 +65,6 @@ MAX_DESCRIPTION_TOKENS = 6  # text tokens in the longest step description
 # MAX_LIVE_TOKENS tokens holds 128 MiB of K/V (both scale with d)
 MAX_FRAMES = 2 ** 16  # 4.5 hours at 4 fps
 MAX_LIVE_TOKENS = 2 ** 16  # the most tokens a strategy can hold, or bench's sweep stop
-# a block append builds a (layers, heads, block, context) float64 bias: at this
-# many block x context cells it takes 256 MiB
-MAX_BLOCK_CELLS = 2 ** 22
 
 
 class StrategyKind(Enum):
@@ -81,10 +81,37 @@ class StreamFrame:
     feature: np.ndarray
 
 
+class FrameView(Sequence):
+    """Read-only sequence of a stream's frames: ``len`` builds nothing, and an
+    index or a slice builds the ``StreamFrame``s it names, each feature a row
+    view of the stream's array."""
+
+    __slots__ = ("_stream",)
+
+    def __init__(self, stream: "SyntheticStream") -> None:
+        self._stream = stream
+
+    def __len__(self) -> int:
+        return len(self._stream.times)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        i = range(len(self))[index]  # an int in [0, len), else IndexError or TypeError
+        s = self._stream
+        return StreamFrame(i, s.times[i], s.step_ids[i], s.features[i])
+
+
 @dataclass
 class SyntheticStream:
-    frames: List[StreamFrame]
+    times: List[float]  # each frame's time in seconds
+    step_ids: List[int]  # each frame's true step (class) id
+    features: np.ndarray  # (frames, d), one row per frame
     class_token_counts: np.ndarray  # text tokens describing each class id
+
+    @property
+    def frames(self) -> FrameView:
+        return FrameView(self)
 
 
 def frame_count(cfg: SimConfig, duration_s: float) -> int:
@@ -148,9 +175,8 @@ def generate_stream(cfg: SimConfig, duration_s: float, n_classes: int = 20) -> S
     edges = np.searchsorted(labels, np.arange(len(ends) + 1))
     for c, lo, hi in zip(step_ids, edges[:-1], edges[1:]):
         features[lo:hi] += prototypes[c]
-    frame_steps = np.array(step_ids)[labels].tolist()
-    frames = list(map(StreamFrame, range(n_frames), times.tolist(), frame_steps, features))
-    return SyntheticStream(frames, class_token_counts)
+    return SyntheticStream(times.tolist(), np.array(step_ids)[labels].tolist(), features,
+                           class_token_counts)
 
 
 class OraclePredictor:
@@ -164,10 +190,11 @@ class OraclePredictor:
         self.noise_p = noise_p
         self.rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA1]))
 
-    def predict(self, frame: StreamFrame) -> int:
+    def predict(self, step_id: int) -> int:
+        """The predicted step id for a frame whose true step id is ``step_id``."""
         if self.noise_p > 0.0 and self.rng.random() < self.noise_p:
             return int(self.rng.integers(len(self.stream.class_token_counts)))
-        return int(frame.step_id)
+        return int(step_id)
 
 
 @dataclass(slots=True)
@@ -248,7 +275,7 @@ def run_strategy(kind: StrategyKind, stream: SyntheticStream, cfg: SimConfig, *,
     if with_engine and not charge_recompute:
         # sized once: the slab never reallocates, and a1's ends exactly full
         engine = AttentionEngine(cfg.d, ENGINE_HEADS, ENGINE_LAYERS, cfg.vocab_size, cfg.seed,
-                                 live_token_bound(kind, cfg, len(stream.frames), prompt_tokens))
+                                 live_token_bound(kind, cfg, len(stream.times), prompt_tokens))
     cache = InterleavedCache(cfg.N_S * cfg.tokens_per_frame, cfg.N_L)
     trace = StrategyTrace(kind=kind, cfg=cfg, cache_events=cache.events)
     bounded = kind is not StrategyKind.PROGRESSIVE_VISUAL  # a1 never exits or verbalizes
@@ -277,20 +304,21 @@ def run_strategy(kind: StrategyKind, stream: SyntheticStream, cfg: SimConfig, *,
 
     enter([factory.prompt(table.prompt_embedding(i)) for i in range(prompt_tokens)], 0.0)
 
-    for frame in stream.frames:
+    frames = zip(stream.times, stream.step_ids, stream.features, strict=True)
+    for index, (t, step_id, feature) in enumerate(frames):
         t0 = time.perf_counter_ns()
         recompute_flops = text_flops = 0
-        append_flops = enter([factory.visual(frame.index, frame.feature)
-                              for _ in range(cfg.tokens_per_frame)], frame.time_s)
+        append_flops = enter([factory.visual(index, feature)
+                              for _ in range(cfg.tokens_per_frame)], t)
 
         if bounded:
-            evict(cache.exit_short(frame.time_s))
+            evict(cache.exit_short(t))
 
-        pred = predictor.predict(frame)
+        pred = predictor.predict(step_id)
         event = bounded and should_verbalize(log, pred)
         if event:
             group = verbalizer.verbalize(pred, int(stream.class_token_counts[pred]))
-            group_flops = enter(group, frame.time_s)
+            group_flops = enter(group, t)
             if charge_recompute and with_engine:
                 # a2 books the cache as if its short part (prompt and visual
                 # tokens) and long part (verbalized groups) were kept apart:
@@ -302,21 +330,21 @@ def run_strategy(kind: StrategyKind, stream: SyntheticStream, cfg: SimConfig, *,
                     layers=ENGINE_LAYERS)
             else:
                 text_flops = group_flops
-            evict([tok for grp in cache.exit_long(frame.time_s) for tok in grp])
+            evict([tok for grp in cache.exit_long(t) for tok in grp])
         log.add(pred)
 
         live = len(cache)
         trace.rows.append(FrameRecord(
-            frame=frame.index, t_s=frame.time_s, live_token_count=live,
+            frame=index, t_s=t, live_token_count=live,
             append_flops=append_flops, extra_recompute_flops=recompute_flops,
             text_entry_flops=text_flops, predicted_step_id=pred,
-            correct=pred == frame.step_id, verbalization_event=event,
+            correct=pred == step_id, verbalization_event=event,
             wall_ns=time.perf_counter_ns() - t0))
         if live_token_cap is not None and live > live_token_cap:
-            trace.truncated_at = frame.index
+            trace.truncated_at = index
             raise StrategyAbort(
                 f"{kind.value}: live tokens {live} exceed cap {live_token_cap} "
-                f"at frame {frame.index}", trace)
+                f"at frame {index}", trace)
 
     if engine is not None:
         if set(engine.live_ids()) != set(cache.live_ids()):

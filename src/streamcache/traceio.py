@@ -24,6 +24,8 @@ from .verbalize import budget_report
 
 TRACE_COLUMNS = ["frame", "t_s", "strategy", "live_tokens", "append_flops",
                  "recompute_flops", "mem_bytes_proxy", "pred", "correct", "verbalized"]
+COUNT_COLUMNS = ("live_tokens", "append_flops", "recompute_flops", "mem_bytes_proxy", "pred")
+FLAG_COLUMNS = ("correct", "verbalized")
 
 
 def write_trace_csv(path: str, trace: StrategyTrace) -> None:
@@ -43,12 +45,14 @@ def write_trace_csv(path: str, trace: StrategyTrace) -> None:
 def read_trace_csv(path: str) -> Dict[str, Dict[str, np.ndarray]]:
     """Per-strategy column arrays from a trace CSV.
 
-    A valid trace names a strategy ``a1``, ``a2`` or ``b`` on every row, and
-    each strategy's ``frame`` column runs 0, 1, ... n-1 in order. Raises
-    ``ValueError`` naming the line of a row that the csv module cannot parse
-    or that has extra fields, and the line and column of a missing field, of
-    a numeric field that is not a finite number, of an unknown strategy or of
-    a frame out of order.
+    A valid trace names a strategy ``a1``, ``a2`` or ``b`` on every row, holds
+    a finite number in ``t_s``, 0 or 1 in ``correct`` and ``verbalized`` and a
+    non-negative integer in every other column, and each strategy's ``frame``
+    column runs 0, 1, ... n-1 in order. Raises ``ValueError`` naming the line
+    of a row that the csv module cannot parse or that has extra fields, and
+    the line and column of a missing field, of a numeric field that is not a
+    finite number, of a count or flag out of its range, of an unknown strategy
+    or of a frame out of order.
     """
     by_strategy: Dict[str, Dict[str, list]] = {}
     strategies = [kind.value for kind in StrategyKind]
@@ -78,10 +82,17 @@ def read_trace_csv(path: str) -> Dict[str, Dict[str, np.ndarray]]:
                         if not math.isfinite(value):
                             raise ValueError(f"{where}, column {name}: {rec[name]!r} is "
                                              "not a finite number")
+                        if name in COUNT_COLUMNS and not (rec[name].isascii()
+                                                          and rec[name].isdigit()):
+                            raise ValueError(f"{where}, column {name}: {rec[name]!r} is "
+                                             "not a non-negative integer")
+                        if name in FLAG_COLUMNS and rec[name] not in ("0", "1"):
+                            raise ValueError(f"{where}, column {name}: {rec[name]!r} is "
+                                             "not 0 or 1")
                     values.append(value)
                 cols = by_strategy.setdefault(rec["strategy"],
                                               {name: [] for name in TRACE_COLUMNS})
-                if values[0] != len(cols["frame"]):
+                if rec["frame"] != str(len(cols["frame"])):  # so also a non-negative integer
                     raise ValueError(f"{where}, column frame: {rec['frame']!r} is not "
                                      f"{len(cols['frame'])}, the next frame of "
                                      f"strategy {rec['strategy']}")

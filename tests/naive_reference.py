@@ -5,11 +5,13 @@ counts by scanning, eviction by pop-at-index, the streaming loop as a flat
 for-loop. They exist only to differential-test the package implementations.
 ``lexicographic_match`` is the connector matcher's tie-break search in its
 first form: one exact solve per tried column. ``generate_stream`` is the
-stream generator in its first form: one noise draw, one add and one frame per
-loop turn. ``grad_check`` is the finite-difference checker in its first form:
-a list of every parameter coordinate, sampled by index. ``save_scene`` writes a
-scene in the file format that ``load_scene`` reads, so tests can make scene
-files.
+stream generator in its first form: one noise draw, one add and one frame's
+time, step id and feature row per loop turn. ``last_rows`` is
+``full_recompute`` cut to its last k queries, so it reaches the live sizes of
+real runs in O(k·n) memory. ``grad_check`` is the finite-difference checker
+in its first form: a list of every parameter coordinate, sampled by index.
+``save_scene`` writes a scene in the file format that ``load_scene`` reads, so
+tests can make scene files.
 """
 
 from __future__ import annotations
@@ -23,8 +25,10 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from streamcache import OraclePredictor, Scene, SimConfig, SyntheticStream, validate_config
-from streamcache.harness import FEATURE_NOISE, StreamFrame
+from streamcache import (AttentionWeights, OraclePredictor, Scene, SimConfig,
+                         SyntheticStream, Token, validate_config)
+from streamcache.attention import REL_BIAS_CLIP
+from streamcache.harness import FEATURE_NOISE
 
 VISUAL = "v"
 TEXT = "t"
@@ -99,14 +103,14 @@ def transcribe_interleaved(stream: SyntheticStream, cfg: SimConfig,
         events.append(("entry", (tok.id,)))
 
     out: List[int] = []
-    for frame in stream.frames:
+    for step_id in stream.step_ids:
         for _ in range(cfg.tokens_per_frame):
             tok = Sym(VISUAL, take_id())
             cache.entry(tok)
             events.append(("entry", (tok.id,)))
         evicted = cache.exit_short()
         events.append(("exit_short", tuple(t.id for t in evicted)))
-        pred = predictor.predict(frame)
+        pred = predictor.predict(step_id)
         # out[-tau:] with tau == 0 must mean an empty window, not the whole
         # history (beware python's out[-0:])
         window = out[-cfg.tau:] if cfg.tau > 0 else []
@@ -162,16 +166,48 @@ def generate_stream(cfg: SimConfig, duration_s: float, n_classes: int = 20) -> S
         t = end
 
     n_frames = int(round(duration_s * cfg.fps))
-    frames: List[StreamFrame] = []
+    times: List[float] = []
+    step_ids: List[int] = []
+    features = np.empty((n_frames, cfg.d))
     step_idx = 0
     for i in range(n_frames):
         ts = i / cfg.fps
         while step_idx + 1 < len(steps) and ts >= steps[step_idx].end_s:
             step_idx += 1
         c = steps[step_idx].step_id
-        feature = prototypes[c] + FEATURE_NOISE * rng.standard_normal(cfg.d)
-        frames.append(StreamFrame(index=i, time_s=ts, step_id=c, feature=feature))
-    return SyntheticStream(frames, class_token_counts)
+        times.append(ts)
+        step_ids.append(c)
+        features[i] = prototypes[c] + FEATURE_NOISE * rng.standard_normal(cfg.d)
+    return SyntheticStream(times, step_ids, features, class_token_counts)
+
+
+def last_rows(weights: AttentionWeights, tokens: List[Token], k: int) -> np.ndarray:
+    """The last ``k`` rows of ``full_recompute(weights, tokens)``, in the same
+    einsum formulation: each layer's keys and values read the raw embeddings,
+    so only the last k queries go through the stack, over (k, n) scores.
+    ``tokens`` must be ordered by strictly increasing entry position."""
+    positions = np.array([t.entry_position for t in tokens], dtype=np.int64)
+    assert 1 <= k <= len(tokens) and np.all(np.diff(positions) > 0)
+    d, h, dh = weights.d, weights.heads, weights.d // weights.heads
+    emb = np.stack([np.asarray(t.embedding, dtype=np.float64) for t in tokens])
+    n = emb.shape[0]
+    x = emb[n - k:]
+    deltas = positions[n - k:, None] - positions[None, :]
+    bias_idx = np.clip(deltas, -REL_BIAS_CLIP, REL_BIAS_CLIP)
+    causal = deltas >= 0
+    for layer in range(weights.layers):
+        q = (x @ weights.w_q[layer]).reshape(k, h, dh)
+        keys = (emb @ weights.w_k[layer]).reshape(n, h, dh)
+        v = (emb @ weights.w_v[layer]).reshape(n, h, dh)
+        scores = np.einsum("ihd,jhd->hij", q, keys) / np.sqrt(dh)
+        scores += weights.rel_bias[layer][:, np.abs(bias_idx)]
+        scores = np.where(causal[None, :, :], scores, -np.inf)
+        scores -= scores.max(axis=2, keepdims=True)
+        probs = np.exp(scores)
+        probs /= probs.sum(axis=2, keepdims=True)
+        mixed = np.einsum("hij,jhd->ihd", probs, v).reshape(k, d)
+        x = x + mixed @ weights.w_o[layer]
+    return x
 
 
 MATCH_TIE_TOL = 1e-9

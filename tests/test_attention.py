@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import streamcache.attention
 from streamcache import (AttentionEngine, PositionClock, TokenFactory,
                          append_flop_cost, full_recompute, init_weights,
                          recompute_flop_cost)
@@ -458,6 +461,43 @@ def test_bad_block_raises_and_changes_nothing(rng, case):
     assert eng.flop_counter == ref.flop_counter
     tail = positioned(factory, rng, 99)
     np.testing.assert_array_equal(eng.append_token(tail)[0], ref.append_token(tail)[0])
+
+
+def test_block_above_cell_bound_raises_and_changes_nothing(rng, monkeypatch):
+    # a block of k tokens over n live ones spans k * (n + k) attention cells
+    monkeypatch.setattr(streamcache.attention, "MAX_BLOCK_CELLS", 12)
+    factory = TokenFactory()
+    eng, ref = fresh_engine(), fresh_engine()
+    first = [positioned(factory, rng, 0)]
+    block = [positioned(factory, rng, p) for p in (1, 2, 3)]
+    for e in (eng, ref):
+        e.append_tokens(first)
+        e.append_tokens(block)  # 3 * (1 + 3) = 12 cells, at the bound
+    too_big = [positioned(factory, rng, p) for p in (4, 5, 6)]
+    with pytest.raises(ValueError, match="21 attention cells, above MAX_BLOCK_CELLS = 12"):
+        eng.append_tokens(too_big)  # 3 * (4 + 3) = 21
+    assert eng.live_ids() == ref.live_ids()
+    assert eng.flop_counter == ref.flop_counter and eng.nbytes == ref.nbytes
+    tail = positioned(factory, rng, 7)
+    np.testing.assert_array_equal(eng.append_token(tail)[0], ref.append_token(tail)[0])
+
+
+def test_block_above_cell_bound_allocates_nothing(rng):
+    # 2,048 tokens over one live token: 4,196,352 cells, just above 2**22;
+    # the refused append would have built a 256 MiB bias
+    factory = TokenFactory()
+    eng = fresh_engine()
+    eng.append_token(positioned(factory, rng, 0))
+    block = [positioned(factory, rng, p) for p in range(1, 2049)]
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="4196352 attention cells"):
+            eng.append_tokens(block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert len(eng.live_ids()) == 1
 
 
 def test_full_recompute_requires_entry_positions(rng):

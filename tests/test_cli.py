@@ -364,6 +364,25 @@ def test_report_scaling_invalid_trace_exits_2(tmp_path, cfg_path, capsys, edit, 
     assert message in captured.err
 
 
+@pytest.mark.parametrize("live_tokens", ["1.5", "-7"])
+def test_report_scaling_non_integer_count_exits_2(tmp_path, cfg_path, capsys, live_tokens):
+    # both used to exit 0 with a growth fit of b's trace
+    out_dir = tmp_path / "run"
+    main(["simulate", cfg_path, "--strategy", "b", "--duration-s", "60",
+          "--out-dir", str(out_dir)])
+    capsys.readouterr()
+    path = out_dir / "trace_b.csv"
+    lines = path.read_text().splitlines()
+    fields = lines[5].split(",")
+    lines[5] = ",".join(fields[:3] + [live_tokens] + fields[4:])
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["report", "--scaling", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"line 6, column live_tokens: {live_tokens!r} is not a non-negative integer"
+            in captured.err)
+
+
 def test_usage_error_exits_2():
     assert main(["simulate"]) == 2
     assert main(["report"]) == 2

@@ -108,6 +108,57 @@ def test_generate_stream_matches_frame_loop_on_step_ends():
     assert _stream_bytes(stream) == _stream_bytes(naive_reference.generate_stream(cfg, 30.0))
 
 
+def test_stream_builds_no_frame_records(monkeypatch, cfg):
+    # the stream is arrays: generating it, its length and a run build no
+    # StreamFrame; an index or a slice of the view builds the frames it names
+    built = []
+
+    class CountingFrame(streamcache.harness.StreamFrame):
+        def __init__(self, *args):
+            built.append(args[0])
+            super().__init__(*args)
+
+    monkeypatch.setattr(streamcache.harness, "StreamFrame", CountingFrame)
+    stream = generate_stream(cfg, 60.0)
+    assert len(stream.frames) == len(stream.times) == len(stream.step_ids) == 240
+    assert stream.features.shape == (240, cfg.d)
+    for kind in StrategyKind:
+        run_strategy(kind, stream, cfg, noise_p=0.25)
+    assert built == []
+
+    frame = stream.frames[-2]
+    assert (frame.index, frame.time_s, frame.step_id) == \
+        (238, stream.times[238], stream.step_ids[238])
+    assert frame.feature.base is stream.features  # a row view, not a copy
+    assert [f.index for f in stream.frames[5:11:3]] == [5, 8]
+    assert built == [238, 5, 8]
+    with pytest.raises(IndexError):
+        stream.frames[240]
+    with pytest.raises(TypeError):
+        stream.frames[0] = frame
+
+
+def test_run_strategy_reads_no_frames():
+    class FramelessStream(streamcache.SyntheticStream):
+        @property
+        def frames(self):
+            raise AssertionError("run_strategy read stream.frames")
+
+    cfg = small_cfg()
+    stream = generate_stream(cfg, 60.0)
+    frameless = FramelessStream(stream.times, stream.step_ids, stream.features,
+                                stream.class_token_counts)
+    for kind in StrategyKind:
+        want, got = (run_strategy(kind, s, cfg, noise_p=0.25) for s in (stream, frameless))
+        assert [dataclasses.replace(r, wall_ns=0) for r in got.rows] == \
+            [dataclasses.replace(r, wall_ns=0) for r in want.rows]
+    # the three per-frame sequences must agree in length
+    short = streamcache.SyntheticStream(stream.times, stream.step_ids, stream.features[:-1],
+                                        stream.class_token_counts)
+    with pytest.raises(ValueError, match="zip"):
+        run_strategy(StrategyKind.INTERLEAVED, short, cfg)
+
+
 def test_frame_count_bound():
     assert frame_count(SimConfig(), 3600.0) == 14400
     assert frame_count(SimConfig(fps=1.0), float(MAX_FRAMES)) == MAX_FRAMES
@@ -123,7 +174,7 @@ def test_oracle_noise_zero_always_correct():
     cfg = small_cfg()
     stream = generate_stream(cfg, 60.0)
     predictor = OraclePredictor(stream, 0.0, seed=1)
-    assert all(predictor.predict(f) == f.step_id for f in stream.frames)
+    assert all(predictor.predict(step) == step for step in stream.step_ids)
 
 
 def test_oracle_noise_one_accuracy_near_uniform():
@@ -131,7 +182,7 @@ def test_oracle_noise_one_accuracy_near_uniform():
     assert len(stream.class_token_counts) == 20
     frame = stream.frames[0]
     predictor = OraclePredictor(stream, 1.0, seed=0)
-    hits = sum(predictor.predict(frame) == frame.step_id for _ in range(20000))
+    hits = sum(predictor.predict(frame.step_id) == frame.step_id for _ in range(20000))
     assert hits / 20000 == pytest.approx(1 / 20, abs=0.01)
 
 
@@ -139,7 +190,7 @@ def test_oracle_noise_tenth_accuracy():
     stream = generate_stream(small_cfg(), 10.0)
     frame = stream.frames[0]
     predictor = OraclePredictor(stream, 0.1, seed=0)
-    hits = sum(predictor.predict(frame) == frame.step_id for _ in range(10000))
+    hits = sum(predictor.predict(frame.step_id) == frame.step_id for _ in range(10000))
     assert hits / 10000 == pytest.approx(0.9 + 0.1 / 20, abs=0.01)
 
 
@@ -309,6 +360,15 @@ def test_engine_slab_is_sized_once(monkeypatch, kind, tokens_per_frame, n_s, n_l
     assert len(sizes) > len(stream.frames)
     if kind is StrategyKind.PROGRESSIVE_VISUAL:
         assert len(engine.live_ids()) == capacity
+
+
+def test_run_strategy_refuses_a_block_above_the_cell_bound():
+    # a1's first frame appends 16,384 tokens over the 4 prompt tokens: the
+    # engine refuses it before it builds a (16384, 16388) index array (2 GiB)
+    cfg = SimConfig(tokens_per_frame=16384)
+    stream = generate_stream(cfg, 1.0)
+    with pytest.raises(ValueError, match="268500992 attention cells, above MAX_BLOCK_CELLS"):
+        run_strategy(StrategyKind.PROGRESSIVE_VISUAL, stream, cfg)
 
 
 def test_live_token_bound_is_at_least_one():

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -95,6 +96,31 @@ def test_read_trace_rejects_bad_row(tmp_path, short_run, edit, message):
     lines[2] = ",".join(edit(lines[2].split(",")))
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=message):
+        read_trace_csv(str(path))
+
+
+@pytest.mark.parametrize("column,value,message", [
+    ("frame", "2.0", "'2.0' is not 2, the next frame"),
+    ("frame", "02", "'02' is not 2, the next frame"),
+    ("live_tokens", "1.5", "'1.5' is not a non-negative integer"),
+    ("live_tokens", "-7", "'-7' is not a non-negative integer"),
+    ("append_flops", "1e3", "'1e3' is not a non-negative integer"),
+    ("recompute_flops", " 0", "' 0' is not a non-negative integer"),
+    ("mem_bytes_proxy", "+512", "'+512' is not a non-negative integer"),
+    ("pred", "-1", "'-1' is not a non-negative integer"),
+    ("correct", "2", "'2' is not 0 or 1"),
+    ("verbalized", "1.0", "'1.0' is not 0 or 1"),
+])
+def test_read_trace_rejects_bad_count_or_flag(tmp_path, short_run, column, value, message):
+    _, traces = short_run
+    path = tmp_path / "trace.csv"
+    write_trace_csv(str(path), traces[2])
+    lines = path.read_text().splitlines()
+    fields = lines[3].split(",")
+    fields[TRACE_COLUMNS.index(column)] = value
+    lines[3] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"line 4, column {column}: {message}")):
         read_trace_csv(str(path))
 
 
