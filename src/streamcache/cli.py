@@ -17,13 +17,13 @@ from typing import List, Optional
 import numpy as np
 
 from . import __version__
-from .attention import MAX_BLOCK_CELLS, AttentionEngine
+from .attention import AttentionEngine
 from .config import ConfigError, SimConfig, load_config, validate_config
 from .connector import (grad_check, init_caption_decoder, init_connector,
                         load_scene, make_scene, stage1_losses, stage1_value_and_grads)
-from .harness import (ENGINE_HEADS, ENGINE_LAYERS, MAX_DESCRIPTION_TOKENS, MAX_LIVE_TOKENS,
-                      StrategyAbort, StrategyKind, affine_fit, fit_growth, frame_count,
-                      generate_stream, live_token_bound, run_strategy)
+from .harness import (ENGINE_HEADS, ENGINE_LAYERS, MAX_LIVE_TOKENS, StrategyAbort,
+                      StrategyKind, admit, affine_fit, fit_growth, frame_count,
+                      generate_stream, run_strategy)
 from .traceio import (read_trace_csv, summarize, write_events_jsonl,
                       write_manifest, write_trace_csv)
 from .types import PositionClock, TokenFactory
@@ -78,31 +78,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if not n_frames:
         return _fail(f"--duration-s {args.duration_s} at {cfg.fps} fps gives no frames",
                      EXIT_CONFIG)
-    if n_frames * cfg.tokens_per_frame > MAX_LIVE_TOKENS:
-        return _fail(f"tokens_per_frame {cfg.tokens_per_frame} over {n_frames} frames gives "
-                     f"a1 {n_frames * cfg.tokens_per_frame} live tokens, above "
-                     f"MAX_LIVE_TOKENS = {MAX_LIVE_TOKENS}", EXIT_CONFIG)
-    # a1's last frame appends the largest block, over every token before it
-    cells = cfg.tokens_per_frame * live_token_bound(StrategyKind.PROGRESSIVE_VISUAL, cfg,
-                                                    n_frames)
-    if cells > MAX_BLOCK_CELLS:
-        return _fail(f"tokens_per_frame {cfg.tokens_per_frame} over {n_frames} frames gives "
-                     f"a1 a last block of {cells} attention cells, above "
-                     f"MAX_BLOCK_CELLS = {MAX_BLOCK_CELLS}", EXIT_CONFIG)
-    bounded_live = live_token_bound(StrategyKind.INTERLEAVED, cfg, n_frames)
-    if bounded_live > MAX_LIVE_TOKENS:
-        return _fail(f"N_S {cfg.N_S}, N_L {cfg.N_L} and tokens_per_frame "
-                     f"{cfg.tokens_per_frame} over {n_frames} frames give b and a2 up to "
-                     f"{bounded_live} live tokens, above MAX_LIVE_TOKENS = {MAX_LIVE_TOKENS}",
-                     EXIT_CONFIG)
-    # their largest block, a frame or a verbalized group, can come over all of those
-    cells = max(cfg.tokens_per_frame, 1 + MAX_DESCRIPTION_TOKENS) * bounded_live
-    if cells > MAX_BLOCK_CELLS:
-        return _fail(f"N_S {cfg.N_S}, N_L {cfg.N_L} and tokens_per_frame "
-                     f"{cfg.tokens_per_frame} over {n_frames} frames give b and a2 a block "
-                     f"of up to {cells} attention cells, above MAX_BLOCK_CELLS = "
-                     f"{MAX_BLOCK_CELLS}", EXIT_CONFIG)
-    try:  # summary.json reports the budget over the stream
+    try:  # every strategy's bounds, then the budget that summary.json reports
+        admit(StrategyKind.PROGRESSIVE_VISUAL, cfg, n_frames)
+        admit(StrategyKind.INTERLEAVED, cfg, n_frames)
         budget_report(cfg, n_frames / cfg.fps)
     except ValueError as exc:
         return _fail(str(exc), EXIT_CONFIG)

@@ -32,7 +32,7 @@ Each strategy enters a prompt, a frame's visual tokens or a verbalized group
 into its cache token by token and charges the block ``block_flop_cost`` at the
 cache's live size before it; ``a1`` and ``b`` also append the whole block to
 their engine in one causal pass. Each engine's slab is allocated once, at
-``live_token_bound`` slots, so it never grows or copies. A frame's ``wall_ns``
+the bound ``admit`` returns, so it never grows or copies. A frame's ``wall_ns``
 runs from before its visual tokens enter the cache until its ``FrameRecord``
 is built. Strategies never share mutable state; each run builds its own
 factory, cache, and engine.
@@ -49,7 +49,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .attention import AttentionEngine, block_flop_cost, recompute_flop_cost
+from .attention import MAX_BLOCK_CELLS, AttentionEngine, block_flop_cost, recompute_flop_cost
 from .cache import CacheEvent, InterleavedCache
 from .config import SimConfig, validate_config
 from .types import Token, TokenFactory
@@ -127,18 +127,36 @@ def frame_count(cfg: SimConfig, duration_s: float) -> int:
     return int(round(frames))
 
 
-def live_token_bound(kind: StrategyKind, cfg: SimConfig, n_frames: int,
-                     prompt_tokens: int = DEFAULT_PROMPT_TOKENS) -> int:
+def admit(kind: StrategyKind, cfg: SimConfig, n_frames: int,
+          prompt_tokens: int = DEFAULT_PROMPT_TOKENS) -> int:
     """The most tokens strategy ``kind`` can hold at once over ``n_frames``
     frames, and at least 1: a1 keeps every token; b and a2 hold up to
     ``N_S + 1`` frames and ``N_L + 1`` verbalized groups between an entry and
-    its exit, on top of the prompt."""
+    its exit, on top of the prompt. Raises ``ValueError`` above ``MAX_LIVE_TOKENS``
+    (a1: its visual tokens) or a largest block above ``MAX_BLOCK_CELLS`` cells."""
+    frames = f"tokens_per_frame {cfg.tokens_per_frame} over {n_frames} frames"
     if kind is StrategyKind.PROGRESSIVE_VISUAL:
-        live = prompt_tokens + n_frames * cfg.tokens_per_frame
+        visual = n_frames * cfg.tokens_per_frame
+        if visual > MAX_LIVE_TOKENS:
+            raise ValueError(f"{frames} gives a1 {visual} live tokens, above "
+                             f"MAX_LIVE_TOKENS = {MAX_LIVE_TOKENS}")
+        live = max(1, prompt_tokens + visual)
+        # the last frame appends the largest block, over every token before it
+        block, largest = cfg.tokens_per_frame, f"{frames} gives a1 a last block of"
     else:
-        live = (prompt_tokens + min(n_frames, cfg.N_S + 1) * cfg.tokens_per_frame
-                + min(n_frames, cfg.N_L + 1) * (1 + MAX_DESCRIPTION_TOKENS))
-    return max(1, live)
+        live = max(1, prompt_tokens + min(n_frames, cfg.N_S + 1) * cfg.tokens_per_frame
+                   + min(n_frames, cfg.N_L + 1) * (1 + MAX_DESCRIPTION_TOKENS))
+        bounded = f"N_S {cfg.N_S}, N_L {cfg.N_L} and {frames} give b and a2"
+        if live > MAX_LIVE_TOKENS:
+            raise ValueError(f"{bounded} up to {live} live tokens, above "
+                             f"MAX_LIVE_TOKENS = {MAX_LIVE_TOKENS}")
+        # the largest block, a frame or a verbalized group, can come over all of those
+        block = max(cfg.tokens_per_frame, 1 + MAX_DESCRIPTION_TOKENS)
+        largest = f"{bounded} a block of up to"
+    if block * live > MAX_BLOCK_CELLS:
+        raise ValueError(f"{largest} {block * live} attention cells, above "
+                         f"MAX_BLOCK_CELLS = {MAX_BLOCK_CELLS}")
+    return live
 
 
 def generate_stream(cfg: SimConfig, duration_s: float, n_classes: int = 20) -> SyntheticStream:
@@ -262,9 +280,10 @@ def run_strategy(kind: StrategyKind, stream: SyntheticStream, cfg: SimConfig, *,
     charged total. ``a2`` builds none: it would replay ``b``'s appends
     exactly, and nothing reads its outputs. ``with_engine=False`` runs the
     cache mechanics only (all flop columns zero), which is enough for
-    symbolic replay comparisons.
+    symbolic replay comparisons. A stream ``admit`` refuses raises before anything is built.
     """
     validate_config(cfg)
+    capacity = admit(kind, cfg, len(stream.times), prompt_tokens)
     factory = TokenFactory()
     table = EmbeddingTable(cfg.vocab_size, cfg.d, cfg.seed)
     verbalizer = Verbalizer(factory, table)
@@ -275,7 +294,7 @@ def run_strategy(kind: StrategyKind, stream: SyntheticStream, cfg: SimConfig, *,
     if with_engine and not charge_recompute:
         # sized once: the slab never reallocates, and a1's ends exactly full
         engine = AttentionEngine(cfg.d, ENGINE_HEADS, ENGINE_LAYERS, cfg.vocab_size, cfg.seed,
-                                 live_token_bound(kind, cfg, len(stream.times), prompt_tokens))
+                                 capacity)
     cache = InterleavedCache(cfg.N_S * cfg.tokens_per_frame, cfg.N_L)
     trace = StrategyTrace(kind=kind, cfg=cfg, cache_events=cache.events)
     bounded = kind is not StrategyKind.PROGRESSIVE_VISUAL  # a1 never exits or verbalizes

@@ -13,6 +13,7 @@ import csv
 import json
 import math
 import os
+import re
 from datetime import datetime, timezone
 from typing import Dict, List
 
@@ -26,6 +27,7 @@ TRACE_COLUMNS = ["frame", "t_s", "strategy", "live_tokens", "append_flops",
                  "recompute_flops", "mem_bytes_proxy", "pred", "correct", "verbalized"]
 COUNT_COLUMNS = ("live_tokens", "append_flops", "recompute_flops", "mem_bytes_proxy", "pred")
 FLAG_COLUMNS = ("correct", "verbalized")
+TIME_FORMAT = re.compile(r"[0-9]+\.[0-9]{3}")  # t_s as write_trace_csv writes it
 
 
 def write_trace_csv(path: str, trace: StrategyTrace) -> None:
@@ -46,13 +48,14 @@ def read_trace_csv(path: str) -> Dict[str, Dict[str, np.ndarray]]:
     """Per-strategy column arrays from a trace CSV.
 
     A valid trace names a strategy ``a1``, ``a2`` or ``b`` on every row, holds
-    a finite number in ``t_s``, 0 or 1 in ``correct`` and ``verbalized`` and a
-    non-negative integer in every other column, and each strategy's ``frame``
-    column runs 0, 1, ... n-1 in order. Raises ``ValueError`` naming the line
-    of a row that the csv module cannot parse or that has extra fields, and
-    the line and column of a missing field, of a numeric field that is not a
-    finite number, of a count or flag out of its range, of an unknown strategy
-    or of a frame out of order.
+    0 or 1 in ``correct`` and ``verbalized``, a non-negative number with three
+    decimals in ``t_s`` and a non-negative integer in every other column, and
+    per strategy its ``frame`` column runs 0, 1, ... n-1 and its ``t_s`` never
+    decreases. Raises ``ValueError`` naming the line of a row that the csv
+    module cannot parse or that has extra fields, and the line and column of a
+    missing field, of a numeric field that is not a finite number, of a time,
+    count or flag out of its form or range, of an unknown strategy or of a
+    frame or time out of order.
     """
     by_strategy: Dict[str, Dict[str, list]] = {}
     strategies = [kind.value for kind in StrategyKind]
@@ -86,6 +89,9 @@ def read_trace_csv(path: str) -> Dict[str, Dict[str, np.ndarray]]:
                                                           and rec[name].isdigit()):
                             raise ValueError(f"{where}, column {name}: {rec[name]!r} is "
                                              "not a non-negative integer")
+                        if name == "t_s" and not TIME_FORMAT.fullmatch(rec[name]):
+                            raise ValueError(f"{where}, column t_s: {rec[name]!r} is not a "
+                                             "non-negative number with three decimals")
                         if name in FLAG_COLUMNS and rec[name] not in ("0", "1"):
                             raise ValueError(f"{where}, column {name}: {rec[name]!r} is "
                                              "not 0 or 1")
@@ -95,6 +101,10 @@ def read_trace_csv(path: str) -> Dict[str, Dict[str, np.ndarray]]:
                 if rec["frame"] != str(len(cols["frame"])):  # so also a non-negative integer
                     raise ValueError(f"{where}, column frame: {rec['frame']!r} is not "
                                      f"{len(cols['frame'])}, the next frame of "
+                                     f"strategy {rec['strategy']}")
+                if cols["t_s"] and values[1] < cols["t_s"][-1]:  # values[1] is t_s
+                    raise ValueError(f"{where}, column t_s: {rec['t_s']!r} is below "
+                                     f"{cols['t_s'][-1]:.3f}, the previous time of "
                                      f"strategy {rec['strategy']}")
                 for name, value in zip(TRACE_COLUMNS, values):
                     cols[name].append(value)

@@ -383,6 +383,29 @@ def test_report_scaling_non_integer_count_exits_2(tmp_path, cfg_path, capsys, li
             in captured.err)
 
 
+@pytest.mark.parametrize("line,t_s,message", [
+    (6, "-99.000", "'-99.000' is not a non-negative number with three decimals"),
+    (10, "1e300", "'1e300' is not a non-negative number with three decimals"),
+    (10, "0.5", "'0.5' is not a non-negative number with three decimals"),
+    (10, "0.500", "'0.500' is below 1.750, the previous time of strategy b"),
+], ids=["negative", "exponent", "one decimal", "decreasing"])
+def test_report_scaling_bad_time_exits_2(tmp_path, cfg_path, capsys, line, t_s, message):
+    # the first three used to exit 0 with a growth fit of b's trace
+    out_dir = tmp_path / "run"
+    main(["simulate", cfg_path, "--strategy", "b", "--duration-s", "60",
+          "--out-dir", str(out_dir)])
+    capsys.readouterr()
+    path = out_dir / "trace_b.csv"
+    lines = path.read_text().splitlines()
+    fields = lines[line - 1].split(",")
+    lines[line - 1] = ",".join(fields[:1] + [t_s] + fields[2:])
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["report", "--scaling", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: cannot read trace: {path} line {line}, column t_s: {message}\n" == captured.err
+
+
 def test_usage_error_exits_2():
     assert main(["simulate"]) == 2
     assert main(["report"]) == 2

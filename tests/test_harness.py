@@ -4,6 +4,7 @@ import itertools
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +14,9 @@ import streamcache
 from streamcache import (OraclePredictor, SimConfig, StrategyAbort, StrategyKind,
                          append_flop_cost, fit_growth, generate_stream,
                          recompute_flop_cost, run_strategy, spike_ratio)
-from streamcache.harness import (ENGINE_LAYERS, MAX_FRAMES, affine_fit, frame_count,
-                                 live_token_bound)
+from streamcache.attention import MAX_BLOCK_CELLS
+from streamcache.harness import (ENGINE_LAYERS, MAX_FRAMES, MAX_LIVE_TOKENS, admit, affine_fit,
+                                 frame_count)
 
 import naive_reference
 from naive_reference import transcribe_interleaved
@@ -355,7 +357,7 @@ def test_engine_slab_is_sized_once(monkeypatch, kind, tokens_per_frame, n_s, n_l
     stream = generate_stream(cfg, 90.0)
     run_strategy(kind, stream, cfg, noise_p=noise, prompt_tokens=prompt_tokens)
     [engine] = engines
-    capacity = live_token_bound(kind, cfg, len(stream.frames), prompt_tokens)
+    capacity = admit(kind, cfg, len(stream.frames), prompt_tokens)
     assert set(sizes) == {(2 * ENGINE_LAYERS * cfg.d * 8 + 8) * capacity}
     assert len(sizes) > len(stream.frames)
     if kind is StrategyKind.PROGRESSIVE_VISUAL:
@@ -363,20 +365,88 @@ def test_engine_slab_is_sized_once(monkeypatch, kind, tokens_per_frame, n_s, n_l
 
 
 def test_run_strategy_refuses_a_block_above_the_cell_bound():
-    # a1's first frame appends 16,384 tokens over the 4 prompt tokens: the
-    # engine refuses it before it builds a (16384, 16388) index array (2 GiB)
+    # a1's last frame would append 16,384 tokens over 65,540: admit refuses
+    # the stream before the engine is asked for any block
     cfg = SimConfig(tokens_per_frame=16384)
     stream = generate_stream(cfg, 1.0)
-    with pytest.raises(ValueError, match="268500992 attention cells, above MAX_BLOCK_CELLS"):
+    with pytest.raises(ValueError, match="1073807360 attention cells, above MAX_BLOCK_CELLS"):
         run_strategy(StrategyKind.PROGRESSIVE_VISUAL, stream, cfg)
 
 
-def test_live_token_bound_is_at_least_one():
+def test_admit_bound_is_at_least_one():
     cfg = small_cfg()
-    assert live_token_bound(StrategyKind.PROGRESSIVE_VISUAL, cfg, 0, 0) == 1
-    assert live_token_bound(StrategyKind.INTERLEAVED, cfg, 0, 0) == 1
+    assert admit(StrategyKind.PROGRESSIVE_VISUAL, cfg, 0, 0) == 1
+    assert admit(StrategyKind.INTERLEAVED, cfg, 0, 0) == 1
     # b's bound counts N_S + 1 frames and N_L + 1 groups of up to 7 tokens
-    assert live_token_bound(StrategyKind.INTERLEAVED, cfg, 1000, 4) == 4 + 9 + 4 * 7
+    assert admit(StrategyKind.INTERLEAVED, cfg, 1000, 4) == 4 + 9 + 4 * 7
+
+
+BOUNDED = [StrategyKind.VERBALIZED_SEPARATE, StrategyKind.INTERLEAVED]
+# each case reaches its bound exactly with `prompt` prompt tokens and passes
+# it by one with a prompt token more (a1's live check, on its visual tokens
+# only, with a frame more): (kinds, config, frames, prompt, admitted, message)
+ADMIT_CASES = {
+    "a1-live": ([StrategyKind.PROGRESSIVE_VISUAL], {}, MAX_LIVE_TOKENS, 4,
+                MAX_LIVE_TOKENS + 4,
+                "tokens_per_frame 1 over 65537 frames gives a1 65537 live tokens, above "
+                "MAX_LIVE_TOKENS = 65536"),
+    "a1-cells": ([StrategyKind.PROGRESSIVE_VISUAL], {"tokens_per_frame": 1024}, 4, 0,
+                 MAX_BLOCK_CELLS // 1024,
+                 "tokens_per_frame 1024 over 4 frames gives a1 a last block of 4195328 "
+                 "attention cells, above MAX_BLOCK_CELLS = 4194304"),
+    "b-live": (BOUNDED, {"N_S": 10 ** 6, "N_L": 10 ** 6}, 8191, 8, MAX_LIVE_TOKENS,
+               "N_S 1000000, N_L 1000000 and tokens_per_frame 1 over 8191 frames give b and "
+               "a2 up to 65537 live tokens, above MAX_LIVE_TOKENS = 65536"),
+    "b-cells": (BOUNDED, {"tokens_per_frame": 128, "N_S": 1000, "N_L": 1000}, 240, 368,
+                MAX_BLOCK_CELLS // 128,
+                "N_S 1000, N_L 1000 and tokens_per_frame 128 over 240 frames give b and a2 "
+                "a block of up to 4194432 attention cells, above MAX_BLOCK_CELLS = 4194304"),
+}
+
+
+@pytest.mark.parametrize("case", ADMIT_CASES)
+def test_admit_refuses_one_past_each_bound(case):
+    kinds, overrides, frames, prompt, admitted, message = ADMIT_CASES[case]
+    cfg = small_cfg(**overrides)
+    past = (frames + 1, prompt) if case == "a1-live" else (frames, prompt + 1)
+    for kind in kinds:
+        assert admit(kind, cfg, frames, prompt) == admitted
+        with pytest.raises(ValueError) as excinfo:
+            admit(kind, cfg, *past)
+        assert str(excinfo.value) == message
+
+
+def test_run_strategy_refuses_before_building_an_engine(monkeypatch):
+    # 240 frames of 256 tokens: a1's last block, and b's and a2's largest
+    # block over their bound, pass MAX_BLOCK_CELLS
+    built = []
+
+    class CountingEngine(streamcache.harness.AttentionEngine):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(streamcache.harness, "AttentionEngine", CountingEngine)
+    cfg = small_cfg(tokens_per_frame=256, N_S=1000, N_L=1000)
+    stream = generate_stream(cfg, 60.0)
+    for with_engine in (True, False):
+        for kind in StrategyKind:
+            with pytest.raises(ValueError, match="attention cells, above MAX_BLOCK_CELLS"):
+                run_strategy(kind, stream, cfg, with_engine=with_engine)
+    assert built == []
+
+
+def test_run_strategy_refuses_a1_past_the_live_bound_at_once():
+    # 1,200 frames of 64 tokens: the engine itself would refuse only at
+    # 65,476 live tokens, after minutes of appends
+    cfg = SimConfig(tokens_per_frame=64)
+    stream = generate_stream(cfg, 300.0)
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError) as excinfo:
+        run_strategy(StrategyKind.PROGRESSIVE_VISUAL, stream, cfg)
+    assert time.perf_counter() - t0 < 1.0
+    assert str(excinfo.value) == ("tokens_per_frame 64 over 1200 frames gives a1 76800 live "
+                                  "tokens, above MAX_LIVE_TOKENS = 65536")
 
 
 @pytest.mark.parametrize("tokens_per_frame", [1, 3])

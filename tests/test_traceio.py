@@ -110,6 +110,8 @@ def test_read_trace_rejects_bad_row(tmp_path, short_run, edit, message):
     ("pred", "-1", "'-1' is not a non-negative integer"),
     ("correct", "2", "'2' is not 0 or 1"),
     ("verbalized", "1.0", "'1.0' is not 0 or 1"),
+    ("t_s", "0.5", "'0.5' is not a non-negative number with three decimals"),
+    ("t_s", "0.000", "'0.000' is below 0.250, the previous time of strategy b"),
 ])
 def test_read_trace_rejects_bad_count_or_flag(tmp_path, short_run, column, value, message):
     _, traces = short_run
