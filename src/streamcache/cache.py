@@ -9,18 +9,23 @@ tokens) down to the long-term capacity. Prompt tokens are pinned and never
 evicted. Exits are explicit calls, not side effects of entry, so a run's op
 sequence is auditable.
 
-Each cache owns its entry-position clock and its event log. Single-writer:
-all mutations come from one logical stream thread. Snapshots returned by
-``live_ids`` are immutable tuples, safe to hand elsewhere.
+Each cache owns its entry-position clock and its event log. The log is kept
+as columns (each event's time and type code, and every event's token ids end
+to end with per-event end offsets), about 17 bytes per event plus 8 per token
+id, and ``events`` reads it as a sequence of ``CacheEvent``s built only when
+indexed. Single-writer: all mutations come from one logical stream thread.
+Snapshots returned by ``live_ids`` are immutable tuples, safe to hand
+elsewhere.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List
+from typing import Deque, Dict, Iterable, List
 
-from .types import PositionClock, Token, TokenKind
+from .types import PositionClock, RecordView, Token, TokenKind
 
 
 class CacheStructureError(RuntimeError):
@@ -38,6 +43,45 @@ class CacheEvent:
 
     def to_dict(self) -> dict:
         return {"t": self.t, "op": self.op, "token_ids": self.token_ids, "kind": self.kind}
+
+
+# each event type's (op, kind), by its code in the log: an entry per token kind, then the exits
+EVENT_TYPES = (tuple(("entry", kind.value) for kind in TokenKind)
+               + (("exit_short", TokenKind.VISUAL_FRAME.value),
+                  ("exit_long", TokenKind.LONG_TERM_MARKER.value)))
+_ENTRY = {kind: code for code, kind in enumerate(TokenKind)}
+_EXIT_SHORT, _EXIT_LONG = len(TokenKind), len(TokenKind) + 1
+
+
+class EventLog(RecordView):
+    """A cache's event log as columns, read as a sequence of ``CacheEvent``s.
+
+    Event ``i`` happened at ``times[i]``, is of type ``EVENT_TYPES[codes[i]]``
+    and touched ``token_ids[ends[i - 1]:ends[i]]`` (from 0 for the first
+    event). Only the cache that owns the log appends to it.
+    """
+
+    __slots__ = ("times", "codes", "ends", "token_ids")
+
+    def __init__(self) -> None:
+        self.times = array("d")
+        self.codes = array("B")
+        self.ends = array("q")
+        self.token_ids = array("q")
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def _record(self, i: int) -> CacheEvent:
+        op, kind = EVENT_TYPES[self.codes[i]]
+        start = self.ends[i - 1] if i else 0
+        return CacheEvent(self.times[i], op, self.token_ids[start:self.ends[i]].tolist(), kind)
+
+    def _add(self, t: float, code: int, token_ids: Iterable[int]) -> None:
+        self.times.append(t)
+        self.codes.append(code)
+        self.token_ids.extend(token_ids)
+        self.ends.append(len(self.token_ids))
 
 
 class InterleavedCache:
@@ -59,7 +103,7 @@ class InterleavedCache:
         self._visual: Deque[Token] = deque()
         self.long_count = 0
         self._clock = PositionClock()
-        self.events: List[CacheEvent] = []
+        self.events = EventLog()
 
     def __len__(self) -> int:
         return len(self._live)
@@ -87,7 +131,7 @@ class InterleavedCache:
             self._visual.append(token)
         elif token.kind is TokenKind.LONG_TERM_MARKER:
             self.long_count += 1
-        self.events.append(CacheEvent(t, "entry", [token.id], token.kind.value))
+        self.events._add(t, _ENTRY[token.kind], (token.id,))
 
     def exit_short(self, t: float = 0.0) -> List[Token]:
         """Evict oldest visual tokens until the visual count fits ``n_s``."""
@@ -96,8 +140,7 @@ class InterleavedCache:
             tok = self._visual.popleft()
             del self._live[tok.id]
             evicted.append(tok)
-        self.events.append(CacheEvent(t, "exit_short", [tok.id for tok in evicted],
-                                      TokenKind.VISUAL_FRAME.value))
+        self.events._add(t, _EXIT_SHORT, [tok.id for tok in evicted])
         return evicted
 
     def exit_long(self, t: float = 0.0) -> List[List[Token]]:
@@ -126,6 +169,5 @@ class InterleavedCache:
         for tok_id in flat:
             del self._live[tok_id]
         self.long_count -= len(groups)
-        self.events.append(CacheEvent(t, "exit_long", flat,
-                                      TokenKind.LONG_TERM_MARKER.value))
+        self.events._add(t, _EXIT_LONG, flat)
         return groups

@@ -78,9 +78,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if not n_frames:
         return _fail(f"--duration-s {args.duration_s} at {cfg.fps} fps gives no frames",
                      EXIT_CONFIG)
-    try:  # every strategy's bounds, then the budget that summary.json reports
-        admit(StrategyKind.PROGRESSIVE_VISUAL, cfg, n_frames)
-        admit(StrategyKind.INTERLEAVED, cfg, n_frames)
+    kinds = list(StrategyKind) if args.strategy == "all" else [StrategyKind(args.strategy)]
+    try:  # each requested strategy's bounds, then the budget that summary.json reports
+        for kind in kinds:
+            admit(kind, cfg, n_frames)
         budget_report(cfg, n_frames / cfg.fps)
     except ValueError as exc:
         return _fail(str(exc), EXIT_CONFIG)
@@ -89,7 +90,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         os.makedirs(args.out_dir, exist_ok=True)
     except OSError as exc:
         return _fail(f"cannot create --out-dir {args.out_dir}: {exc}", EXIT_CONFIG)
-    kinds = list(StrategyKind) if args.strategy == "all" else [StrategyKind(args.strategy)]
     cap = None
     if args.mem_cap_bytes is not None:
         cap = max(1, args.mem_cap_bytes // (cfg.d * 8))

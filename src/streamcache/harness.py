@@ -11,7 +11,10 @@ read-only view that builds a ``StreamFrame`` only for the index or slice
 asked of it. ``MAX_FRAMES`` bounds a stream, checked before any of that runs.
 
 Each strategy replays the stream through one interleaved cache and records a
-per-frame trace of token counts and multiply-add costs. Every frame runs
+per-frame trace of token counts and multiply-add costs. The trace keeps its
+rows as typed columns, 58 bytes a frame, and its ``cache_events`` is the
+cache's own column log; ``rows`` and ``cache_events`` build a ``FrameRecord``
+or a ``CacheEvent`` only for the index or slice read. Every frame runs
 entry, short exit, prediction, dedup-gated verbalization and long exit, in
 that order; the strategies differ only in which steps run and how the
 verbalized group's flops are booked:
@@ -33,8 +36,8 @@ into its cache token by token and charges the block ``block_flop_cost`` at the
 cache's live size before it; ``a1`` and ``b`` also append the whole block to
 their engine in one causal pass. Each engine's slab is allocated once, at
 the bound ``admit`` returns, so it never grows or copies. A frame's ``wall_ns``
-runs from before its visual tokens enter the cache until its ``FrameRecord``
-is built. Strategies never share mutable state; each run builds its own
+runs from before its visual tokens enter the cache until its row is appended.
+Strategies never share mutable state; each run builds its own
 factory, cache, and engine.
 """
 
@@ -42,6 +45,7 @@ from __future__ import annotations
 
 import math
 import time
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
@@ -50,9 +54,9 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .attention import MAX_BLOCK_CELLS, AttentionEngine, block_flop_cost, recompute_flop_cost
-from .cache import CacheEvent, InterleavedCache
+from .cache import EventLog, InterleavedCache
 from .config import SimConfig, validate_config
-from .types import Token, TokenFactory
+from .types import RecordView, Token, TokenFactory
 from .verbalize import EmbeddingTable, PredictionLog, Verbalizer, should_verbalize
 
 ENGINE_HEADS = 4
@@ -81,10 +85,9 @@ class StreamFrame:
     feature: np.ndarray
 
 
-class FrameView(Sequence):
-    """Read-only sequence of a stream's frames: ``len`` builds nothing, and an
-    index or a slice builds the ``StreamFrame``s it names, each feature a row
-    view of the stream's array."""
+class FrameView(RecordView):
+    """Read-only sequence of a stream's frames, built as read: each
+    ``StreamFrame``'s feature is a row view of the stream's array."""
 
     __slots__ = ("_stream",)
 
@@ -94,10 +97,7 @@ class FrameView(Sequence):
     def __len__(self) -> int:
         return len(self._stream.times)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        i = range(len(self))[index]  # an int in [0, len), else IndexError or TypeError
+    def _record(self, i: int) -> StreamFrame:
         s = self._stream
         return StreamFrame(i, s.times[i], s.step_ids[i], s.features[i])
 
@@ -229,28 +229,76 @@ class FrameRecord:
     wall_ns: int
 
 
+class TraceRows(RecordView):
+    """A trace's per-frame rows as columns, read as a sequence of
+    ``FrameRecord``s built only when indexed.
+
+    A row's ``frame`` is its position; each other ``FrameRecord`` field is
+    the column of its name: ``t_s`` holds floats, ``correct`` and
+    ``verbalization_event`` 0 or 1, and the rest 64-bit integers. Only
+    ``run_strategy`` appends.
+    """
+
+    __slots__ = ("t_s", "live_token_count", "append_flops", "extra_recompute_flops",
+                 "text_entry_flops", "predicted_step_id", "correct", "verbalization_event",
+                 "wall_ns")
+
+    def __init__(self) -> None:
+        self.t_s = array("d")
+        self.live_token_count = array("q")
+        self.append_flops = array("q")
+        self.extra_recompute_flops = array("q")
+        self.text_entry_flops = array("q")
+        self.predicted_step_id = array("q")
+        self.correct = array("B")
+        self.verbalization_event = array("B")
+        self.wall_ns = array("q")
+
+    def __len__(self) -> int:
+        return len(self.t_s)
+
+    def _record(self, i: int) -> FrameRecord:
+        return FrameRecord(i, self.t_s[i], self.live_token_count[i], self.append_flops[i],
+                           self.extra_recompute_flops[i], self.text_entry_flops[i],
+                           self.predicted_step_id[i], bool(self.correct[i]),
+                           bool(self.verbalization_event[i]), self.wall_ns[i])
+
+    def _append(self, t_s: float, live_token_count: int, append_flops: int,
+                extra_recompute_flops: int, text_entry_flops: int, predicted_step_id: int,
+                correct: bool, verbalization_event: bool, wall_ns: int) -> None:
+        self.t_s.append(t_s)
+        self.live_token_count.append(live_token_count)
+        self.append_flops.append(append_flops)
+        self.extra_recompute_flops.append(extra_recompute_flops)
+        self.text_entry_flops.append(text_entry_flops)
+        self.predicted_step_id.append(predicted_step_id)
+        self.correct.append(correct)
+        self.verbalization_event.append(verbalization_event)
+        self.wall_ns.append(wall_ns)
+
+
 @dataclass
 class StrategyTrace:
     kind: StrategyKind
     cfg: SimConfig
-    rows: List[FrameRecord] = field(default_factory=list)
-    cache_events: List[CacheEvent] = field(default_factory=list)
+    rows: TraceRows = field(default_factory=TraceRows)
+    cache_events: EventLog = field(default_factory=EventLog)
     engine_total_flops: int = 0
     truncated_at: Optional[int] = None
 
     def live_series(self) -> np.ndarray:
-        return np.array([r.live_token_count for r in self.rows], dtype=np.float64)
+        return np.array(self.rows.live_token_count, dtype=np.float64)
 
     def prediction_flops(self) -> np.ndarray:
         """Per-frame flops on the prediction path: the frame append plus any
         conversion recompute that must finish before the prediction."""
-        return np.array([r.append_flops + r.extra_recompute_flops for r in self.rows],
-                        dtype=np.float64)
+        # summed as integers, then rounded once, as each frame's exact total
+        return np.add(self.rows.append_flops, self.rows.extra_recompute_flops,
+                      dtype=np.int64).astype(np.float64)
 
     def accuracy(self) -> float:
-        if not self.rows:
-            return 0.0
-        return float(np.mean([r.correct for r in self.rows]))
+        correct = self.rows.correct
+        return sum(correct) / len(correct) if correct else 0.0
 
 
 class StrategyAbort(RuntimeError):
@@ -323,6 +371,7 @@ def run_strategy(kind: StrategyKind, stream: SyntheticStream, cfg: SimConfig, *,
 
     enter([factory.prompt(table.prompt_embedding(i)) for i in range(prompt_tokens)], 0.0)
 
+    add_row = trace.rows._append
     frames = zip(stream.times, stream.step_ids, stream.features, strict=True)
     for index, (t, step_id, feature) in enumerate(frames):
         t0 = time.perf_counter_ns()
@@ -353,12 +402,8 @@ def run_strategy(kind: StrategyKind, stream: SyntheticStream, cfg: SimConfig, *,
         log.add(pred)
 
         live = len(cache)
-        trace.rows.append(FrameRecord(
-            frame=index, t_s=t, live_token_count=live,
-            append_flops=append_flops, extra_recompute_flops=recompute_flops,
-            text_entry_flops=text_flops, predicted_step_id=pred,
-            correct=pred == step_id, verbalization_event=event,
-            wall_ns=time.perf_counter_ns() - t0))
+        add_row(t, live, append_flops, recompute_flops, text_flops, pred, pred == step_id,
+                event, time.perf_counter_ns() - t0)
         if live_token_cap is not None and live > live_token_cap:
             trace.truncated_at = index
             raise StrategyAbort(

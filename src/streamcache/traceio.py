@@ -15,10 +15,12 @@ import math
 import os
 import re
 from datetime import datetime, timezone
+from itertools import chain
 from typing import Dict, List
 
 import numpy as np
 
+from .cache import EVENT_TYPES
 from .config import SimConfig
 from .harness import StrategyKind, StrategyTrace, fit_growth, spike_ratio
 from .verbalize import budget_report
@@ -35,13 +37,17 @@ def write_trace_csv(path: str, trace: StrategyTrace) -> None:
     write: no field needs quoting, and every line ends in ``\r\n``."""
     bytes_per_token = trace.cfg.d * 8
     kind = trace.kind.value
+    rows = trace.rows
+    columns = zip(rows.t_s, rows.live_token_count, rows.append_flops,
+                  rows.extra_recompute_flops, rows.predicted_step_id, rows.correct,
+                  rows.verbalization_event)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\r\n")
         fh.writelines(
-            f"{row.frame},{row.t_s:.3f},{kind},{row.live_token_count},{row.append_flops},"
-            f"{row.extra_recompute_flops},{row.live_token_count * bytes_per_token},"
-            f"{row.predicted_step_id},{int(row.correct)},{int(row.verbalization_event)}\r\n"
-            for row in trace.rows)
+            f"{frame},{t_s:.3f},{kind},{live},{append},{recompute},{live * bytes_per_token},"
+            f"{pred},{correct},{verbalized}\r\n"
+            for frame, (t_s, live, append, recompute, pred, correct, verbalized)
+            in enumerate(columns))
 
 
 def read_trace_csv(path: str) -> Dict[str, Dict[str, np.ndarray]]:
@@ -126,11 +132,14 @@ def write_events_jsonl(path: str, trace: StrategyTrace) -> None:
     """One fixed-format line per cache event, in the bytes
     ``json.dumps(event.to_dict(), sort_keys=True)`` would write: ``t`` is a
     float, and ``op`` and ``kind`` are plain identifiers that need no escape."""
+    log = trace.cache_events
+    heads = [f'{{"kind": "{kind}", "op": "{op}", "t": ' for op, kind in EVENT_TYPES]
+    ids = log.token_ids
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(
-            f'{{"kind": "{e.kind}", "op": "{e.op}", "t": {e.t!r}, '
-            f'"token_ids": [{", ".join(map(str, e.token_ids))}]}}\n'
-            for e in trace.cache_events)
+            f'{heads[code]}{t!r}, "token_ids": [{", ".join(map(str, ids[start:end]))}]}}\n'
+            for t, code, start, end in zip(log.times, log.codes, chain((0,), log.ends),
+                                           log.ends))
 
 
 def summarize(traces: List[StrategyTrace]) -> dict:
@@ -138,17 +147,18 @@ def summarize(traces: List[StrategyTrace]) -> dict:
     the analytic token-budget report for the traced horizon."""
     summary: dict = {"strategies": {}}
     for trace in traces:
+        rows = trace.rows
         entry = {
-            "frames": len(trace.rows),
-            "final_live_tokens": trace.rows[-1].live_token_count if trace.rows else 0,
+            "frames": len(rows),
+            "final_live_tokens": rows.live_token_count[-1] if rows else 0,
             "accuracy": trace.accuracy(),
             "spike_ratio": spike_ratio(trace),
             "engine_total_flops": trace.engine_total_flops,
-            "text_entry_flops": int(sum(r.text_entry_flops for r in trace.rows)),
-            "verbalization_events": int(sum(r.verbalization_event for r in trace.rows)),
+            "text_entry_flops": sum(rows.text_entry_flops),
+            "verbalization_events": sum(rows.verbalization_event),
             "truncated_at": trace.truncated_at,
         }
-        if len(trace.rows) >= 100:
+        if len(rows) >= 100:
             entry["growth"] = fit_growth(trace).to_dict()
         summary["strategies"][trace.kind.value] = entry
     if traces:

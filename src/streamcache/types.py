@@ -1,18 +1,41 @@
-"""Shared domain vocabulary: tokens and boxes.
+"""Shared domain vocabulary: tokens, boxes, and the lazy record view.
 
-Everything here is a plain value type. Instances are safe to share across
-threads; the single sanctioned mutation is the one-time assignment of a
-token's ``entry_position`` when it enters a cache.
+Everything here but ``RecordView`` is a plain value type. Instances are safe
+to share across threads; the single sanctioned mutation is the one-time
+assignment of a token's ``entry_position`` when it enters a cache.
 """
 
 from __future__ import annotations
 
 import math
+from abc import abstractmethod
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
 import numpy as np
+
+
+class RecordView(Sequence):
+    """Read-only sequence over records kept as columns: ``len`` builds
+    nothing, and an index, a slice or an iteration builds only the records it
+    reads. A subclass gives ``__len__`` and ``_record(i)`` for an int ``i`` in
+    ``[0, len)``; there is no item assignment."""
+
+    __slots__ = ()
+
+    @abstractmethod
+    def _record(self, i: int):
+        """The record at position ``i``, an int in ``[0, len)``."""
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._record(i) for i in range(*index.indices(len(self)))]
+        return self._record(range(len(self))[index])  # IndexError or TypeError out of it
+
+    def __iter__(self):
+        return map(self._record, range(len(self)))
 
 
 class TokenKind(Enum):

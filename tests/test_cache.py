@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamcache import CacheStructureError, InterleavedCache, TokenFactory, TokenKind
+from streamcache import (CacheEvent, CacheStructureError, InterleavedCache, TokenFactory,
+                         TokenKind)
 
 from naive_reference import MARKER, PROMPT, TEXT, VISUAL, NaiveCache, Sym
 
@@ -220,6 +221,38 @@ def test_event_log_records_ops(factory):
     ops = [(e.op, tuple(e.token_ids)) for e in cache.events]
     assert ops == [("entry", (0,)), ("entry", (1,)), ("exit_short", (0,))]
     assert cache.events[0].t == 0.25
+
+
+def test_event_log_reads_as_a_read_only_sequence(factory):
+    # the log is columns; each read builds the CacheEvent the op once appended
+    # (tests/test_harness.py checks the index and slice rules on a run's log)
+    cache = InterleavedCache(1, 0)
+    cache.entry(factory.prompt(np.zeros(D)), t=0.0)
+    cache.exit_short(t=0.0)
+    for i in range(3):
+        cache.entry(factory.visual(i, np.zeros(D)), t=i / 4)
+    cache.entry(factory.marker(5, np.zeros(D)), t=0.5)
+    cache.entry(factory.text(5, np.zeros(D)), t=0.5)
+    cache.exit_short(t=0.5)
+    cache.exit_long(t=0.75)
+    want = [CacheEvent(0.0, "entry", [0], "prompt"),
+            CacheEvent(0.0, "exit_short", [], "visual_frame"),
+            CacheEvent(0.0, "entry", [1], "visual_frame"),
+            CacheEvent(0.25, "entry", [2], "visual_frame"),
+            CacheEvent(0.5, "entry", [3], "visual_frame"),
+            CacheEvent(0.5, "entry", [4], "long_term_marker"),
+            CacheEvent(0.5, "entry", [5], "text"),
+            CacheEvent(0.5, "exit_short", [1, 2], "visual_frame"),
+            CacheEvent(0.75, "exit_long", [4, 5], "long_term_marker")]
+    events = cache.events
+    assert len(events) == len(want) and list(events) == want
+    assert events[-1] == want[-1] and events[2:8:3] == want[2:8:3]
+    assert [type(v) for v in (events[3].t, events[3].token_ids, events[3].token_ids[0])] == \
+        [float, list, int]
+    with pytest.raises(TypeError):
+        events[0] = want[0]
+    events[7].token_ids.append(99)  # a record is a copy: the log is unchanged
+    assert events[7] == want[7]
 
 
 @st.composite

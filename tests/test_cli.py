@@ -58,6 +58,22 @@ def test_simulate_single_a2_writes_the_bytes_of_all(tmp_path, cfg_path):
         assert (runs["a2"] / name).read_bytes() == (runs["all"] / name).read_bytes(), name
 
 
+def test_simulate_admits_only_the_requested_strategies(tmp_path, capsys):
+    # 1,028 frames of 64 tokens are past a1's live bound, but b and a2 hold
+    # at most 174 tokens; "all" still reports a1's bound first
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"tokens_per_frame": 64, "N_S": 1}))
+    runs = {strategy: main(["simulate", str(path), "--strategy", strategy, "--duration-s",
+                            "257", "--out-dir", str(tmp_path / strategy)])
+            for strategy in ("a2", "all")}
+    assert runs == {"a2": 0, "all": 2}
+    captured = capsys.readouterr()
+    assert captured.err == ("error: tokens_per_frame 64 over 1028 frames gives a1 65792 live "
+                            "tokens, above MAX_LIVE_TOKENS = 65536\n")
+    assert json.loads(captured.out)["strategies"] == ["a2"]
+    assert (tmp_path / "a2" / "trace_a2.csv").exists() and not (tmp_path / "all").exists()
+
+
 def test_simulate_bad_config_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"N_S": 0}))

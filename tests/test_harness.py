@@ -1,22 +1,25 @@
 import collections
 import dataclasses
+import gc
 import itertools
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import streamcache
-from streamcache import (OraclePredictor, SimConfig, StrategyAbort, StrategyKind,
+from streamcache import (CacheEvent, OraclePredictor, SimConfig, StrategyAbort, StrategyKind,
                          append_flop_cost, fit_growth, generate_stream,
                          recompute_flop_cost, run_strategy, spike_ratio)
 from streamcache.attention import MAX_BLOCK_CELLS
 from streamcache.harness import (ENGINE_LAYERS, MAX_FRAMES, MAX_LIVE_TOKENS, admit, affine_fit,
                                  frame_count)
+from streamcache.traceio import summarize, write_events_jsonl, write_trace_csv
 
 import naive_reference
 from naive_reference import transcribe_interleaved
@@ -159,6 +162,138 @@ def test_run_strategy_reads_no_frames():
                                         stream.class_token_counts)
     with pytest.raises(ValueError, match="zip"):
         run_strategy(StrategyKind.INTERLEAVED, short, cfg)
+
+
+# -- trace columns ----------------------------------------------------------
+
+FRAME_RECORD_TYPES = [int, float, int, int, int, int, int, bool, bool, int]
+
+
+def test_trace_views_read_back_what_the_run_recorded(monkeypatch):
+    # the records a run once built, from the values it appends to its rows
+    # and from the arguments and results of the cache's public ops
+    rows, events = [], []
+    TraceRows, InterleavedCache = streamcache.harness.TraceRows, streamcache.InterleavedCache
+    append, entry = TraceRows._append, InterleavedCache.entry
+    exit_short, exit_long = InterleavedCache.exit_short, InterleavedCache.exit_long
+
+    def recording_append(self, *values):
+        rows.append(streamcache.harness.FrameRecord(len(self), *values))
+        append(self, *values)
+
+    def recording_entry(self, token, t=0.0):
+        entry(self, token, t)
+        events.append(CacheEvent(t, "entry", [token.id], token.kind.value))
+
+    def recording_exit_short(self, t=0.0):
+        evicted = exit_short(self, t)
+        events.append(CacheEvent(t, "exit_short", [tok.id for tok in evicted], "visual_frame"))
+        return evicted
+
+    def recording_exit_long(self, t=0.0):
+        groups = exit_long(self, t)
+        events.append(CacheEvent(t, "exit_long", [tok.id for grp in groups for tok in grp],
+                                 "long_term_marker"))
+        return groups
+
+    monkeypatch.setattr(TraceRows, "_append", recording_append)
+    monkeypatch.setattr(InterleavedCache, "entry", recording_entry)
+    monkeypatch.setattr(InterleavedCache, "exit_short", recording_exit_short)
+    monkeypatch.setattr(InterleavedCache, "exit_long", recording_exit_long)
+    cfg = small_cfg(tokens_per_frame=3)
+    stream = generate_stream(cfg, 120.0)
+    for kind in StrategyKind:
+        rows.clear()
+        events.clear()
+        trace = run_strategy(kind, stream, cfg, noise_p=0.25, prompt_tokens=2)
+        got_rows, got_events = list(trace.rows), list(trace.cache_events)
+        assert got_rows == rows and len(rows) == len(stream.times)
+        assert got_events == events
+        assert {e.op for e in events} == ({"entry"} if kind is StrategyKind.PROGRESSIVE_VISUAL
+                                          else {"entry", "exit_short", "exit_long"})
+        for got, want in zip(got_rows, rows):
+            assert [type(v) for v in dataclasses.astuple(got)] == FRAME_RECORD_TYPES
+            assert got.t_s.hex() == want.t_s.hex()
+        for got, want in zip(got_events, events):
+            assert type(got.t) is float and got.t.hex() == float(want.t).hex()
+            assert type(got.token_ids) is list
+            assert all(type(tok_id) is int for tok_id in got.token_ids)
+
+
+def test_trace_views_index_like_read_only_sequences():
+    cfg = small_cfg()
+    trace = run_strategy(StrategyKind.INTERLEAVED, generate_stream(cfg, 60.0), cfg,
+                         noise_p=0.25)
+    for view in (trace.rows, trace.cache_events):
+        records, n = list(view), len(view)
+        assert n == len(records) > 10
+        assert view[0] == records[0] and view[5] == records[5]
+        assert view[-1] == records[-1] and view[-n] == records[0]
+        assert view[3:11:2] == records[3:11:2] and view[::-1] == records[::-1]
+        assert view[-3:] == records[-3:] and view[n:] == []
+        assert view[3] is not view[3]  # built per read, not kept
+        for index in (n, -n - 1):
+            with pytest.raises(IndexError):
+                view[index]
+        with pytest.raises(TypeError):
+            view["0"]
+        with pytest.raises(TypeError):
+            view[0] = records[0]
+        with pytest.raises(TypeError):
+            del view[0]
+        assert len(view) == n
+
+
+def test_runs_and_writers_build_no_records(monkeypatch, tmp_path):
+    # a run appends to columns, and the writers and the summary read them:
+    # only an index, a slice or an iteration of a view builds records
+    built = []
+
+    class CountingRecord(streamcache.harness.FrameRecord):
+        def __init__(self, *args):
+            built.append("row")
+            super().__init__(*args)
+
+    class CountingEvent(CacheEvent):
+        def __init__(self, *args):
+            built.append("event")
+            super().__init__(*args)
+
+    monkeypatch.setattr(streamcache.harness, "FrameRecord", CountingRecord)
+    monkeypatch.setattr(streamcache.cache, "CacheEvent", CountingEvent)
+    cfg = small_cfg()
+    stream = generate_stream(cfg, 60.0)
+    traces = [run_strategy(kind, stream, cfg, noise_p=0.25) for kind in StrategyKind]
+    for trace in traces:
+        write_trace_csv(str(tmp_path / f"trace_{trace.kind.value}.csv"), trace)
+        write_events_jsonl(str(tmp_path / f"events_{trace.kind.value}.jsonl"), trace)
+        fit_growth(trace)
+        spike_ratio(trace)
+        trace.accuracy()
+    summarize(traces)
+    assert built == []
+    trace = traces[-1]
+    assert trace.rows[7].frame == 7
+    assert trace.cache_events[-1].t == stream.times[-1]
+    assert [r.frame for r in trace.rows[2:4]] == [2, 3]
+    assert built == ["row", "event", "row", "row"]
+
+
+def test_trace_memory_per_frame_is_bounded(cfg):
+    # a 5-minute b run holds its rows and cache events as columns, about
+    # 118 B a frame; a FrameRecord per frame and a CacheEvent per event held
+    # 536 B a frame
+    stream = generate_stream(cfg, 300.0)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        trace = run_strategy(StrategyKind.INTERLEAVED, stream, cfg)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(trace.rows) == 1200 and len(trace.cache_events) > 2400
+    assert held / len(trace.rows) <= 160
 
 
 def test_frame_count_bound():
