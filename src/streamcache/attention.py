@@ -252,12 +252,17 @@ class AttentionEngine:
     def evict(self, token_ids: Sequence[int]) -> None:
         """Drop the given tokens' key/value rows: the token in the last live
         slot moves into each hole. Positions are untouched and no flops are
-        charged."""
+        charged. An unknown id raises ``KeyError`` and a repeated one
+        ``ValueError``, before any state changes."""
         ids = list(token_ids)
         unknown = [tid for tid in ids if tid not in self._slot]
         if unknown:
             raise KeyError(f"unknown token ids: {unknown}")
-        for tid in set(ids):
+        unique = set(ids)
+        if len(unique) < len(ids):
+            repeated = sorted({tid for tid in ids if ids.count(tid) > 1})
+            raise ValueError(f"repeated token ids: {repeated}")
+        for tid in unique:
             hole, last = self._slot.pop(tid), len(self._ids) - 1
             moved = self._ids.pop()
             if hole != last:

@@ -112,18 +112,21 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 print(f"aborted: {exc}", file=sys.stderr)
 
     artifacts = []
-    for trace in traces:
-        csv_path = os.path.join(args.out_dir, f"trace_{trace.kind.value}.csv")
-        jsonl_path = os.path.join(args.out_dir, f"events_{trace.kind.value}.jsonl")
-        write_trace_csv(csv_path, trace)
-        write_events_jsonl(jsonl_path, trace)
-        artifacts.extend([csv_path, jsonl_path])
-    summary_path = os.path.join(args.out_dir, "summary.json")
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        json.dump(summarize(traces), fh, indent=2, sort_keys=True, allow_nan=False)
-    artifacts.append(summary_path)
-    write_manifest(os.path.join(args.out_dir, "manifest.json"), cfg, artifacts,
-                   __version__)
+    try:
+        for trace in traces:
+            for stem, ext, write in (("trace", "csv", write_trace_csv),
+                                     ("events", "jsonl", write_events_jsonl)):
+                path = os.path.join(args.out_dir, f"{stem}_{trace.kind.value}.{ext}")
+                write(path, trace)
+                artifacts.append(path)
+        path = os.path.join(args.out_dir, "summary.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(summarize(traces), fh, indent=2, sort_keys=True, allow_nan=False)
+        artifacts.append(path)
+        path = os.path.join(args.out_dir, "manifest.json")
+        write_manifest(path, cfg, artifacts, __version__)
+    except OSError as exc:
+        return _fail(f"cannot write {path}: {exc}", EXIT_CONFIG)
     _print_json({"out_dir": args.out_dir,
                  "strategies": [t.kind.value for t in traces],
                  "truncated": truncated})

@@ -2,13 +2,18 @@
 
 A stream is a sequence of labelled steps rendered to per-frame feature
 vectors (class prototype plus Gaussian noise). The steps come from a loop of
-seeded draws; the frames are array work: one ``searchsorted`` labels every
-frame with its step, one draw gives every frame's noise, and each step's
-prototype is added to its run of rows. A ``SyntheticStream`` holds the
-frames as arrays: their times and step ids as lists and their features as
-one ``(frames, d)`` array. No per-frame record is built; ``frames`` is a
-read-only view that builds a ``StreamFrame`` only for the index or slice
-asked of it. ``MAX_FRAMES`` bounds a stream, checked before any of that runs.
+seeded draws, and one ``searchsorted`` labels every frame with its step. A
+``SyntheticStream`` keeps the frames' times and step ids as lists, the class
+prototypes, and the noise generator's state after the step draws, but no
+feature: ``feature_blocks`` redraws the noise from that state in blocks of
+``FEATURE_BLOCK_FRAMES`` frames, in frame order, so each ``walk`` of the
+stream makes every feature afresh and holds only the blocks its reader keeps. One
+draw of n frames gives the same values as n draws of one frame, so every
+walk sees the same bytes. ``frames`` is a read-only view that builds a
+``StreamFrame`` only for the index or slice asked of it: iterating it walks
+the blocks once, while an index or a slice redraws the blocks from frame 0 up
+to the last frame it names. ``MAX_FRAMES`` bounds a stream, checked before
+any of that runs.
 
 Each strategy replays the stream through one interleaved cache and records a
 per-frame trace of token counts and multiply-add costs. The trace keeps its
@@ -46,9 +51,10 @@ from __future__ import annotations
 import math
 import time
 from array import array
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -64,10 +70,11 @@ ENGINE_LAYERS = 2
 DEFAULT_PROMPT_TOKENS = 4
 FEATURE_NOISE = 0.1  # standard deviation of a frame feature around its class prototype
 MAX_DESCRIPTION_TOKENS = 6  # text tokens in the longest step description
-# admission bounds, checked before any work or allocation: at d = 64 a stream
-# of MAX_FRAMES frames holds 32 MiB of features, and an engine holding
-# MAX_LIVE_TOKENS tokens holds 128 MiB of K/V (both scale with d)
+# admission bounds, checked before any work or allocation: a stream of
+# MAX_FRAMES frames holds 2.5 MiB of per-frame times and step ids, and an
+# engine holding MAX_LIVE_TOKENS tokens 128 MiB of K/V at d = 64 (it scales with d)
 MAX_FRAMES = 2 ** 16  # 4.5 hours at 4 fps
+FEATURE_BLOCK_FRAMES = 256  # frames per feature draw: 128 KiB of features at d = 64
 MAX_LIVE_TOKENS = 2 ** 16  # the most tokens a strategy can hold, or bench's sweep stop
 
 
@@ -86,8 +93,10 @@ class StreamFrame:
 
 
 class FrameView(RecordView):
-    """Read-only sequence of a stream's frames, built as read: each
-    ``StreamFrame``'s feature is a row view of the stream's array."""
+    """Read-only sequence of a stream's frames, built as read; each
+    ``StreamFrame``'s feature is a row view of its feature block. Iteration
+    walks the blocks once. An index or a slice redraws the blocks from frame 0
+    up to the last frame it names: ``frames[i]`` costs O(i·d) draws."""
 
     __slots__ = ("_stream",)
 
@@ -97,21 +106,68 @@ class FrameView(RecordView):
     def __len__(self) -> int:
         return len(self._stream.times)
 
+    def __iter__(self) -> Iterator[StreamFrame]:
+        return (StreamFrame(i, *frame) for i, frame in enumerate(self._stream.walk()))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self._build(range(len(self))[index])
+        return super().__getitem__(index)
+
+    def __reversed__(self) -> Iterator[StreamFrame]:
+        return reversed(self[:])
+
     def _record(self, i: int) -> StreamFrame:
-        s = self._stream
-        return StreamFrame(i, s.times[i], s.step_ids[i], s.features[i])
+        return self._build(range(i, i + 1))[0]
+
+    def _build(self, indices: range) -> List[StreamFrame]:
+        """The frames at ``indices``, in their order, from one walk of the
+        blocks up to the last of them."""
+        if not indices:
+            return []
+        last = max(indices[0], indices[-1])
+        picked = {i: frame for i, frame in zip(range(last + 1), self._stream.walk())
+                  if i in indices}
+        return [StreamFrame(i, *picked[i]) for i in indices]
 
 
 @dataclass
 class SyntheticStream:
+    """A replayable frame source: per-frame times and step ids, and what
+    ``feature_blocks`` needs to redraw every frame's feature on each walk."""
+
     times: List[float]  # each frame's time in seconds
     step_ids: List[int]  # each frame's true step (class) id
-    features: np.ndarray  # (frames, d), one row per frame
+    prototypes: np.ndarray  # (classes, d): each class's feature centre
+    noise_state: dict  # the noise generator's state before frame 0's draw
     class_token_counts: np.ndarray  # text tokens describing each class id
 
     @property
     def frames(self) -> FrameView:
         return FrameView(self)
+
+    def walk(self) -> Iterator[Tuple[float, int, np.ndarray]]:
+        """Each frame's time, step id and feature, in frame order, from one
+        walk of ``feature_blocks``: a block is drawn when the walk reaches it.
+        The walk raises ``ValueError`` where ``times`` and ``step_ids`` differ
+        in length."""
+        return zip(self.times, self.step_ids, chain.from_iterable(self.feature_blocks()),
+                   strict=True)
+
+    def feature_blocks(self) -> Iterator[np.ndarray]:
+        """Every frame's feature in frame order, one ``(FEATURE_BLOCK_FRAMES,
+        d)`` array at a time (the last may be shorter), each drawn afresh from
+        ``noise_state``: the prototype of the frame's step plus
+        ``FEATURE_NOISE`` times a standard normal draw."""
+        bits = np.random.PCG64()
+        bits.state = self.noise_state
+        rng = np.random.Generator(bits)
+        for lo in range(0, len(self.step_ids), FEATURE_BLOCK_FRAMES):
+            ids = self.step_ids[lo:lo + FEATURE_BLOCK_FRAMES]
+            block = rng.standard_normal((len(ids), self.prototypes.shape[1]))
+            block *= FEATURE_NOISE
+            block += self.prototypes[ids]
+            yield block
 
 
 def frame_count(cfg: SimConfig, duration_s: float) -> int:
@@ -161,7 +217,8 @@ def admit(kind: StrategyKind, cfg: SimConfig, n_frames: int,
 
 def generate_stream(cfg: SimConfig, duration_s: float, n_classes: int = 20) -> SyntheticStream:
     """Deterministic stream: step durations are clamped normals around
-    ``mean_step_s`` and adjacent steps always change class."""
+    ``mean_step_s`` and adjacent steps always change class. Only the steps are
+    drawn here; each walk of the stream draws its frames' noise."""
     validate_config(cfg)
     n_frames = frame_count(cfg, duration_s)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x57]))
@@ -186,15 +243,9 @@ def generate_stream(cfg: SimConfig, duration_s: float, n_classes: int = 20) -> S
     # a frame belongs to the first step that ends after it, else to the last
     times = np.arange(n_frames) / cfg.fps
     labels = np.minimum(np.searchsorted(ends, times, side="right"), len(ends) - 1)
-    # one draw gives the same values as one draw of d per frame, in frame order
-    features = rng.standard_normal((n_frames, cfg.d))
-    features *= FEATURE_NOISE
-    # labels never decrease, so each step's frames are one run of rows
-    edges = np.searchsorted(labels, np.arange(len(ends) + 1))
-    for c, lo, hi in zip(step_ids, edges[:-1], edges[1:]):
-        features[lo:hi] += prototypes[c]
-    return SyntheticStream(times.tolist(), np.array(step_ids)[labels].tolist(), features,
-                           class_token_counts)
+    # the frames' noise comes after the step draws: keep the state it starts from
+    return SyntheticStream(times.tolist(), np.array(step_ids)[labels].tolist(), prototypes,
+                           rng.bit_generator.state, class_token_counts)
 
 
 class OraclePredictor:
@@ -372,8 +423,7 @@ def run_strategy(kind: StrategyKind, stream: SyntheticStream, cfg: SimConfig, *,
     enter([factory.prompt(table.prompt_embedding(i)) for i in range(prompt_tokens)], 0.0)
 
     add_row = trace.rows._append
-    frames = zip(stream.times, stream.step_ids, stream.features, strict=True)
-    for index, (t, step_id, feature) in enumerate(frames):
+    for index, (t, step_id, feature) in enumerate(stream.walk()):
         t0 = time.perf_counter_ns()
         recompute_flops = text_flops = 0
         append_flops = enter([factory.visual(index, feature)

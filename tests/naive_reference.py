@@ -6,7 +6,8 @@ for-loop. They exist only to differential-test the package implementations.
 ``lexicographic_match`` is the connector matcher's tie-break search in its
 first form: one exact solve per tried column. ``generate_stream`` is the
 stream generator in its first form: one noise draw, one add and one frame's
-time, step id and feature row per loop turn. ``last_rows`` is
+time, step id and feature row per loop turn, every feature made before the
+first is read and kept in a ``NaiveStream``. ``last_rows`` is
 ``full_recompute`` cut to its last k queries, so it reaches the live sizes of
 real runs in O(k·n) memory. ``grad_check`` is the finite-difference checker
 in its first form: a list of every parameter coordinate, sampled by index.
@@ -28,7 +29,7 @@ from scipy.optimize import linear_sum_assignment
 from streamcache import (AttentionWeights, OraclePredictor, Scene, SimConfig,
                          SyntheticStream, Token, validate_config)
 from streamcache.attention import REL_BIAS_CLIP
-from streamcache.harness import FEATURE_NOISE
+from streamcache.harness import FEATURE_NOISE, StreamFrame
 
 VISUAL = "v"
 TEXT = "t"
@@ -138,7 +139,23 @@ class StepRecord:
     text_token_count: int
 
 
-def generate_stream(cfg: SimConfig, duration_s: float, n_classes: int = 20) -> SyntheticStream:
+@dataclass
+class NaiveStream:
+    """A stream as its first form held it: every frame's time, step id and
+    feature row, all made before the first frame is read."""
+
+    times: List[float]
+    step_ids: List[int]
+    features: np.ndarray  # (frames, d)
+    class_token_counts: np.ndarray
+
+    @property
+    def frames(self) -> List[StreamFrame]:
+        return [StreamFrame(i, t, c, f)
+                for i, (t, c, f) in enumerate(zip(self.times, self.step_ids, self.features))]
+
+
+def generate_stream(cfg: SimConfig, duration_s: float, n_classes: int = 20) -> NaiveStream:
     """Deterministic stream: step durations are clamped normals around
     ``mean_step_s`` and adjacent steps always change class."""
     validate_config(cfg)
@@ -178,7 +195,7 @@ def generate_stream(cfg: SimConfig, duration_s: float, n_classes: int = 20) -> S
         times.append(ts)
         step_ids.append(c)
         features[i] = prototypes[c] + FEATURE_NOISE * rng.standard_normal(cfg.d)
-    return SyntheticStream(times, step_ids, features, class_token_counts)
+    return NaiveStream(times, step_ids, features, class_token_counts)
 
 
 def last_rows(weights: AttentionWeights, tokens: List[Token], k: int) -> np.ndarray:

@@ -235,17 +235,21 @@ def test_clipped_bias_regime_with_evictions_matches_oracle():
     assert worst <= 1e-6
 
 
-def test_evict_duplicate_ids_accepted(rng):
-    eng = fresh_engine()
+def test_evict_repeated_id_changes_nothing(rng):
     toks = stream_tokens(6, rng)
+    eng, ref = fresh_engine(), fresh_engine()
     for tok in toks[:-1]:
         eng.append_token(tok)
-    eng.evict([toks[1].id, toks[1].id, toks[3].id])
-    survivors = [toks[0], toks[2], toks[4]]
-    assert eng.live_ids() == tuple(t.id for t in survivors)
-    out, _ = eng.append_token(toks[-1])
-    oracle = full_recompute(eng.weights, survivors + [toks[-1]])
-    np.testing.assert_allclose(out, oracle[-1], atol=1e-6)
+        ref.append_token(tok)
+    n = len(eng.live_ids())
+    slots, positions, nbytes = list(eng._ids), eng._pos[:n].copy(), eng.nbytes
+    with pytest.raises(ValueError, match=rf"repeated token ids: \[{toks[1].id}\]"):
+        eng.evict([toks[1].id, toks[3].id, toks[1].id])
+    assert eng.live_ids() == ref.live_ids() == tuple(t.id for t in toks[:-1])
+    assert eng._ids == slots and eng.nbytes == nbytes
+    np.testing.assert_array_equal(eng._pos[:n], positions)
+    np.testing.assert_array_equal(eng.append_token(toks[-1])[0],
+                                  ref.append_token(toks[-1])[0])
 
 
 def test_evict_unknown_id_changes_nothing(rng):

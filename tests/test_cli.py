@@ -97,6 +97,25 @@ def test_simulate_memory_cap_exits_3(tmp_path, cfg_path, capsys):
     assert (out_dir / "trace_a1.csv").exists()
 
 
+@pytest.mark.parametrize("blocked", ["trace_a1.csv", "events_a1.jsonl", "summary.json",
+                                     "manifest.json"])
+@pytest.mark.parametrize("cap", [None, "800"], ids=["complete", "mem-capped"])
+def test_simulate_unwritable_artifact_exits_2(tmp_path, cfg_path, capsys, blocked, cap):
+    # a directory where an artifact goes: the run that would exit 0, or 3 at
+    # its memory cap, exits 2 with an error line naming the path
+    out_dir = tmp_path / "run"
+    (out_dir / blocked).mkdir(parents=True)
+    argv = ["simulate", cfg_path, "--strategy", "a1", "--duration-s", "10",
+            "--out-dir", str(out_dir)]
+    code = main(argv + (["--mem-cap-bytes", cap] if cap else []))
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("\n") and captured.err.splitlines()[-1].startswith(
+        f"error: cannot write {out_dir / blocked}: ")
+    assert ("aborted: a1: live tokens" in captured.err) == bool(cap)
+
+
 @pytest.mark.parametrize("cap", ["0", "-64"])
 def test_simulate_non_positive_memory_cap_exits_2(tmp_path, cfg_path, capsys, cap):
     out_dir = tmp_path / "run"

@@ -126,15 +126,16 @@ def test_stream_builds_no_frame_records(monkeypatch, cfg):
     monkeypatch.setattr(streamcache.harness, "StreamFrame", CountingFrame)
     stream = generate_stream(cfg, 60.0)
     assert len(stream.frames) == len(stream.times) == len(stream.step_ids) == 240
-    assert stream.features.shape == (240, cfg.d)
     for kind in StrategyKind:
         run_strategy(kind, stream, cfg, noise_p=0.25)
     assert built == []
 
+    naive = naive_reference.generate_stream(cfg, 60.0)
     frame = stream.frames[-2]
     assert (frame.index, frame.time_s, frame.step_id) == \
         (238, stream.times[238], stream.step_ids[238])
-    assert frame.feature.base is stream.features  # a row view, not a copy
+    assert frame.feature.tobytes() == naive.features[238].tobytes()
+    assert frame.feature.base.shape == (240, cfg.d)  # a row view of its block, not a copy
     assert [f.index for f in stream.frames[5:11:3]] == [5, 8]
     assert built == [238, 5, 8]
     with pytest.raises(IndexError):
@@ -151,17 +152,104 @@ def test_run_strategy_reads_no_frames():
 
     cfg = small_cfg()
     stream = generate_stream(cfg, 60.0)
-    frameless = FramelessStream(stream.times, stream.step_ids, stream.features,
-                                stream.class_token_counts)
+    frameless = FramelessStream(stream.times, stream.step_ids, stream.prototypes,
+                                stream.noise_state, stream.class_token_counts)
     for kind in StrategyKind:
         want, got = (run_strategy(kind, s, cfg, noise_p=0.25) for s in (stream, frameless))
         assert [dataclasses.replace(r, wall_ns=0) for r in got.rows] == \
             [dataclasses.replace(r, wall_ns=0) for r in want.rows]
-    # the three per-frame sequences must agree in length
-    short = streamcache.SyntheticStream(stream.times, stream.step_ids, stream.features[:-1],
-                                        stream.class_token_counts)
+    # the per-frame sequences must agree in length: the features follow the
+    # step ids, so a stream with one step id too few has one time too many
+    short = dataclasses.replace(stream, step_ids=stream.step_ids[:-1])
     with pytest.raises(ValueError, match="zip"):
         run_strategy(StrategyKind.INTERLEAVED, short, cfg)
+    with pytest.raises(ValueError, match="zip"):
+        list(short.frames)
+
+
+BLOCK = streamcache.harness.FEATURE_BLOCK_FRAMES
+
+
+@pytest.mark.parametrize("n_frames", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+def test_stream_features_match_frame_loop_across_blocks(n_frames):
+    cfg = SimConfig(seed=11)
+    stream = generate_stream(cfg, n_frames / cfg.fps)
+    naive = naive_reference.generate_stream(cfg, n_frames / cfg.fps)
+    assert len(stream.frames) == n_frames
+    assert _stream_bytes(stream) == _stream_bytes(naive)
+    assert b"".join(b.tobytes() for b in stream.feature_blocks()) == naive.features.tobytes()
+    # an index and a slice read the same bytes as the walk
+    assert stream.frames[n_frames - 1].feature.tobytes() == naive.features[-1].tobytes()
+    assert b"".join(f.feature.tobytes() for f in stream.frames[::-1]) == \
+        naive.features[::-1].tobytes()
+
+
+def test_frames_walk_each_feature_block_once(monkeypatch, cfg):
+    walks, blocks = [], []
+    draw = streamcache.SyntheticStream.feature_blocks
+
+    def counting(self):
+        walks.append(len(self.times))
+        for block in draw(self):
+            blocks.append(len(block))
+            yield block
+
+    monkeypatch.setattr(streamcache.SyntheticStream, "feature_blocks", counting)
+    n = 2 * BLOCK + 3
+    stream = generate_stream(cfg, n / cfg.fps)
+    assert (walks, blocks) == ([], [])
+    assert [f.index for f in stream.frames] == list(range(n))
+    assert (walks, blocks) == ([n], [BLOCK, BLOCK, 3])
+    # an index draws the blocks up to its own, once each; a slice walks once
+    walks.clear(), blocks.clear()
+    stream.frames[BLOCK + 1]
+    assert (walks, blocks) == ([n], [BLOCK, BLOCK])
+    walks.clear(), blocks.clear()
+    assert [f.index for f in stream.frames[1:BLOCK + 2:BLOCK]] == [1, BLOCK + 1]
+    assert (walks, blocks) == ([n], [BLOCK, BLOCK])
+    walks.clear(), blocks.clear()
+    run_strategy(StrategyKind.INTERLEAVED, stream, cfg)
+    assert (walks, blocks) == ([n], [BLOCK, BLOCK, 3])
+
+
+@pytest.mark.parametrize("tokens_per_frame", [1, 3])
+@pytest.mark.parametrize("kind", [StrategyKind.PROGRESSIVE_VISUAL, StrategyKind.INTERLEAVED])
+def test_engine_receives_the_frame_loop_features(monkeypatch, kind, tokens_per_frame):
+    seen = collections.defaultdict(list)  # frame index -> the embeddings its tokens bring
+
+    class RecordingEngine(streamcache.attention.AttentionEngine):
+        def append_tokens(self, tokens):
+            for tok in tokens:
+                if tok.kind is streamcache.TokenKind.VISUAL_FRAME:
+                    seen[tok.frame_index].append(tok.embedding.tobytes())
+            return super().append_tokens(tokens)
+
+    monkeypatch.setattr(streamcache.harness, "AttentionEngine", RecordingEngine)
+    cfg = small_cfg(tokens_per_frame=tokens_per_frame)
+    n = 2 * BLOCK + 3
+    run_strategy(kind, generate_stream(cfg, n / cfg.fps), cfg, noise_p=0.25)
+    naive = naive_reference.generate_stream(cfg, n / cfg.fps)
+    assert seen == {i: [row.tobytes()] * tokens_per_frame
+                    for i, row in enumerate(naive.features)}
+
+
+def test_stream_and_b_run_memory_is_bounded(cfg):
+    # generating a 20-minute stream and running b over it holds no per-frame
+    # feature: 4,800 frames of d = 64 features would be 2.46 MB on their own.
+    # The engine copies each embedding into its slab and keeps no token, so
+    # the cache mechanics alone hold what a run holds of the stream; they
+    # peak at about 1.2 MB, and run in a tenth of the engine's time under
+    # tracemalloc
+    gc.collect()
+    tracemalloc.start()
+    try:
+        stream = generate_stream(cfg, 1200.0)
+        trace = run_strategy(StrategyKind.INTERLEAVED, stream, cfg, with_engine=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(trace.rows) == 4800
+    assert peak < 2_000_000
 
 
 # -- trace columns ----------------------------------------------------------
