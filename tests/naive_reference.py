@@ -3,6 +3,9 @@
 These transliterate the cache mechanics in the most literal way possible:
 counts by scanning, eviction by pop-at-index, the streaming loop as a flat
 for-loop. They exist only to differential-test the package implementations.
+``transcribe`` replays any strategy's loop and charges each entered token,
+and each re-encoded query of a2, its own flops, where the package charges
+whole blocks in closed form.
 ``lexicographic_match`` is the connector matcher's tie-break search in its
 first form: one exact solve per tried column. ``generate_stream`` is the
 stream generator in its first form: one noise draw, one add and one frame's
@@ -26,15 +29,16 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from streamcache import (AttentionWeights, OraclePredictor, Scene, SimConfig,
-                         SyntheticStream, Token, validate_config)
+from streamcache import (AttentionWeights, OraclePredictor, Scene, SimConfig, StrategyKind,
+                         SyntheticStream, Token, append_flop_cost, validate_config)
 from streamcache.attention import REL_BIAS_CLIP
-from streamcache.harness import FEATURE_NOISE, StreamFrame
+from streamcache.harness import ENGINE_LAYERS, FEATURE_NOISE, StreamFrame
 
-VISUAL = "v"
-TEXT = "t"
-MARKER = "L"
-PROMPT = "p"
+# each symbolic kind is the name that a cache event gives its token kind
+VISUAL = "visual_frame"
+TEXT = "text"
+MARKER = "long_term_marker"
+PROMPT = "prompt"
 
 
 @dataclass
@@ -81,16 +85,36 @@ class NaiveCache:
         return tuple(t.id for t in self.tokens)
 
 
-def transcribe_interleaved(stream: SyntheticStream, cfg: SimConfig,
-                           noise_p: float = 0.0, prompt_tokens: int = 4):
-    """Literal transcription of the interleaved streaming loop.
+@dataclass
+class NaiveTrace:
+    """A literal replay of one strategy: every cache event as ``(t, op,
+    token ids, kind)``, each frame's row as ``(t_s, live tokens, append
+    flops, recompute flops, text-entry flops, prediction, correct,
+    verbalized)``, and the flops of every entry."""
 
-    Mirrors the package's token id allocation order and prediction stream;
-    returns (events, final_live_ids) where events are (op, ids) tuples.
+    events: List[Tuple[float, str, Tuple[int, ...], str]]
+    rows: List[Tuple[float, int, int, int, int, int, bool, bool]]
+    engine_total_flops: int
+
+    def ops(self) -> List[Tuple[str, Tuple[int, ...]]]:
+        return [(op, ids) for _, op, ids, _ in self.events]
+
+
+def transcribe(kind: StrategyKind, stream: SyntheticStream, cfg: SimConfig,
+               noise_p: float = 0.0, prompt_tokens: int = 4) -> NaiveTrace:
+    """Literal transcription of the streaming loop under strategy ``kind``.
+
+    Mirrors the package's token id allocation order and prediction stream.
+    Every entered token costs one append at the live size it makes; a2 books
+    a verbalized group's appends plus a re-encode of its prompt and visual
+    tokens, one query at a time, over the grown text prefix. a1 never exits
+    or verbalizes.
     """
+    a1, a2 = kind is StrategyKind.PROGRESSIVE_VISUAL, kind is StrategyKind.VERBALIZED_SEPARATE
+    d, layers = cfg.d, ENGINE_LAYERS
     cache = NaiveCache(cfg.N_S * cfg.tokens_per_frame, cfg.N_L)
     predictor = OraclePredictor(stream, noise_p, cfg.seed)
-    events: List[Tuple[str, Tuple[int, ...]]] = []
+    trace = NaiveTrace([], [], 0)
     next_id = 0
 
     def take_id() -> int:
@@ -98,35 +122,49 @@ def transcribe_interleaved(stream: SyntheticStream, cfg: SimConfig,
         next_id += 1
         return next_id - 1
 
-    for _ in range(prompt_tokens):
-        tok = Sym(PROMPT, take_id())
+    def enter(tok: Sym, t: float) -> int:
         cache.entry(tok)
-        events.append(("entry", (tok.id,)))
+        trace.events.append((t, "entry", (tok.id,), tok.kind))
+        flops = append_flop_cost(len(cache.tokens), d, layers, cfg.vocab_size)
+        trace.engine_total_flops += flops
+        return flops
+
+    for _ in range(prompt_tokens):
+        enter(Sym(PROMPT, take_id()), 0.0)
 
     out: List[int] = []
-    for step_id in stream.step_ids:
-        for _ in range(cfg.tokens_per_frame):
-            tok = Sym(VISUAL, take_id())
-            cache.entry(tok)
-            events.append(("entry", (tok.id,)))
-        evicted = cache.exit_short()
-        events.append(("exit_short", tuple(t.id for t in evicted)))
+    for t, step_id in zip(stream.times, stream.step_ids, strict=True):
+        append = sum(enter(Sym(VISUAL, take_id()), t) for _ in range(cfg.tokens_per_frame))
+        if not a1:
+            evicted = cache.exit_short()
+            trace.events.append((t, "exit_short", tuple(s.id for s in evicted), VISUAL))
         pred = predictor.predict(step_id)
         # out[-tau:] with tau == 0 must mean an empty window, not the whole
         # history (beware python's out[-0:])
         window = out[-cfg.tau:] if cfg.tau > 0 else []
-        if pred not in window:
+        verbalized = not a1 and pred not in window
+        recompute = text = 0
+        if verbalized:
             group = [Sym(MARKER, take_id(), pred)]
             group += [Sym(TEXT, take_id(), pred)
                       for _ in range(int(stream.class_token_counts[pred]))]
-            for tok in group:
-                cache.entry(tok)
-                events.append(("entry", (tok.id,)))
+            group_flops = sum(enter(tok, t) for tok in group)
+            if a2:
+                n_short = sum(1 for s in cache.tokens if s.kind in (PROMPT, VISUAL))
+                n_long = len(cache.tokens) - n_short
+                # query i of the short part attends over the long prefix and
+                # the short tokens up to itself; no output head
+                recompute = group_flops + sum(layers * (4 * d * d + 2 * d * (n_long + i))
+                                              for i in range(1, n_short + 1))
+            else:
+                text = group_flops
             dropped = cache.exit_long()
-            events.append(("exit_long",
-                           tuple(t.id for grp in dropped for t in grp)))
+            trace.events.append((t, "exit_long", tuple(s.id for g in dropped for s in g),
+                                 MARKER))
         out.append(pred)
-    return events, cache.ids()
+        trace.rows.append((t, len(cache.tokens), append, recompute, text, pred,
+                           pred == step_id, verbalized))
+    return trace
 
 
 @dataclass

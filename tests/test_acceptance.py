@@ -20,7 +20,7 @@ from streamcache import (AttentionEngine, BBox, PositionClock, SimConfig,
                          run_strategy, spike_ratio, stage1_value_and_grads,
                          train_toy)
 
-from naive_reference import transcribe_interleaved
+from naive_reference import transcribe
 from test_cache import Driver
 from test_connector import brute_force_match
 
@@ -248,7 +248,7 @@ def test_c9_streaming_loop_fidelity():
         trace = run_strategy(StrategyKind.INTERLEAVED, stream, cfg,
                              noise_p=noise, prompt_tokens=3, with_engine=False)
         got = [(e.op, tuple(e.token_ids)) for e in trace.cache_events]
-        want, _ = transcribe_interleaved(stream, cfg, noise, prompt_tokens=3)
+        want = transcribe(StrategyKind.INTERLEAVED, stream, cfg, noise, prompt_tokens=3).ops()
         assert got == want, f"divergence on trial {trial}"
     print("\nACCEPTANCE C9 PASS - interleaved op log equals the literal "
           "pseudocode transcription on 100 random streams")

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import streamcache
 from streamcache import (CacheEvent, OraclePredictor, SimConfig, StrategyAbort, StrategyKind,
@@ -22,7 +24,7 @@ from streamcache.harness import (ENGINE_LAYERS, MAX_FRAMES, MAX_LIVE_TOKENS, adm
 from streamcache.traceio import summarize, write_events_jsonl, write_trace_csv
 
 import naive_reference
-from naive_reference import transcribe_interleaved
+from naive_reference import transcribe
 
 
 def small_cfg(**overrides):
@@ -805,8 +807,51 @@ def test_interleaved_matches_literal_transcription(seed, noise, tau, n_l):
     trace = run_strategy(StrategyKind.INTERLEAVED, stream, cfg, noise_p=noise,
                          prompt_tokens=2, with_engine=False)
     got = [(e.op, tuple(e.token_ids)) for e in trace.cache_events]
-    want_events, want_live = transcribe_interleaved(stream, cfg, noise, prompt_tokens=2)
+    want_events = transcribe(StrategyKind.INTERLEAVED, stream, cfg, noise,
+                             prompt_tokens=2).ops()
     assert got == want_events
+
+
+def assert_trace_is_transcribed(trace, stream, noise, prompt_tokens):
+    """Every trace column but ``wall_ns``, every cache event and the engine's
+    flop total equal the literal transcription's."""
+    want = transcribe(trace.kind, stream, trace.cfg, noise, prompt_tokens)
+    r = trace.rows
+    rows = list(zip(r.t_s, r.live_token_count, r.append_flops, r.extra_recompute_flops,
+                    r.text_entry_flops, r.predicted_step_id, map(bool, r.correct),
+                    map(bool, r.verbalization_event)))
+    assert rows == want.rows
+    assert [(e.t, e.op, tuple(e.token_ids), e.kind) for e in trace.cache_events] == \
+        want.events
+    assert trace.engine_total_flops == want.engine_total_flops
+    assert trace.truncated_at is None
+
+
+@st.composite
+def stream_runs(draw):
+    """A config at d = 8, a frame count up to past one feature block, a noise
+    level, a prompt length and a class count."""
+    cfg = small_cfg(fps=draw(st.sampled_from([1.0, 2.0, 4.0])),
+                    tokens_per_frame=draw(st.integers(1, 4)), d=8,
+                    N_S=draw(st.integers(1, 12)), N_L=draw(st.integers(0, 4)),
+                    tau=draw(st.integers(0, 8)), mean_step_s=draw(st.floats(1.0, 16.0)),
+                    step_s_jitter=draw(st.floats(0.0, 4.0)),
+                    seed=draw(st.integers(0, 10 ** 6)))
+    return (cfg, draw(st.integers(1, BLOCK + 40)), draw(st.floats(0.0, 1.0)),
+            draw(st.integers(0, 4)), draw(st.integers(2, 20)))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(stream_runs())
+@example((small_cfg(d=8, tokens_per_frame=2, N_L=0, tau=0), BLOCK + 1, 0.0, 0, 20))
+@example((small_cfg(d=8, tokens_per_frame=4, N_S=1, tau=0), BLOCK + 40, 1.0, 4, 6))
+def test_every_strategy_matches_the_literal_transcription(run):
+    cfg, n_frames, noise, prompt_tokens, n_classes = run
+    stream = generate_stream(cfg, n_frames / cfg.fps, n_classes)
+    assert len(stream.times) == n_frames
+    for kind in StrategyKind:
+        trace = run_strategy(kind, stream, cfg, noise_p=noise, prompt_tokens=prompt_tokens)
+        assert_trace_is_transcribed(trace, stream, noise, prompt_tokens)
 
 
 # -- growth fitting ---------------------------------------------------------
