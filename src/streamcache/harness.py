@@ -9,11 +9,9 @@ feature: ``feature_blocks`` redraws the noise from that state in blocks of
 ``FEATURE_BLOCK_FRAMES`` frames, in frame order, so each ``walk`` of the
 stream makes every feature afresh and holds only the blocks its reader keeps. One
 draw of n frames gives the same values as n draws of one frame, so every
-walk sees the same bytes. ``frames`` is a read-only view that builds a
-``StreamFrame`` only for the index or slice asked of it: iterating it walks
-the blocks once, while an index or a slice redraws the blocks from frame 0 up
-to the last frame it names. ``MAX_FRAMES`` bounds a stream, checked before
-any of that runs.
+walk sees the same bytes. ``walk`` is the only way to read a frame's
+feature, and it builds no per-frame record. ``MAX_FRAMES`` bounds a stream,
+checked before any of that runs.
 
 Each strategy replays the stream through one interleaved cache and records a
 per-frame trace of token counts and multiply-add costs. The trace keeps its
@@ -31,8 +29,9 @@ verbalized group's flops are booked:
   apart. Every verbalization re-encodes the short part over the grown long
   prefix, and that cost plus the group's append is booked to the frame as
   conversion recompute. Its cache events and engine flops equal ``b``'s, so
-  it runs no attention engine, and its ``FrameRecord.wall_ns`` is its own
-  loop's frame time without any attention work.
+  it runs no attention engine and walks no feature, and its
+  ``FrameRecord.wall_ns`` is its own loop's frame time without any attention
+  work.
 - ``b``  Interleaved: retained text tokens are appended incrementally, so the
   only prediction-path cost is the frame append itself.
 
@@ -84,53 +83,6 @@ class StrategyKind(Enum):
     INTERLEAVED = "b"
 
 
-@dataclass(slots=True)
-class StreamFrame:
-    index: int
-    time_s: float
-    step_id: int
-    feature: np.ndarray
-
-
-class FrameView(RecordView):
-    """Read-only sequence of a stream's frames, built as read; each
-    ``StreamFrame``'s feature is a row view of its feature block. Iteration
-    walks the blocks once. An index or a slice redraws the blocks from frame 0
-    up to the last frame it names: ``frames[i]`` costs O(i·d) draws."""
-
-    __slots__ = ("_stream",)
-
-    def __init__(self, stream: "SyntheticStream") -> None:
-        self._stream = stream
-
-    def __len__(self) -> int:
-        return len(self._stream.times)
-
-    def __iter__(self) -> Iterator[StreamFrame]:
-        return (StreamFrame(i, *frame) for i, frame in enumerate(self._stream.walk()))
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return self._build(range(len(self))[index])
-        return super().__getitem__(index)
-
-    def __reversed__(self) -> Iterator[StreamFrame]:
-        return reversed(self[:])
-
-    def _record(self, i: int) -> StreamFrame:
-        return self._build(range(i, i + 1))[0]
-
-    def _build(self, indices: range) -> List[StreamFrame]:
-        """The frames at ``indices``, in their order, from one walk of the
-        blocks up to the last of them."""
-        if not indices:
-            return []
-        last = max(indices[0], indices[-1])
-        picked = {i: frame for i, frame in zip(range(last + 1), self._stream.walk())
-                  if i in indices}
-        return [StreamFrame(i, *picked[i]) for i in indices]
-
-
 @dataclass
 class SyntheticStream:
     """A replayable frame source: per-frame times and step ids, and what
@@ -143,8 +95,10 @@ class SyntheticStream:
     class_token_counts: np.ndarray  # text tokens describing each class id
 
     @property
-    def frames(self) -> FrameView:
-        return FrameView(self)
+    def frames(self) -> range:
+        """The frame indices: ``perfbench/run.py`` reads ``len(stream.frames)``.
+        Read a frame through ``walk``."""
+        return range(len(self.times))
 
     def walk(self) -> Iterator[Tuple[float, int, np.ndarray]]:
         """Each frame's time, step id and feature, in frame order, from one
@@ -371,15 +325,14 @@ def spike_ratio(trace: StrategyTrace) -> float:
 
 def run_strategy(kind: StrategyKind, stream: SyntheticStream, cfg: SimConfig, *,
                  noise_p: float = 0.0, prompt_tokens: int = DEFAULT_PROMPT_TOKENS,
-                 live_token_cap: Optional[int] = None,
-                 with_engine: bool = True) -> StrategyTrace:
+                 live_token_cap: Optional[int] = None) -> StrategyTrace:
     """Replay ``stream`` under one caching strategy and trace every frame.
 
-    The engines of ``a1`` and ``b`` must end with their counters equal to the
-    charged total. ``a2`` builds none: it would replay ``b``'s appends
-    exactly, and nothing reads its outputs. ``with_engine=False`` runs the
-    cache mechanics only (all flop columns zero), which is enough for
-    symbolic replay comparisons. A stream ``admit`` refuses raises before anything is built.
+    ``a1`` and ``b`` walk the stream's features into an attention engine,
+    which must end with its counter equal to the charged total. ``a2`` builds
+    none, as it would replay ``b``'s appends exactly and nothing reads its
+    outputs, so it draws no feature: its visual tokens share one placeholder
+    embedding. A stream ``admit`` refuses raises before anything is built.
     """
     validate_config(cfg)
     capacity = admit(kind, cfg, len(stream.times), prompt_tokens)
@@ -388,12 +341,16 @@ def run_strategy(kind: StrategyKind, stream: SyntheticStream, cfg: SimConfig, *,
     verbalizer = Verbalizer(factory, table)
     predictor = OraclePredictor(stream, noise_p, cfg.seed)
     log = PredictionLog(cfg.tau)
-    charge_recompute = kind is StrategyKind.VERBALIZED_SEPARATE
-    engine = None
-    if with_engine and not charge_recompute:
+    if kind is StrategyKind.VERBALIZED_SEPARATE:
+        engine = None
+        placeholder = np.zeros(cfg.d)
+        frames = ((t, step_id, placeholder)
+                  for t, step_id in zip(stream.times, stream.step_ids, strict=True))
+    else:
         # sized once: the slab never reallocates, and a1's ends exactly full
         engine = AttentionEngine(cfg.d, ENGINE_HEADS, ENGINE_LAYERS, cfg.vocab_size, cfg.seed,
                                  capacity)
+        frames = stream.walk()
     cache = InterleavedCache(cfg.N_S * cfg.tokens_per_frame, cfg.N_L)
     trace = StrategyTrace(kind=kind, cfg=cfg, cache_events=cache.events)
     bounded = kind is not StrategyKind.PROGRESSIVE_VISUAL  # a1 never exits or verbalizes
@@ -404,9 +361,7 @@ def run_strategy(kind: StrategyKind, stream: SyntheticStream, cfg: SimConfig, *,
         n_live = len(cache)
         for tok in tokens:
             cache.entry(tok, t)
-        if not with_engine or not tokens:
-            return 0
-        if engine is not None:
+        if engine is not None and tokens:
             if len(tokens) == 1:
                 # keeps single appends on append_token, the call perfbench's tracer spans
                 engine.append_token(tokens[0])
@@ -423,7 +378,7 @@ def run_strategy(kind: StrategyKind, stream: SyntheticStream, cfg: SimConfig, *,
     enter([factory.prompt(table.prompt_embedding(i)) for i in range(prompt_tokens)], 0.0)
 
     add_row = trace.rows._append
-    for index, (t, step_id, feature) in enumerate(stream.walk()):
+    for index, (t, step_id, feature) in enumerate(frames):
         t0 = time.perf_counter_ns()
         recompute_flops = text_flops = 0
         append_flops = enter([factory.visual(index, feature)
@@ -437,7 +392,7 @@ def run_strategy(kind: StrategyKind, stream: SyntheticStream, cfg: SimConfig, *,
         if event:
             group = verbalizer.verbalize(pred, int(stream.class_token_counts[pred]))
             group_flops = enter(group, t)
-            if charge_recompute and with_engine:
+            if engine is None:
                 # a2 books the cache as if its short part (prompt and visual
                 # tokens) and long part (verbalized groups) were kept apart:
                 # the grown long prefix forces a re-encode of the short part

@@ -3,6 +3,8 @@
 Everything here but ``RecordView`` is a plain value type. Instances are safe
 to share across threads; the single sanctioned mutation is the one-time
 assignment of a token's ``entry_position`` when it enters a cache.
+``harness.TraceRows`` and ``cache.EventLog`` are the record views; a stream
+has none, and its frames are read through ``SyntheticStream.walk``.
 """
 
 from __future__ import annotations

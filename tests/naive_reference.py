@@ -32,7 +32,7 @@ from scipy.optimize import linear_sum_assignment
 from streamcache import (AttentionWeights, OraclePredictor, Scene, SimConfig, StrategyKind,
                          SyntheticStream, Token, append_flop_cost, validate_config)
 from streamcache.attention import REL_BIAS_CLIP
-from streamcache.harness import ENGINE_LAYERS, FEATURE_NOISE, StreamFrame
+from streamcache.harness import ENGINE_LAYERS, FEATURE_NOISE
 
 # each symbolic kind is the name that a cache event gives its token kind
 VISUAL = "visual_frame"
@@ -187,10 +187,9 @@ class NaiveStream:
     features: np.ndarray  # (frames, d)
     class_token_counts: np.ndarray
 
-    @property
-    def frames(self) -> List[StreamFrame]:
-        return [StreamFrame(i, t, c, f)
-                for i, (t, c, f) in enumerate(zip(self.times, self.step_ids, self.features))]
+    def walk(self):
+        """Each frame's time, step id and feature row, in frame order."""
+        return zip(self.times, self.step_ids, self.features, strict=True)
 
 
 def generate_stream(cfg: SimConfig, duration_s: float, n_classes: int = 20) -> NaiveStream:

@@ -246,7 +246,7 @@ def test_c9_streaming_loop_fidelity():
         stream = generate_stream(cfg, float(rng.uniform(30.0, 90.0)), n_classes=6)
         noise = float(rng.choice([0.0, 0.1, 0.4]))
         trace = run_strategy(StrategyKind.INTERLEAVED, stream, cfg,
-                             noise_p=noise, prompt_tokens=3, with_engine=False)
+                             noise_p=noise, prompt_tokens=3)
         got = [(e.op, tuple(e.token_ids)) for e in trace.cache_events]
         want = transcribe(StrategyKind.INTERLEAVED, stream, cfg, noise, prompt_tokens=3).ops()
         assert got == want, f"divergence on trial {trial}"

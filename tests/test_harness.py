@@ -19,8 +19,8 @@ from streamcache import (CacheEvent, OraclePredictor, SimConfig, StrategyAbort, 
                          append_flop_cost, fit_growth, generate_stream,
                          recompute_flop_cost, run_strategy, spike_ratio)
 from streamcache.attention import MAX_BLOCK_CELLS
-from streamcache.harness import (ENGINE_LAYERS, MAX_FRAMES, MAX_LIVE_TOKENS, admit, affine_fit,
-                                 frame_count)
+from streamcache.harness import (ENGINE_HEADS, ENGINE_LAYERS, MAX_FRAMES, MAX_LIVE_TOKENS, admit,
+                                 affine_fit, frame_count)
 from streamcache.traceio import summarize, write_events_jsonl, write_trace_csv
 
 import naive_reference
@@ -41,31 +41,32 @@ def step_runs(stream):
     """(class id, frame count) of each run of frames that share a step id:
     adjacent steps always change class, so each run is one step."""
     return [(c, len(list(run)))
-            for c, run in itertools.groupby(f.step_id for f in stream.frames)]
+            for c, run in itertools.groupby(stream.step_ids)]
 
 
 def test_generate_stream_step_count_hour(cfg):
     stream = generate_stream(cfg, 3600.0)
     assert len(step_runs(stream)) == pytest.approx(112, rel=0.2)
-    assert len(stream.frames) == 14400
+    assert len(stream.times) == 14400
 
 
 def test_generate_stream_short_duration_single_step(cfg):
     stream = generate_stream(cfg, 2.0)
     assert len(step_runs(stream)) == 1
-    assert len(stream.frames) == 8
+    assert len(stream.times) == 8
 
 
 def test_generate_stream_deterministic(cfg):
     s1 = generate_stream(cfg, 120.0)
     s2 = generate_stream(cfg, 120.0)
     assert step_runs(s1) == step_runs(s2)
-    np.testing.assert_array_equal(s1.frames[37].feature, s2.frames[37].feature)
+    np.testing.assert_array_equal(np.vstack(list(s1.feature_blocks())),
+                                  np.vstack(list(s2.feature_blocks())))
 
 
 def test_generate_stream_frames_cover_steps(cfg):
     stream = generate_stream(cfg, 300.0)
-    assert [f.time_s for f in stream.frames] == [i / cfg.fps for i in range(1200)]
+    assert stream.times == [i / cfg.fps for i in range(1200)]
     runs = step_runs(stream)
     assert all(0 <= c < len(stream.class_token_counts) for c, _ in runs)
     # every step but the clamped last one lasts a normal draw around mean_step_s
@@ -87,11 +88,13 @@ def test_generate_stream_rejects_non_finite_duration(cfg, duration):
 
 
 def _stream_bytes(stream):
-    """Every frame's (index, time_s, step_id) with their types, then the bytes
-    of all the frame features in order, then the class token counts."""
-    labels = [(f.index, f.time_s, f.step_id) for f in stream.frames]
+    """Every frame's (time_s, step_id) with their types, then the bytes of
+    all the frame features in order, then the class token counts, from one
+    walk of the stream."""
+    frames = list(stream.walk())
+    labels = [(t, c) for t, c, _ in frames]
     types = {tuple(map(type, label)) for label in labels}
-    features = b"".join(f.feature.tobytes() for f in stream.frames)
+    features = b"".join(f.tobytes() for _, _, f in frames)
     return labels, types, features, stream.class_token_counts.tobytes()
 
 
@@ -109,41 +112,22 @@ def test_generate_stream_matches_frame_loop_on_step_ends():
     # steps of exactly 2 s end on frame times: such a frame opens the next step
     cfg = SimConfig(seed=3, step_s_jitter=0.0, mean_step_s=2.0)
     stream = generate_stream(cfg, 30.0)
-    starts = [b.time_s for a, b in zip(stream.frames, stream.frames[1:])
-              if a.step_id != b.step_id]
+    starts = [t for t, a, b in zip(stream.times[1:], stream.step_ids, stream.step_ids[1:])
+              if a != b]
     assert starts == [2.0 * i for i in range(1, 15)]
     assert _stream_bytes(stream) == _stream_bytes(naive_reference.generate_stream(cfg, 30.0))
 
 
-def test_stream_builds_no_frame_records(monkeypatch, cfg):
-    # the stream is arrays: generating it, its length and a run build no
-    # StreamFrame; an index or a slice of the view builds the frames it names
-    built = []
-
-    class CountingFrame(streamcache.harness.StreamFrame):
-        def __init__(self, *args):
-            built.append(args[0])
-            super().__init__(*args)
-
-    monkeypatch.setattr(streamcache.harness, "StreamFrame", CountingFrame)
+def test_stream_builds_no_frame_records(cfg):
+    # the stream is lists: a walk reads each feature as a row view of its
+    # block, not as a per-frame copy
     stream = generate_stream(cfg, 60.0)
-    assert len(stream.frames) == len(stream.times) == len(stream.step_ids) == 240
-    for kind in StrategyKind:
-        run_strategy(kind, stream, cfg, noise_p=0.25)
-    assert built == []
-
+    assert len(stream.times) == len(stream.step_ids) == 240
+    assert type(stream.times) is list and type(stream.step_ids) is list
     naive = naive_reference.generate_stream(cfg, 60.0)
-    frame = stream.frames[-2]
-    assert (frame.index, frame.time_s, frame.step_id) == \
-        (238, stream.times[238], stream.step_ids[238])
-    assert frame.feature.tobytes() == naive.features[238].tobytes()
-    assert frame.feature.base.shape == (240, cfg.d)  # a row view of its block, not a copy
-    assert [f.index for f in stream.frames[5:11:3]] == [5, 8]
-    assert built == [238, 5, 8]
-    with pytest.raises(IndexError):
-        stream.frames[240]
-    with pytest.raises(TypeError):
-        stream.frames[0] = frame
+    for (_, _, feature), want in zip(stream.walk(), naive.features, strict=True):
+        assert feature.tobytes() == want.tobytes()
+        assert feature.base.shape == (240, cfg.d)
 
 
 def test_run_strategy_reads_no_frames():
@@ -163,10 +147,11 @@ def test_run_strategy_reads_no_frames():
     # the per-frame sequences must agree in length: the features follow the
     # step ids, so a stream with one step id too few has one time too many
     short = dataclasses.replace(stream, step_ids=stream.step_ids[:-1])
+    for kind in StrategyKind:
+        with pytest.raises(ValueError, match="zip"):
+            run_strategy(kind, short, cfg)
     with pytest.raises(ValueError, match="zip"):
-        run_strategy(StrategyKind.INTERLEAVED, short, cfg)
-    with pytest.raises(ValueError, match="zip"):
-        list(short.frames)
+        list(short.walk())
 
 
 BLOCK = streamcache.harness.FEATURE_BLOCK_FRAMES
@@ -177,13 +162,9 @@ def test_stream_features_match_frame_loop_across_blocks(n_frames):
     cfg = SimConfig(seed=11)
     stream = generate_stream(cfg, n_frames / cfg.fps)
     naive = naive_reference.generate_stream(cfg, n_frames / cfg.fps)
-    assert len(stream.frames) == n_frames
+    assert len(stream.times) == n_frames
     assert _stream_bytes(stream) == _stream_bytes(naive)
     assert b"".join(b.tobytes() for b in stream.feature_blocks()) == naive.features.tobytes()
-    # an index and a slice read the same bytes as the walk
-    assert stream.frames[n_frames - 1].feature.tobytes() == naive.features[-1].tobytes()
-    assert b"".join(f.feature.tobytes() for f in stream.frames[::-1]) == \
-        naive.features[::-1].tobytes()
 
 
 def test_frames_walk_each_feature_block_once(monkeypatch, cfg):
@@ -200,18 +181,13 @@ def test_frames_walk_each_feature_block_once(monkeypatch, cfg):
     n = 2 * BLOCK + 3
     stream = generate_stream(cfg, n / cfg.fps)
     assert (walks, blocks) == ([], [])
-    assert [f.index for f in stream.frames] == list(range(n))
+    assert len(list(stream.walk())) == n
     assert (walks, blocks) == ([n], [BLOCK, BLOCK, 3])
-    # an index draws the blocks up to its own, once each; a slice walks once
-    walks.clear(), blocks.clear()
-    stream.frames[BLOCK + 1]
-    assert (walks, blocks) == ([n], [BLOCK, BLOCK])
-    walks.clear(), blocks.clear()
-    assert [f.index for f in stream.frames[1:BLOCK + 2:BLOCK]] == [1, BLOCK + 1]
-    assert (walks, blocks) == ([n], [BLOCK, BLOCK])
-    walks.clear(), blocks.clear()
-    run_strategy(StrategyKind.INTERLEAVED, stream, cfg)
-    assert (walks, blocks) == ([n], [BLOCK, BLOCK, 3])
+    # a1 and b walk the features into their engines; a2 builds none and walks none
+    for kind, want in (("a1", [n]), ("a2", []), ("b", [n])):
+        walks.clear(), blocks.clear()
+        run_strategy(StrategyKind(kind), stream, cfg, noise_p=0.25)
+        assert (walks, blocks) == (want, [BLOCK, BLOCK, 3] if want else [])
 
 
 @pytest.mark.parametrize("tokens_per_frame", [1, 3])
@@ -238,20 +214,27 @@ def test_engine_receives_the_frame_loop_features(monkeypatch, kind, tokens_per_f
 def test_stream_and_b_run_memory_is_bounded(cfg):
     # generating a 20-minute stream and running b over it holds no per-frame
     # feature: 4,800 frames of d = 64 features would be 2.46 MB on their own.
-    # The engine copies each embedding into its slab and keeps no token, so
-    # the cache mechanics alone hold what a run holds of the stream; they
-    # peak at about 1.2 MB, and run in a tenth of the engine's time under
-    # tracemalloc
-    gc.collect()
-    tracemalloc.start()
-    try:
-        stream = generate_stream(cfg, 1200.0)
-        trace = run_strategy(StrategyKind.INTERLEAVED, stream, cfg, with_engine=False)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    # The engine copies each embedding into its slab and keeps no token. Its
+    # weights and slab and the embedding table, about 1.0 MB that does not
+    # grow with the stream, are measured apart; the rest of the run peaks at
+    # about 1.1 MB
+    def traced_peak(build):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            return build(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    capacity = admit(StrategyKind.INTERLEAVED, cfg, 4800)
+    _, fixed = traced_peak(lambda: (
+        streamcache.AttentionEngine(cfg.d, ENGINE_HEADS, ENGINE_LAYERS, cfg.vocab_size,
+                                    cfg.seed, capacity),
+        streamcache.EmbeddingTable(cfg.vocab_size, cfg.d, cfg.seed)))
+    trace, peak = traced_peak(lambda: run_strategy(StrategyKind.INTERLEAVED,
+                                                   generate_stream(cfg, 1200.0), cfg))
     assert len(trace.rows) == 4800
-    assert peak < 2_000_000
+    assert peak - fixed < 2_000_000
 
 
 # -- trace columns ----------------------------------------------------------
@@ -407,17 +390,17 @@ def test_oracle_noise_zero_always_correct():
 def test_oracle_noise_one_accuracy_near_uniform():
     stream = generate_stream(small_cfg(), 10.0)
     assert len(stream.class_token_counts) == 20
-    frame = stream.frames[0]
+    step = stream.step_ids[0]
     predictor = OraclePredictor(stream, 1.0, seed=0)
-    hits = sum(predictor.predict(frame.step_id) == frame.step_id for _ in range(20000))
+    hits = sum(predictor.predict(step) == step for _ in range(20000))
     assert hits / 20000 == pytest.approx(1 / 20, abs=0.01)
 
 
 def test_oracle_noise_tenth_accuracy():
     stream = generate_stream(small_cfg(), 10.0)
-    frame = stream.frames[0]
+    step = stream.step_ids[0]
     predictor = OraclePredictor(stream, 0.1, seed=0)
-    hits = sum(predictor.predict(frame.step_id) == frame.step_id for _ in range(10000))
+    hits = sum(predictor.predict(step) == step for _ in range(10000))
     assert hits / 10000 == pytest.approx(0.9 + 0.1 / 20, abs=0.01)
 
 
@@ -444,7 +427,7 @@ def test_progressive_grows_affinely():
     stream = generate_stream(cfg, 120.0)
     trace = run_strategy(StrategyKind.PROGRESSIVE_VISUAL, stream, cfg, prompt_tokens=2)
     live = trace.live_series()
-    assert live[-1] == 2 + len(stream.frames) * cfg.tokens_per_frame
+    assert live[-1] == 2 + len(stream.times) * cfg.tokens_per_frame
     diffs = np.diff(live)
     assert np.all(diffs == cfg.tokens_per_frame)
 
@@ -545,13 +528,11 @@ def test_only_a1_and_b_build_an_attention_engine(monkeypatch):
     cfg = small_cfg()
     stream = generate_stream(cfg, 60.0)
     counts = {}
-    for with_engine in (True, False):
-        for kind in StrategyKind:
-            built.clear()
-            run_strategy(kind, stream, cfg, noise_p=0.25, with_engine=with_engine)
-            counts[kind.value, with_engine] = len(built)
-    assert counts == {("a1", True): 1, ("a2", True): 0, ("b", True): 1,
-                      ("a1", False): 0, ("a2", False): 0, ("b", False): 0}
+    for kind in StrategyKind:
+        built.clear()
+        run_strategy(kind, stream, cfg, noise_p=0.25)
+        counts[kind.value] = len(built)
+    assert counts == {"a1": 1, "a2": 0, "b": 1}
 
 
 @pytest.mark.parametrize("prompt_tokens", [0, 4])
@@ -582,9 +563,9 @@ def test_engine_slab_is_sized_once(monkeypatch, kind, tokens_per_frame, n_s, n_l
     stream = generate_stream(cfg, 90.0)
     run_strategy(kind, stream, cfg, noise_p=noise, prompt_tokens=prompt_tokens)
     [engine] = engines
-    capacity = admit(kind, cfg, len(stream.frames), prompt_tokens)
+    capacity = admit(kind, cfg, len(stream.times), prompt_tokens)
     assert set(sizes) == {(2 * ENGINE_LAYERS * cfg.d * 8 + 8) * capacity}
-    assert len(sizes) > len(stream.frames)
+    assert len(sizes) > len(stream.times)
     if kind is StrategyKind.PROGRESSIVE_VISUAL:
         assert len(engine.live_ids()) == capacity
 
@@ -654,10 +635,9 @@ def test_run_strategy_refuses_before_building_an_engine(monkeypatch):
     monkeypatch.setattr(streamcache.harness, "AttentionEngine", CountingEngine)
     cfg = small_cfg(tokens_per_frame=256, N_S=1000, N_L=1000)
     stream = generate_stream(cfg, 60.0)
-    for with_engine in (True, False):
-        for kind in StrategyKind:
-            with pytest.raises(ValueError, match="attention cells, above MAX_BLOCK_CELLS"):
-                run_strategy(kind, stream, cfg, with_engine=with_engine)
+    for kind in StrategyKind:
+        with pytest.raises(ValueError, match="attention cells, above MAX_BLOCK_CELLS"):
+            run_strategy(kind, stream, cfg)
     assert built == []
 
 
@@ -722,34 +702,15 @@ def test_memory_cap_aborts_with_truncation_point():
     assert trace.rows[-1].live_token_count == cap + 1
 
 
-def test_with_engine_false_runs_symbolically():
-    cfg = small_cfg()
-    stream = generate_stream(cfg, 60.0)
-    trace = run_strategy(StrategyKind.INTERLEAVED, stream, cfg, with_engine=False)
-    assert trace.engine_total_flops == 0
-    assert all(r.append_flops == 0 for r in trace.rows)
-    assert len(trace.cache_events) > 0
-
-
 @pytest.mark.parametrize("tokens_per_frame", [1, 3])
 @pytest.mark.parametrize("kind", list(StrategyKind), ids=lambda k: k.value)
 def test_symbolic_replay_matches_engine_replay(kind, tokens_per_frame):
-    # C9 checks the cache mechanics on with_engine=False runs; this ties that
-    # mode to the engine run frame by frame
+    # the literal transcription replays the loop on symbols; the run, with
+    # its engine for a1 and b, must trace the same frame by frame
     cfg = small_cfg(tokens_per_frame=tokens_per_frame)
     stream = generate_stream(cfg, 240.0)
-    engine, symbolic = (run_strategy(kind, stream, cfg, noise_p=0.25, prompt_tokens=2,
-                                     with_engine=with_engine)
-                        for with_engine in (True, False))
-    events = [[e.to_dict() for e in t.cache_events] for t in (symbolic, engine)]
-    assert events[0] == events[1]
-
-    def per_frame(trace):
-        return [(r.frame, r.live_token_count, r.predicted_step_id, r.correct,
-                 r.verbalization_event) for r in trace.rows]
-
-    assert per_frame(symbolic) == per_frame(engine)
-    assert len(engine.rows) == len(stream.frames)
+    trace = run_strategy(kind, stream, cfg, noise_p=0.25, prompt_tokens=2)
+    assert_trace_is_transcribed(trace, stream, 0.25, 2)
 
 
 def test_trace_one_row_per_frame_and_budget_consistency():
@@ -759,7 +720,7 @@ def test_trace_one_row_per_frame_and_budget_consistency():
     cfg = small_cfg()
     stream = generate_stream(cfg, 300.0)
     trace = run_strategy(StrategyKind.INTERLEAVED, stream, cfg)
-    assert len(trace.rows) == len(stream.frames)
+    assert len(trace.rows) == len(stream.times)
     runs = [step for step, _ in itertools.groupby(r.predicted_step_id for r in trace.rows)]
     events = sum(r.verbalization_event for r in trace.rows)
     assert events == len(runs)
@@ -805,7 +766,7 @@ def test_interleaved_matches_literal_transcription(seed, noise, tau, n_l):
     cfg = small_cfg(seed=seed, tau=tau, N_L=n_l)
     stream = generate_stream(cfg, 90.0)
     trace = run_strategy(StrategyKind.INTERLEAVED, stream, cfg, noise_p=noise,
-                         prompt_tokens=2, with_engine=False)
+                         prompt_tokens=2)
     got = [(e.op, tuple(e.token_ids)) for e in trace.cache_events]
     want_events = transcribe(StrategyKind.INTERLEAVED, stream, cfg, noise,
                              prompt_tokens=2).ops()
@@ -890,13 +851,13 @@ def test_affine_fit_matches_least_squares(rng):
     assert affine_fit(x, np.full(500, 2.0)) == (0.0, 2.0, 1.0)
 
 
-# b's live series over 30 minutes of the default config: its fit is nearly
-# flat, so rounding in the fit shows in the digits that summary.json prints
+# b's live series over 30 minutes of the default config, as a2's run, which
+# builds no engine, traces it: its fit is nearly flat, so rounding in the fit
+# shows in the digits that summary.json prints
 _FIT_SCRIPT = """
 from streamcache import SimConfig, StrategyKind, fit_growth, generate_stream, run_strategy
 cfg = SimConfig()
-trace = run_strategy(StrategyKind.INTERLEAVED, generate_stream(cfg, 1800.0), cfg,
-                     with_engine=False)
+trace = run_strategy(StrategyKind.VERBALIZED_SEPARATE, generate_stream(cfg, 1800.0), cfg)
 print(repr(fit_growth(trace)))
 """
 

@@ -3,9 +3,12 @@
 ``perfbench/run.py`` is loaded as it is, and its ``check_trace`` and
 ``trace_digest`` read each trace the way a benchmark pass does: a change to
 the trace's read API or to what a run computes fails here, not only in the
-benchmark.
+benchmark. ``perfbench/tracing.py`` is loaded as it is too, and its tracer
+must find every name it wraps, so a renamed function fails here before it
+fails ``perfbench/run.py --trace 1``.
 """
 
+import contextlib
 import importlib.util
 import json
 import sys
@@ -19,17 +22,24 @@ from streamcache import SimConfig, StrategyKind, generate_stream, run_strategy
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-@pytest.fixture(scope="module")
-def bench():
-    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+@contextlib.contextmanager
+def load(name, filename):
+    """``perfbench/<filename>`` imported as module ``name``, as it is."""
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / filename)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look their module up there
     try:
         spec.loader.exec_module(module)
-        module.sc = streamcache  # what its load_package() binds, without touching sys.path
         yield module
     finally:
         del sys.modules[spec.name]
+
+
+@pytest.fixture(scope="module")
+def bench():
+    with load("perfbench_run", "run.py") as module:
+        module.sc = streamcache  # what its load_package() binds, without touching sys.path
+        yield module
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -42,3 +52,24 @@ def test_strategy_workload_output_matches_its_pin(bench, name, seed):
     assert bench.check_trace(trace, len(stream.times)) == []
     pins = json.loads((PERFBENCH / "pins.json").read_text(encoding="utf-8"))
     assert bench.trace_digest(trace) == pins[name][str(seed)]
+
+
+def test_tracer_wraps_every_trace_point_and_restores_it():
+    with load("perfbench_tracing", "tracing.py") as tracing:
+        points = [(owner, attr) for owner, attr, _, _ in tracing.TRACE_POINTS]
+        originals = [owner.__dict__[attr] for owner, attr in points]
+        pool = streamcache.cli.ThreadPoolExecutor
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            for (owner, attr), original in zip(points, originals):
+                assert owner.__dict__[attr].__wrapped__ is original, attr
+            assert streamcache.cli.ThreadPoolExecutor is not pool
+            assert issubclass(streamcache.cli.ThreadPoolExecutor, pool)
+        finally:
+            tracer.uninstall()
+        assert [owner.__dict__[attr] for owner, attr in points] == originals
+        assert streamcache.cli.ThreadPoolExecutor is pool
+    # the strategy workloads count frames as len(stream.frames)
+    stream = generate_stream(SimConfig(), 60.0)
+    assert len(stream.frames) == len(stream.times) == 240

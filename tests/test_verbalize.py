@@ -89,7 +89,7 @@ def test_verbalized_hour_close_to_expected_count(cfg):
     # the expected 630-ish text tokens
     stream = generate_stream(cfg, 3600.0)
     verb = make_verbalizer(cfg)
-    steps = [c for c, _ in itertools.groupby(f.step_id for f in stream.frames)]
+    steps = [c for c, _ in itertools.groupby(stream.step_ids)]
     text_tokens = sum(len(verb.verbalize(c, int(stream.class_token_counts[c]))) - 1
                       for c in steps)
     assert text_tokens == pytest.approx(630, rel=0.10)
