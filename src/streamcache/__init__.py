@@ -20,6 +20,6 @@ from .connector import (BOS_ID, CaptionDecoder, PatchGrid, Scene, TrainingDiverg
 from .harness import (GrowthFit, OraclePredictor, StrategyAbort, StrategyKind,
                       StrategyTrace, SyntheticStream, fit_growth, generate_stream,
                       run_strategy, spike_ratio)
-from .types import BBox, PositionClock, Token, TokenFactory, TokenKind
+from .types import BBox, Token, TokenFactory, TokenKind
 from .verbalize import (EmbeddingTable, PredictionLog, TokenBudgetReport, Verbalizer,
                         budget_report, should_verbalize, step_text_vocab_ids)

@@ -9,7 +9,7 @@ tokens) down to the long-term capacity. Prompt tokens are pinned and never
 evicted. Exits are explicit calls, not side effects of entry, so a run's op
 sequence is auditable.
 
-Each cache owns its entry-position clock and its event log. The log is kept
+Each cache owns its entry-position counter and its event log. The log is kept
 as columns (each event's time and type code, and every event's token ids end
 to end with per-event end offsets), about 17 bytes per event plus 8 per token
 id, and ``events`` reads it as a sequence of ``CacheEvent``s built only when
@@ -23,9 +23,10 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from dataclasses import dataclass
+from itertools import count
 from typing import Deque, Dict, Iterable, List
 
-from .types import PositionClock, RecordView, Token, TokenKind
+from .types import RecordView, Token, TokenKind
 
 
 class CacheStructureError(RuntimeError):
@@ -102,7 +103,7 @@ class InterleavedCache:
         self._live: Dict[int, Token] = {}
         self._visual: Deque[Token] = deque()
         self.long_count = 0
-        self._clock = PositionClock()
+        self._positions = count()
         self.events = EventLog()
 
     def __len__(self) -> int:
@@ -125,7 +126,7 @@ class InterleavedCache:
             raise ValueError(f"duplicate token id {token.id}")
         if token.entry_position is not None:
             raise ValueError(f"token {token.id} already entered a cache")
-        token.entry_position = self._clock.next()
+        token.entry_position = next(self._positions)
         self._live[token.id] = token
         if token.kind is TokenKind.VISUAL_FRAME:
             self._visual.append(token)

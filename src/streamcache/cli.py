@@ -12,13 +12,14 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from itertools import count
 from typing import List, Optional
 
 import numpy as np
 
 from . import __version__
 from .attention import AttentionEngine
-from .config import ConfigError, SimConfig, load_config, validate_config
+from .config import ConfigError, SimConfig, load_config
 from .connector import (grad_check, init_caption_decoder, init_connector,
                         load_scene, make_scene, stage1_losses, stage1_value_and_grads)
 from .harness import (ENGINE_HEADS, ENGINE_LAYERS, MAX_LIVE_TOKENS, StrategyAbort,
@@ -26,7 +27,7 @@ from .harness import (ENGINE_HEADS, ENGINE_LAYERS, MAX_LIVE_TOKENS, StrategyAbor
                       generate_stream, run_strategy)
 from .traceio import (read_trace_csv, summarize, write_events_jsonl,
                       write_manifest, write_trace_csv)
-from .types import PositionClock, TokenFactory
+from .types import TokenFactory
 from .verbalize import DEFAULT_TOKENS_PER_STEP, budget_report
 
 EXIT_OK = 0
@@ -152,12 +153,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
     engine = AttentionEngine(cfg.d, ENGINE_HEADS, ENGINE_LAYERS, cfg.vocab_size, cfg.seed,
                              capacity=stop)
     factory = TokenFactory()
-    clock = PositionClock()
+    positions = count()
     rng = np.random.default_rng(cfg.seed)
     rows = []
     for n in range(1, stop + 1):
         tok = factory.prompt(rng.standard_normal(cfg.d))
-        tok.entry_position = clock.next()
+        tok.entry_position = next(positions)
         before = engine.flop_counter
         engine.append_token(tok)
         if n >= start and (n - start) % step == 0:
@@ -221,14 +222,14 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     if args.budget:
         try:
-            cfg = load_config(args.config) if args.config else validate_config(SimConfig())
+            cfg = load_config(args.config) if args.config else SimConfig()
         except ConfigError as exc:
             return _fail(str(exc), EXIT_CONFIG)
         try:
-            out = budget_report(cfg, args.horizon_s, args.tokens_per_step).to_json()
+            report = budget_report(cfg, args.horizon_s, args.tokens_per_step)
         except (ValueError, OverflowError) as exc:  # bad arguments, or overflowed numbers
             return _fail(str(exc), EXIT_CONFIG)
-        print(out)
+        _print_json(report.to_dict())
         return EXIT_OK
     try:
         per_strategy = read_trace_csv(args.scaling)

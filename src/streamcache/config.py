@@ -33,9 +33,6 @@ class SimConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 def validate_config(cfg: SimConfig) -> SimConfig:
     """Return ``cfg`` unchanged if every invariant holds, else raise

@@ -29,6 +29,10 @@ from .types import BBox
 _MATCH_TIE_TOL = 1e-9
 # cap on a scene file's side * side * dim: its float64 patches stay within 512 KiB
 MAX_SCENE_FLOATS = 2 ** 16
+# caps on a scene file's boxes and caption ids: gradcheck's time grows about
+# as the cube of the box count and linearly in the caption length
+MAX_SCENE_BOXES = 32
+MAX_SCENE_CAPTION = 256
 
 
 class TrainingDivergence(RuntimeError):
@@ -486,6 +490,9 @@ def load_scene(path: str, vocab_size: int = 64) -> Scene:
     entries = doc["gt_boxes"]
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise ValueError("scene 'gt_boxes' must be a list of objects")
+    if len(entries) > MAX_SCENE_BOXES:
+        raise ValueError(f"scene has {len(entries)} gt_boxes, above "
+                         f"MAX_SCENE_BOXES = {MAX_SCENE_BOXES}")
     side, dim = _scene_number(doc["side"], "'side'", int), _scene_number(doc["dim"], "'dim'", int)
     if side < 1 or dim < 1:
         raise ValueError(f"scene side and dim must be >= 1, got {side} and {dim}")
@@ -499,6 +506,12 @@ def load_scene(path: str, vocab_size: int = 64) -> Scene:
         if not all(0.0 <= v <= 1.0 for v in (box.cx, box.cy, box.w, box.h)):
             raise ValueError(f"scene box fields are normalized to [0, 1], got {box}")
         (hands if entry.get("kind") == "hand" else objects).append(box)
+    caption = doc.get("caption", [])
+    if not isinstance(caption, list):
+        raise ValueError(f"scene 'caption' must be a list of token ids, got {caption!r}")
+    if len(caption) > MAX_SCENE_CAPTION:
+        raise ValueError(f"scene caption has {len(caption)} ids, above "
+                         f"MAX_SCENE_CAPTION = {MAX_SCENE_CAPTION}")
     raw = doc["patches"]
     if isinstance(raw, str):
         buf = np.frombuffer(base64.b64decode(raw), dtype="<f8")
@@ -509,9 +522,6 @@ def load_scene(path: str, vocab_size: int = 64) -> Scene:
                                 noise=_scene_number(raw.get("noise", 0.05), "patches 'noise'"))
     else:
         raise ValueError("scene 'patches' must be base64 data or {'seed': ...}")
-    caption = doc.get("caption", [])
-    if not isinstance(caption, list):
-        raise ValueError(f"scene 'caption' must be a list of token ids, got {caption!r}")
     caption = [_scene_number(t, "caption id", int) for t in caption]
     if any(t < 0 or t >= vocab_size for t in caption):
         raise ValueError(f"scene caption ids must lie in [0, {vocab_size})")

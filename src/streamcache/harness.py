@@ -291,9 +291,6 @@ class StrategyTrace:
     engine_total_flops: int = 0
     truncated_at: Optional[int] = None
 
-    def live_series(self) -> np.ndarray:
-        return np.array(self.rows.live_token_count, dtype=np.float64)
-
     def prediction_flops(self) -> np.ndarray:
         """Per-frame flops on the prediction path: the frame append plus any
         conversion recompute that must finish before the prediction."""
@@ -450,18 +447,15 @@ class GrowthFit:
         return {"class": self.growth_class, "exponent": self.exponent, "r2": self.r2}
 
 
-def fit_growth(trace_or_series) -> GrowthFit:
-    """Classify how the live context size grows with the frame count.
+def fit_growth(live_tokens) -> GrowthFit:
+    """Classify how a trace's live-token series grows with the frame count.
 
     Log-log regression of live tokens against frame index over the last
     three quarters of the run (the first quarter is cache-warmup transient);
     a flat tail short-circuits to "bounded" (both caches capped means the
     derivative heads to zero regardless of the fill-up phase).
     """
-    if isinstance(trace_or_series, StrategyTrace):
-        series = trace_or_series.live_series()
-    else:
-        series = np.asarray(trace_or_series, dtype=np.float64)
+    series = np.asarray(live_tokens, dtype=np.float64)
     n = series.size
     if n < 100:
         raise ValueError(f"need at least 100 frames to fit growth, got {n}")

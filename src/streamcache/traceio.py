@@ -159,7 +159,7 @@ def summarize(traces: List[StrategyTrace]) -> dict:
             "truncated_at": trace.truncated_at,
         }
         if len(rows) >= 100:
-            entry["growth"] = fit_growth(trace).to_dict()
+            entry["growth"] = fit_growth(rows.live_token_count).to_dict()
         summary["strategies"][trace.kind.value] = entry
     if traces:
         cfg = traces[0].cfg

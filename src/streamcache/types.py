@@ -14,6 +14,7 @@ from abc import abstractmethod
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
+from itertools import count
 from typing import Optional
 
 import numpy as np
@@ -82,26 +83,21 @@ class TokenFactory:
     """
 
     def __init__(self) -> None:
-        self._next_id = 0
-
-    def _take_id(self) -> int:
-        tid = self._next_id
-        self._next_id += 1
-        return tid
+        self._ids = count()
 
     def visual(self, frame_index: int, embedding: np.ndarray) -> Token:
-        return Token(self._take_id(), TokenKind.VISUAL_FRAME, embedding,
+        return Token(next(self._ids), TokenKind.VISUAL_FRAME, embedding,
                      frame_index=frame_index).validate()
 
     def text(self, step_id: int, embedding: np.ndarray) -> Token:
-        return Token(self._take_id(), TokenKind.TEXT, embedding, step_id=step_id).validate()
+        return Token(next(self._ids), TokenKind.TEXT, embedding, step_id=step_id).validate()
 
     def marker(self, step_id: int, embedding: np.ndarray) -> Token:
-        return Token(self._take_id(), TokenKind.LONG_TERM_MARKER, embedding,
+        return Token(next(self._ids), TokenKind.LONG_TERM_MARKER, embedding,
                      step_id=step_id).validate()
 
     def prompt(self, embedding: np.ndarray) -> Token:
-        return Token(self._take_id(), TokenKind.PROMPT, embedding).validate()
+        return Token(next(self._ids), TokenKind.PROMPT, embedding).validate()
 
 
 @dataclass(frozen=True)
@@ -122,19 +118,3 @@ class BBox:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.cx, self.cy, self.w, self.h], dtype=np.float64)
-
-
-class PositionClock:
-    """Monotone counter handing out cache entry positions.
-
-    Each cache owns one; ``bench`` uses one to position the tokens it appends
-    to a bare engine.
-    """
-
-    def __init__(self) -> None:
-        self._next = 0
-
-    def next(self) -> int:
-        pos = self._next
-        self._next += 1
-        return pos

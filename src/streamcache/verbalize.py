@@ -8,7 +8,6 @@ all-visual context against the verbalized one.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import deque
 from dataclasses import asdict, dataclass
@@ -105,9 +104,6 @@ class TokenBudgetReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, allow_nan=False)
 
 
 def budget_report(cfg: SimConfig, horizon_s: float,

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # makes naive_reference importable
 
-from streamcache import PositionClock, SimConfig, TokenFactory
+from streamcache import SimConfig, TokenFactory
 
 
 @pytest.fixture
@@ -22,10 +22,3 @@ def factory():
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
-
-
-def make_visual(factory, clock=None, d=4, frame=0):
-    tok = factory.visual(frame, np.zeros(d))
-    if clock is not None:
-        tok.entry_position = clock.next()
-    return tok

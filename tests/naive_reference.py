@@ -90,25 +90,29 @@ class NaiveTrace:
     """A literal replay of one strategy: every cache event as ``(t, op,
     token ids, kind)``, each frame's row as ``(t_s, live tokens, append
     flops, recompute flops, text-entry flops, prediction, correct,
-    verbalized)``, and the flops of every entry."""
+    verbalized)``, the flops of every entry, and the frame after which a
+    live-token cap stopped the replay, if one did."""
 
     events: List[Tuple[float, str, Tuple[int, ...], str]]
     rows: List[Tuple[float, int, int, int, int, int, bool, bool]]
     engine_total_flops: int
+    truncated_at: Optional[int] = None
 
     def ops(self) -> List[Tuple[str, Tuple[int, ...]]]:
         return [(op, ids) for _, op, ids, _ in self.events]
 
 
 def transcribe(kind: StrategyKind, stream: SyntheticStream, cfg: SimConfig,
-               noise_p: float = 0.0, prompt_tokens: int = 4) -> NaiveTrace:
+               noise_p: float = 0.0, prompt_tokens: int = 4,
+               live_token_cap: Optional[int] = None) -> NaiveTrace:
     """Literal transcription of the streaming loop under strategy ``kind``.
 
     Mirrors the package's token id allocation order and prediction stream.
     Every entered token costs one append at the live size it makes; a2 books
     a verbalized group's appends plus a re-encode of its prompt and visual
     tokens, one query at a time, over the grown text prefix. a1 never exits
-    or verbalizes.
+    or verbalizes. With ``live_token_cap``, the replay stops after the first
+    frame whose row counts more live tokens than the cap.
     """
     a1, a2 = kind is StrategyKind.PROGRESSIVE_VISUAL, kind is StrategyKind.VERBALIZED_SEPARATE
     d, layers = cfg.d, ENGINE_LAYERS
@@ -164,6 +168,9 @@ def transcribe(kind: StrategyKind, stream: SyntheticStream, cfg: SimConfig,
         out.append(pred)
         trace.rows.append((t, len(cache.tokens), append, recompute, text, pred,
                            pred == step_id, verbalized))
+        if live_token_cap is not None and len(cache.tokens) > live_token_cap:
+            trace.truncated_at = len(trace.rows) - 1
+            break
     return trace
 
 

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from streamcache import (AttentionEngine, BBox, PositionClock, SimConfig,
+from streamcache import (AttentionEngine, BBox, SimConfig,
                          StrategyKind, TokenFactory, budget_report,
                          full_recompute, generate_stream, giou, giou_batch,
                          fit_growth, grad_check, hungarian_match,
@@ -61,7 +61,7 @@ def test_c1_incremental_oracle_equivalence():
     worst = 0.0
     for trial, n_appends in enumerate(lengths):
         engine = AttentionEngine(d, h, layers, vocab, seed=trial)
-        factory, clock = TokenFactory(), PositionClock()
+        factory, clock = TokenFactory(), itertools.count()
         live = []
         for _ in range(n_appends):
             if live and rng.random() < 0.25:
@@ -72,7 +72,7 @@ def test_c1_incremental_oracle_equivalence():
                 for i in idx:
                     live.pop(i)
             tok = factory.prompt(rng.standard_normal(d))
-            tok.entry_position = clock.next()
+            tok.entry_position = next(clock)
             out, _ = engine.append_token(tok)
             live.append(tok)
             oracle = full_recompute(engine.weights, live)
@@ -88,12 +88,12 @@ def test_c1_incremental_oracle_equivalence():
 def test_c2_flops_affine_in_live_size():
     d, h, layers, vocab = 64, 4, 2, 128
     engine = AttentionEngine(d, h, layers, vocab, seed=5)
-    factory, clock = TokenFactory(), PositionClock()
+    factory, clock = TokenFactory(), itertools.count()
     rng = np.random.default_rng(5)
     points = []
     for n in range(1, 513):
         tok = factory.prompt(rng.standard_normal(d))
-        tok.entry_position = clock.next()
+        tok.entry_position = next(clock)
         before = engine.flop_counter
         engine.append_token(tok)
         if 8 <= n <= 512:
@@ -121,9 +121,9 @@ def test_c3_token_budget_reproduction(default_cfg):
 
 
 def test_c4_growth_classes(traces_30min):
-    fit_a1 = fit_growth(traces_30min["a1"])
-    fit_unbounded = fit_growth(traces_30min["b_unbounded"])
-    fit_bounded = fit_growth(traces_30min["b"])
+    fit_a1 = fit_growth(traces_30min["a1"].rows.live_token_count)
+    fit_unbounded = fit_growth(traces_30min["b_unbounded"].rows.live_token_count)
+    fit_bounded = fit_growth(traces_30min["b"].rows.live_token_count)
     assert fit_a1.growth_class == "linear"
     assert abs(fit_a1.exponent - 1.0) <= 0.05
     assert fit_unbounded.growth_class == "sublinear"

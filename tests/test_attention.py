@@ -1,10 +1,11 @@
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import streamcache.attention
-from streamcache import (AttentionEngine, PositionClock, TokenFactory,
+from streamcache import (AttentionEngine, TokenFactory,
                          append_flop_cost, full_recompute, init_weights,
                          recompute_flop_cost)
 from streamcache.attention import REL_BIAS_CLIP
@@ -18,11 +19,11 @@ def fresh_engine(seed=7):
 
 def stream_tokens(n, rng, factory=None, clock=None, d=D):
     factory = factory or TokenFactory()
-    clock = clock or PositionClock()
+    clock = clock or itertools.count()
     toks = []
     for _ in range(n):
         tok = factory.prompt(rng.standard_normal(d))
-        tok.entry_position = clock.next()
+        tok.entry_position = next(clock)
         toks.append(tok)
     return toks
 
@@ -54,7 +55,7 @@ def test_first_token_attends_only_to_itself(rng):
 
 def test_duplicate_and_position_errors(rng):
     eng = fresh_engine()
-    factory, clock = TokenFactory(), PositionClock()
+    factory, clock = TokenFactory(), itertools.count()
     tok = stream_tokens(1, rng, factory, clock)[0]
     eng.append_token(tok)
     with pytest.raises(ValueError, match="already"):
@@ -164,7 +165,7 @@ def test_positions_survive_eviction_bias_unchanged(rng):
     # same survivor set reached with and without an intermediate token:
     # outputs differ unless positions are original, then the direct
     # construction with matching positions agrees
-    factory, clock = TokenFactory(), PositionClock()
+    factory, clock = TokenFactory(), itertools.count()
     toks = stream_tokens(5, rng, factory, clock)
     eng = fresh_engine()
     for tok in toks:
@@ -172,7 +173,7 @@ def test_positions_survive_eviction_bias_unchanged(rng):
     eng.evict([toks[1].id])
     survivors = [toks[0]] + toks[2:]
     tail = factory.prompt(rng.standard_normal(D))
-    tail.entry_position = clock.next()
+    tail.entry_position = next(clock)
     out, _ = eng.append_token(tail)
     oracle = full_recompute(eng.weights, survivors + [tail])
     np.testing.assert_allclose(out, oracle[-1], atol=1e-10)
@@ -283,7 +284,7 @@ def test_position_rule_checks_newest_survivor(rng):
 
 
 def test_growth_past_initial_capacity_with_evictions(rng):
-    factory, clock = TokenFactory(), PositionClock()
+    factory, clock = TokenFactory(), itertools.count()
     eng = fresh_engine()
     live = []
     for step in range(300):
@@ -310,7 +311,7 @@ def test_slab_growth_past_64_and_128_with_newest_and_last_slot_evictions(rng):
     # evictions take the newest token (the engine must find a new newest), the
     # token in the last slot (nothing moves) or random middle tokens (the last
     # slot's token moves into each hole, so slot order leaves entry order)
-    factory, clock = TokenFactory(), PositionClock()
+    factory, clock = TokenFactory(), itertools.count()
     eng = fresh_engine()
     live = []
     for step in range(64):
@@ -348,7 +349,7 @@ def test_slab_holds_its_capacity_then_doubles(rng):
     assert fresh_engine().nbytes == per_slot * 64
     eng = AttentionEngine(D, H, L, V, 7, capacity=5)
     assert eng.nbytes == per_slot * 5
-    factory, clock = TokenFactory(), PositionClock()
+    factory, clock = TokenFactory(), itertools.count()
     live = stream_tokens(6, rng, factory, clock)
     eng.append_tokens(live[:3])
     eng.evict([live[1].id])

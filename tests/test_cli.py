@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 
 import streamcache
+import streamcache.connector
 from streamcache import SimConfig, load_scene, make_scene
 from streamcache.cli import main
-from streamcache.connector import MAX_SCENE_FLOATS
+from streamcache.connector import MAX_SCENE_BOXES, MAX_SCENE_CAPTION, MAX_SCENE_FLOATS
 
 from naive_reference import save_scene
 
@@ -20,7 +21,7 @@ def cfg_path(tmp_path):
     path = tmp_path / "config.json"
     cfg = SimConfig(N_S=8, N_L=2, tau=4, mean_step_s=8.0, step_s_jitter=2.0,
                     d=16, vocab_size=32, seed=3)
-    path.write_text(cfg.to_json())
+    path.write_text(json.dumps(cfg.to_dict()))
     return str(path)
 
 
@@ -198,6 +199,13 @@ def test_gradcheck_scene_with_three_hands_exits_2(tmp_path, capsys):
     assert captured.err.startswith("error:") and "3 hand boxes" in captured.err
 
 
+def _scene_boxes(n):
+    """``n`` distinct valid boxes on a grid, the first two of them hands."""
+    return [dict({"cx": 0.2 + 0.1 * (i % 7), "cy": 0.2 + 0.1 * (i // 7), "w": 0.2, "h": 0.15},
+                 **({"kind": "hand"} if i < 2 else {}))
+            for i in range(n)]
+
+
 def _seeded_scene_doc():
     return {"patches": {"seed": 3}, "side": 4, "dim": 24, "caption": [5, 12, 9],
             "gt_boxes": [{"cx": 0.4, "cy": 0.5, "w": 0.2, "h": 0.3, "kind": "hand"},
@@ -241,6 +249,8 @@ _SCENE_BREAKS = {
                                                 patches="AAAAAAAAAAA="),
     "side-squared-over-cap": lambda doc: doc.update(side=100000, dim=1,
                                                     patches="AAAAAAAAAAA="),
+    "boxes-over-cap": lambda doc: doc.update(gt_boxes=_scene_boxes(MAX_SCENE_BOXES + 1)),
+    "caption-over-cap": lambda doc: doc.update(caption=[5] * (MAX_SCENE_CAPTION + 1)),
 }
 
 
@@ -261,6 +271,10 @@ _SCENE_BREAKS = {
     ("side-dim-over-cap", f"side * side * dim is {MAX_SCENE_FLOATS + 1}, above "
                           "MAX_SCENE_FLOATS"),
     ("side-squared-over-cap", "side * side * dim is 10000000000, above MAX_SCENE_FLOATS"),
+    ("boxes-over-cap", f"{MAX_SCENE_BOXES + 1} gt_boxes, above MAX_SCENE_BOXES = "
+                       f"{MAX_SCENE_BOXES}"),
+    ("caption-over-cap", f"caption has {MAX_SCENE_CAPTION + 1} ids, above MAX_SCENE_CAPTION = "
+                         f"{MAX_SCENE_CAPTION}"),
 ])
 def test_gradcheck_malformed_scene_exits_2(tmp_path, capsys, case, reason):
     doc = _seeded_scene_doc()
@@ -279,6 +293,36 @@ def test_scene_at_the_size_bound_loads(tmp_path):
     path = tmp_path / "scene.json"
     path.write_text(json.dumps(doc))
     assert load_scene(str(path)).grid.patches.size == MAX_SCENE_FLOATS
+
+
+@pytest.mark.parametrize("case", ["boxes-over-cap", "caption-over-cap"])
+def test_oversized_scene_is_refused_before_any_patch_is_drawn(tmp_path, capsys, monkeypatch,
+                                                              case):
+    def draw(*args, **kwargs):
+        raise AssertionError("patches drawn for a scene above a bound")
+
+    monkeypatch.setattr(streamcache.connector, "synth_patches", draw)
+    path = tmp_path / "scene.json"
+    doc = _seeded_scene_doc()
+    _SCENE_BREAKS[case](doc)
+    path.write_text(json.dumps(doc))
+    assert main(["gradcheck", "--scene", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "above MAX_SCENE_" in captured.err
+
+
+def test_scene_at_the_box_and_caption_bounds_loads(tmp_path, capsys):
+    doc = dict(_seeded_scene_doc(), gt_boxes=_scene_boxes(MAX_SCENE_BOXES),
+               caption=[1 + i % 63 for i in range(MAX_SCENE_CAPTION)])
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(doc))
+    scene = load_scene(str(path))
+    assert len(scene.hands) + len(scene.objects) == MAX_SCENE_BOXES
+    assert len(scene.caption) == MAX_SCENE_CAPTION
+    # gradcheck's cost grows with the box count; the caption bound alone is cheap to run
+    path.write_text(json.dumps(dict(doc, gt_boxes=_scene_boxes(2))))
+    assert main(["gradcheck", "--scene", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True
 
 
 def test_gradcheck_zero_eps_usage_error(capsys):
@@ -327,6 +371,15 @@ def test_report_budget_default_ratio(capsys):
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert 20 <= report["reduction_ratio"] <= 25
+
+
+def test_report_budget_default_stdout_bytes(capsys):
+    # the exact line, so a change of key order, separators or float repr shows
+    assert main(["report", "--budget"]) == 0
+    assert capsys.readouterr().out == (
+        '{"horizon_s": 3600.0, "marker_tokens": 112.5, "reduction_ratio": 22.45614035087719, '
+        '"reduction_ratio_with_markers": 19.104477611940297, "verbalized_text_tokens": 641.25, '
+        '"verbalized_total": 753.75, "visual_tokens": 14400.0}\n')
 
 
 def test_report_scaling_on_a1_trace(tmp_path, cfg_path, capsys):

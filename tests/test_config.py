@@ -33,7 +33,7 @@ def test_invalid_field_named_in_error(cfg, field, value, needle):
 
 def test_json_round_trip(tmp_path, cfg):
     path = tmp_path / "cfg.json"
-    path.write_text(cfg.to_json())
+    path.write_text(json.dumps(cfg.to_dict()))
     assert load_config(str(path)) == cfg
 
 

@@ -340,7 +340,7 @@ def test_runs_and_writers_build_no_records(monkeypatch, tmp_path):
     for trace in traces:
         write_trace_csv(str(tmp_path / f"trace_{trace.kind.value}.csv"), trace)
         write_events_jsonl(str(tmp_path / f"events_{trace.kind.value}.jsonl"), trace)
-        fit_growth(trace)
+        fit_growth(trace.rows.live_token_count)
         spike_ratio(trace)
         trace.accuracy()
     summarize(traces)
@@ -426,7 +426,7 @@ def test_progressive_grows_affinely():
     cfg = small_cfg()
     stream = generate_stream(cfg, 120.0)
     trace = run_strategy(StrategyKind.PROGRESSIVE_VISUAL, stream, cfg, prompt_tokens=2)
-    live = trace.live_series()
+    live = trace.rows.live_token_count
     assert live[-1] == 2 + len(stream.times) * cfg.tokens_per_frame
     diffs = np.diff(live)
     assert np.all(diffs == cfg.tokens_per_frame)
@@ -710,7 +710,7 @@ def test_symbolic_replay_matches_engine_replay(kind, tokens_per_frame):
     cfg = small_cfg(tokens_per_frame=tokens_per_frame)
     stream = generate_stream(cfg, 240.0)
     trace = run_strategy(kind, stream, cfg, noise_p=0.25, prompt_tokens=2)
-    assert_trace_is_transcribed(trace, stream, 0.25, 2)
+    assert_trace_is_transcribed(trace, transcribe(kind, stream, cfg, 0.25, 2))
 
 
 def test_trace_one_row_per_frame_and_budget_consistency():
@@ -773,10 +773,9 @@ def test_interleaved_matches_literal_transcription(seed, noise, tau, n_l):
     assert got == want_events
 
 
-def assert_trace_is_transcribed(trace, stream, noise, prompt_tokens):
-    """Every trace column but ``wall_ns``, every cache event and the engine's
-    flop total equal the literal transcription's."""
-    want = transcribe(trace.kind, stream, trace.cfg, noise, prompt_tokens)
+def assert_trace_is_transcribed(trace, want):
+    """Every trace column but ``wall_ns``, every cache event, the engine's
+    flop total and the truncation frame equal the literal transcription's."""
     r = trace.rows
     rows = list(zip(r.t_s, r.live_token_count, r.append_flops, r.extra_recompute_flops,
                     r.text_entry_flops, r.predicted_step_id, map(bool, r.correct),
@@ -785,13 +784,14 @@ def assert_trace_is_transcribed(trace, stream, noise, prompt_tokens):
     assert [(e.t, e.op, tuple(e.token_ids), e.kind) for e in trace.cache_events] == \
         want.events
     assert trace.engine_total_flops == want.engine_total_flops
-    assert trace.truncated_at is None
+    assert trace.truncated_at == want.truncated_at
 
 
 @st.composite
 def stream_runs(draw):
     """A config at d = 8, a frame count up to past one feature block, a noise
-    level, a prompt length and a class count."""
+    level, a prompt length, a class count and no live-token cap or a small
+    one."""
     cfg = small_cfg(fps=draw(st.sampled_from([1.0, 2.0, 4.0])),
                     tokens_per_frame=draw(st.integers(1, 4)), d=8,
                     N_S=draw(st.integers(1, 12)), N_L=draw(st.integers(0, 4)),
@@ -799,20 +799,32 @@ def stream_runs(draw):
                     step_s_jitter=draw(st.floats(0.0, 4.0)),
                     seed=draw(st.integers(0, 10 ** 6)))
     return (cfg, draw(st.integers(1, BLOCK + 40)), draw(st.floats(0.0, 1.0)),
-            draw(st.integers(0, 4)), draw(st.integers(2, 20)))
+            draw(st.integers(0, 4)), draw(st.integers(2, 20)),
+            draw(st.none() | st.integers(0, 120)))
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
 @given(stream_runs())
-@example((small_cfg(d=8, tokens_per_frame=2, N_L=0, tau=0), BLOCK + 1, 0.0, 0, 20))
-@example((small_cfg(d=8, tokens_per_frame=4, N_S=1, tau=0), BLOCK + 40, 1.0, 4, 6))
+@example((small_cfg(d=8, tokens_per_frame=2, N_L=0, tau=0), BLOCK + 1, 0.0, 0, 20, None))
+@example((small_cfg(d=8, tokens_per_frame=4, N_S=1, tau=0), BLOCK + 40, 1.0, 4, 6, None))
+# the default width: a1 passes the cap at frame 28, b and a2 stay below it
+@example((small_cfg(d=64, tokens_per_frame=2, N_S=4, tau=2), 120, 0.25, 4, 8, 60))
 def test_every_strategy_matches_the_literal_transcription(run):
-    cfg, n_frames, noise, prompt_tokens, n_classes = run
+    cfg, n_frames, noise, prompt_tokens, n_classes, cap = run
     stream = generate_stream(cfg, n_frames / cfg.fps, n_classes)
     assert len(stream.times) == n_frames
     for kind in StrategyKind:
-        trace = run_strategy(kind, stream, cfg, noise_p=noise, prompt_tokens=prompt_tokens)
-        assert_trace_is_transcribed(trace, stream, noise, prompt_tokens)
+        want = transcribe(kind, stream, cfg, noise, prompt_tokens, cap)
+        if want.truncated_at is None:
+            trace = run_strategy(kind, stream, cfg, noise_p=noise,
+                                 prompt_tokens=prompt_tokens, live_token_cap=cap)
+        else:
+            with pytest.raises(StrategyAbort) as excinfo:
+                run_strategy(kind, stream, cfg, noise_p=noise, prompt_tokens=prompt_tokens,
+                             live_token_cap=cap)
+            trace = excinfo.value.trace
+            assert trace.truncated_at == len(trace.rows) - 1
+        assert_trace_is_transcribed(trace, want)
 
 
 # -- growth fitting ---------------------------------------------------------
@@ -858,7 +870,7 @@ _FIT_SCRIPT = """
 from streamcache import SimConfig, StrategyKind, fit_growth, generate_stream, run_strategy
 cfg = SimConfig()
 trace = run_strategy(StrategyKind.VERBALIZED_SEPARATE, generate_stream(cfg, 1800.0), cfg)
-print(repr(fit_growth(trace)))
+print(repr(fit_growth(trace.rows.live_token_count)))
 """
 
 

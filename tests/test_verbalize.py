@@ -1,6 +1,5 @@
 import dataclasses
 import itertools
-import json
 
 import numpy as np
 import pytest
@@ -103,7 +102,7 @@ def test_budget_report_hour_horizon(cfg):
     assert report.verbalized_text_tokens == pytest.approx(641.25)
     assert report.reduction_ratio == pytest.approx(22.46, abs=0.05)
     assert report.reduction_ratio_with_markers == pytest.approx(14400 / 753.75)
-    assert json.loads(report.to_json())["visual_tokens"] == 14400
+    assert report.to_dict()["visual_tokens"] == 14400
 
 
 def test_budget_report_128s_window(cfg):
