@@ -9,7 +9,9 @@ objectness score. All trainable weights live in one params dict keyed by
 ``PARAM_KEYS``, built by ``init_connector``. Training pairs a
 language-modeling loss (through a frozen caption readout) with a matched
 GIoU + L1 box loss; gradients are written out by hand and checked against
-central differences. Box assignments come from ``_match``: one
+central differences. GIoU and its gradient run pair by pair over Python
+floats (``_giou_pair``), as the matcher does, since a training step's box
+block holds only 4 to 16 pairs. Box assignments come from ``_match``: one
 shortest-augmenting-path solve in plain Python (``_assign``), whose dual
 potentials bound which tie-break candidates need a solve of their own.
 """
@@ -161,34 +163,66 @@ def giou(a: BBox, b: BBox) -> float:
     return float(giou_batch(a.as_array()[None, :], b.as_array()[None, :])[0])
 
 
+def _axis_grad(lo_beyond: bool, hi_beyond: bool, size: float, overlap: float, hull: float,
+               has_inter: bool, inter: float, union: float, c_area: float
+               ) -> Tuple[float, float]:
+    """GIoU's slope in one axis's center and extent, from the predicted box's
+    lo and hi corners on that axis; ``size``, ``overlap`` and ``hull`` are
+    the other axis's extents, by which a corner moves each area. A corner
+    moves the overlap only inside the gt box's span and the hull only beyond it."""
+    uu, cc = union * union, c_area * c_area
+    d_inter = -overlap if has_inter and not lo_beyond else 0.0
+    d_c = -hull if lo_beyond else 0.0
+    d_union = -size - d_inter
+    d_lo = (d_inter * union - inter * d_union) / uu + (d_union * c_area - union * d_c) / cc
+    d_inter = overlap if has_inter and not hi_beyond else 0.0
+    d_c = hull if hi_beyond else 0.0
+    d_union = size - d_inter
+    d_hi = (d_inter * union - inter * d_union) / uu + (d_union * c_area - union * d_c) / cc
+    return d_lo + d_hi, 0.5 * (d_hi - d_lo)
+
+
+def _giou_pair(a: List[float], b: List[float]) -> List[float]:
+    """GIoU of one center-format pair and its gradient w.r.t. ``a``, as
+    [value, d_cx, d_cy, d_w, d_h] over Python floats."""
+    (acx, acy, aw, ah), (bcx, bcy, bw, bh) = a, b
+    ahw, ahh, bhw, bhh = aw / 2, ah / 2, bw / 2, bh / 2
+    alx, aly, aux, auy = acx - ahw, acy - ahh, acx + ahw, acy + ahh
+    blx, bly, bux, buy = bcx - bhw, bcy - bhh, bcx + bhw, bcy + bhh
+    sx, sy = aux - alx, auy - aly
+    ix = (aux if aux < bux else bux) - (alx if alx > blx else blx)
+    iy = (auy if auy < buy else buy) - (aly if aly > bly else bly)
+    hx = (aux if aux > bux else bux) - (alx if alx < blx else blx)
+    hy = (auy if auy > buy else buy) - (aly if aly < bly else bly)
+    has_inter = ix > 0 and iy > 0
+    inter = ix * iy if has_inter else 0.0
+    union = sx * sy + (bux - blx) * (buy - bly) - inter
+    c_area = hx * hy
+    d_cx, d_w = _axis_grad(alx < blx, aux > bux, sy, iy, hy, has_inter, inter, union, c_area)
+    d_cy, d_h = _axis_grad(aly < bly, auy > buy, sx, ix, hx, has_inter, inter, union, c_area)
+    return [inter / union - (c_area - union) / c_area, d_cx, d_cy, d_w, d_h]
+
+
 def giou_and_grad(pred_params: np.ndarray, gt_params: np.ndarray
                   ) -> Tuple[np.ndarray, np.ndarray]:
-    """GIoU of paired (..., 4) center-format boxes plus its gradient w.r.t.
-    the predicted (cx, cy, w, h)."""
-    a_lo, a_hi = _corner_pairs(pred_params)
-    b_lo, b_hi = _corner_pairs(gt_params)
-    size = a_hi - a_lo
-    inter_wh = np.minimum(a_hi, b_hi) - np.maximum(a_lo, b_lo)
-    hull_wh = np.maximum(a_hi, b_hi) - np.minimum(a_lo, b_lo)
-    has_inter = (inter_wh > 0).all(-1, keepdims=True)
-    inter = np.where(has_inter, inter_wh.prod(-1, keepdims=True), 0.0)
-    union = size.prod(-1, keepdims=True) + (b_hi - b_lo).prod(-1, keepdims=True) - inter
-    c_area = hull_wh.prod(-1, keepdims=True)
-    value = (inter / union - (c_area - union) / c_area)[..., 0]
+    """GIoU of broadcast (..., 4) center-format boxes of positive size, plus
+    its gradient w.r.t. the predicted (cx, cy, w, h).
 
-    # a corner coordinate moves each area by the other axis's extent; it moves
-    # the overlap only inside the gt box's span and the hull only beyond it
-    def d_corner(sign: float, beyond: np.ndarray) -> np.ndarray:
-        d_area = sign * size[..., ::-1]
-        d_inter = np.where(has_inter & ~beyond, sign * inter_wh[..., ::-1], 0.0)
-        d_c = np.where(beyond, sign * hull_wh[..., ::-1], 0.0)
-        d_union = d_area - d_inter
-        d_iou = (d_inter * union - inter * d_union) / (union * union)
-        return d_iou + (d_union * c_area - union * d_c) / (c_area * c_area)
-
-    d_lo, d_hi = d_corner(-1.0, a_lo < b_lo), d_corner(1.0, a_hi > b_hi)
-    # map corner grads back to center parametrization
-    return value, np.concatenate([d_lo + d_hi, 0.5 * (d_hi - d_lo)], axis=-1)
+    Pair by pair over Python floats, the way ``_assign`` reads its costs: the
+    blocks a training step asks for hold 4 to 16 pairs, where numpy's per-call
+    cost would dominate. Each expression keeps the order of the elementwise
+    array form in ``tests/naive_reference.py`` (a negation is its exact
+    product with -1.0), so every bit matches it.
+    """
+    pred = np.asarray(pred_params, dtype=np.float64)
+    gt = np.asarray(gt_params, dtype=np.float64)
+    shape = np.broadcast(pred, gt).shape
+    both = np.empty((2,) + shape)  # one copy broadcasts both, cheaper than broadcast_arrays
+    both[0], both[1] = pred, gt
+    pred_rows, gt_rows = both.reshape(2, -1, 4).tolist()
+    out = np.array([_giou_pair(a, b) for a, b in zip(pred_rows, gt_rows)])
+    out = out.reshape(shape[:-1] + (5,))
+    return out[..., 0], out[..., 1:]
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +368,12 @@ def hungarian_match(pred: Sequence[BBox], gt: Sequence[BBox]) -> List[int]:
 
 def loss_lm(logits: np.ndarray, targets: Sequence[int]) -> float:
     """Mean negative log-likelihood of the target ids under the logits."""
+    return _lm_and_probs(logits, targets)[0]
+
+
+def _lm_and_probs(logits: np.ndarray, targets: Sequence[int]) -> Tuple[float, np.ndarray]:
+    """``loss_lm`` and the softmax rows its log-normalizers sum, which the
+    backward needs as they are."""
     logits = np.asarray(logits, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.int64)
     if targets.size == 0:
@@ -343,8 +383,10 @@ def loss_lm(logits: np.ndarray, targets: Sequence[int]) -> float:
     if targets.min() < 0 or targets.max() >= logits.shape[1]:
         raise ValueError("target id out of vocab range")
     shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
-    return float(np.mean(log_z - shifted[np.arange(targets.size), targets]))
+    e = np.exp(shifted)
+    z = e.sum(axis=1)
+    lm = float(np.mean(np.log(z) - shifted[np.arange(targets.size), targets]))
+    return lm, e / z[:, None]
 
 
 def loss_total(lm: float, ho: float, lambda_1: float) -> float:
@@ -549,7 +591,7 @@ def _stage1_forward(params, decoder, scene, lambda_1):
         raise TrainingDivergence("non-finite connector activations")
     targets = np.asarray(scene.caption, dtype=np.int64)
     cap = _caption_forward(decoder, fwd["tokens"], targets)
-    lm = loss_lm(cap["logits"], targets)
+    lm, probs = _lm_and_probs(cap["logits"], targets)
 
     # one (gt x prediction) block: hand rows match the first 2 columns, objects the rest
     gt = _box_array(scene.hands + scene.objects)
@@ -562,8 +604,8 @@ def _stage1_forward(params, decoder, scene, lambda_1):
     total = loss_total(lm, ho, lambda_1)
     losses = {"total": total, "lm": lm, "ho": ho}
     matched = np.array(sigma_h + [2 + j for j in sigma_o], dtype=np.intp)
-    return losses, fwd, {"cap": cap, "targets": targets, "gt": gt, "matched": matched,
-                         "g_giou": g_giou[np.arange(gt.shape[0]), matched]}
+    return losses, fwd, {"cap": cap, "probs": probs, "targets": targets, "gt": gt,
+                         "matched": matched, "g_giou": g_giou[np.arange(gt.shape[0]), matched]}
 
 
 def stage1_value_and_grads(params: Dict[str, np.ndarray], decoder: CaptionDecoder,
@@ -581,8 +623,7 @@ def stage1_value_and_grads(params: Dict[str, np.ndarray], decoder: CaptionDecode
     patches = scene.grid.patches
 
     # language path: cross-entropy -> frozen readout -> compressed tokens
-    probs = _softmax_rows(cap["logits"])
-    dlogits = probs.copy()
+    dlogits = aux["probs"].copy()
     dlogits[np.arange(n_t), targets] -= 1.0
     dlogits /= n_t
     d_out_cap = dlogits @ decoder.w_lm.T
@@ -719,22 +760,31 @@ def train_toy(params: Dict[str, np.ndarray], decoder: CaptionDecoder,
 
     The step size follows a cosine schedule annealed to zero, which settles
     the constant-magnitude L1 gradients near the optimum. The caption decoder
-    stays frozen. Raises ``TrainingDivergence`` when the loss goes non-finite.
+    stays frozen. Raises ``ValueError`` for no scenes, ``epochs < 0`` or a
+    non-finite ``lr`` before any step, and ``TrainingDivergence`` when the
+    loss goes non-finite.
     """
     if not scenes:
         raise ValueError("need at least one scene")
+    if epochs < 0:
+        raise ValueError(f"epochs must be >= 0, got {epochs}")
+    if not math.isfinite(lr):
+        raise ValueError(f"lr must be finite, got {lr}")
     rows = []
     for epoch in range(epochs):
         sums = np.zeros(3)
-        grad_acc = {name: np.zeros_like(arr) for name, arr in params.items()}
+        grad_acc = None
         for scene in scenes:
             losses, grads = stage1_value_and_grads(params, decoder, scene, lambda_1)
             if not np.isfinite(losses["total"]):
                 raise TrainingDivergence(
                     f"non-finite loss at epoch {epoch}: {losses}")
             sums += (losses["total"], losses["lm"], losses["ho"])
-            for name in grad_acc:
-                grad_acc[name] += grads[name]
+            if grad_acc is None:  # each call returns fresh arrays, so the sum starts in them
+                grad_acc = grads
+            else:
+                for name in grad_acc:
+                    grad_acc[name] += grads[name]
         rows.append(sums / len(scenes))
         step = lr * 0.5 * (1.0 + math.cos(math.pi * epoch / epochs))
         for name in params:

@@ -144,18 +144,56 @@ def test_giou_batch_matches_scalar(rng):
         assert batch[i] == pytest.approx(giou(BBox(*a[i]), BBox(*b[i])))
 
 
+# (pred, gt) pairs: nested and disjoint pairs are smooth points of GIoU
+SMOOTH_PAIRS = [((0.5, 0.5, 0.2, 0.2), (0.5, 0.5, 0.6, 0.4)),
+                ((0.5, 0.5, 0.6, 0.4), (0.45, 0.55, 0.2, 0.2)),
+                ((0.2, 0.2, 0.1, 0.1), (0.7, 0.8, 0.2, 0.1))]
+# a shared edge is a kink, where central differences average two slopes; the
+# second to last pair is two identical boxes
+SHARED_PAIRS = [((0.375, 0.5, 0.25, 0.25), (0.5, 0.5, 0.5, 0.25)),
+                ((0.5, 0.375, 0.25, 0.25), (0.5, 0.5, 0.25, 0.5)),
+                ((0.3, 0.3, 0.2, 0.2), (0.3, 0.3, 0.2, 0.2)),
+                ((0.25, 0.5, 0.25, 0.25), (0.5, 0.5, 0.25, 0.25))]
+
+
+def test_giou_and_grad_is_the_array_form_bit_for_bit(rng):
+    def check(pred, gt):
+        value, grad = giou_and_grad(pred, gt)
+        ref_value, ref_grad = naive_reference.giou_and_grad(pred, gt)
+        assert value.shape == ref_value.shape and grad.shape == ref_grad.shape
+        assert np.array_equal(value, ref_value) and np.array_equal(grad, ref_grad)
+        # array_equal takes -0.0 for 0.0; the bytes do not
+        assert value.tobytes() == ref_value.tobytes() and grad.tobytes() == ref_grad.tobytes()
+
+    def boxes(n):
+        return np.column_stack([rng.uniform(0, 1, (n, 2)), rng.uniform(1e-6, 1, (n, 2))])
+
+    # stage-1 blocks, (n_gt, 1, 4) x (1, n_pred, 4); a third repeat a gt box
+    for trial in range(600):
+        n_gt, n_pred = int(rng.integers(0, 5)), int(rng.integers(1, 6))
+        gt, pred = boxes(n_gt), boxes(n_pred)
+        if trial % 3 == 0 and n_gt:
+            pred[rng.integers(n_pred)] = gt[rng.integers(n_gt)]
+        check(pred[None], gt[:, None])
+    pred, gt = boxes(200), boxes(200)
+    check(pred, gt)
+    check(pred[0], gt[0])
+    pairs = np.array(SMOOTH_PAIRS + SHARED_PAIRS)
+    check(pairs[:, 0], pairs[:, 1])
+    # corners at exactly 0 and 1, and boxes whose edges touch at 0.5 with
+    # unequal spans on the other axis, where the overlap is exactly 0
+    edges = np.array([(0.25, 0.5, 0.5, 0.2), (0.75, 0.5, 0.5, 0.4), (0.5, 0.25, 0.2, 0.5),
+                      (0.5, 0.75, 0.6, 0.5), (0.5, 0.5, 1.0, 1.0), (0.125, 0.875, 0.25, 0.25),
+                      (0.5, 0.5, 0.25, 0.25), (0.75, 0.25, 0.5, 0.5)])
+    assert {0.0, 1.0} <= set((edges[:, :2] - edges[:, 2:] / 2).ravel()) \
+        | set((edges[:, :2] + edges[:, 2:] / 2).ravel())
+    check(edges[None], edges[:, None])
+
+
 def test_giou_grad_matches_finite_differences(rng):
-    # the random pairs plus nested and disjoint pairs are smooth points of GIoU
-    smooth = [((0.5, 0.5, 0.2, 0.2), (0.5, 0.5, 0.6, 0.4)),
-              ((0.5, 0.5, 0.6, 0.4), (0.45, 0.55, 0.2, 0.2)),
-              ((0.2, 0.2, 0.1, 0.1), (0.7, 0.8, 0.2, 0.1))]
-    # a shared edge is a kink, where central differences average two slopes
-    shared = [((0.375, 0.5, 0.25, 0.25), (0.5, 0.5, 0.5, 0.25)),
-              ((0.5, 0.375, 0.25, 0.25), (0.5, 0.5, 0.25, 0.5)),
-              ((0.3, 0.3, 0.2, 0.2), (0.3, 0.3, 0.2, 0.2)),
-              ((0.25, 0.5, 0.25, 0.25), (0.5, 0.5, 0.25, 0.25))]
+    # the random pairs are smooth points too
     pairs = [(random_box(rng).as_array(), random_box(rng).as_array()) for _ in range(50)]
-    pairs += smooth + shared
+    pairs += SMOOTH_PAIRS + SHARED_PAIRS
     pred = np.array([p for p, _ in pairs])
     gt = np.array([g for _, g in pairs])
     values, grads = giou_and_grad(pred, gt)
@@ -168,7 +206,7 @@ def test_giou_grad_matches_finite_differences(rng):
         value, grad = giou_and_grad(pred[i], gt[i])
         assert value.tobytes() == values[i].tobytes()
         assert grad.tobytes() == grads[i].tobytes()
-        if i >= len(pairs) - len(shared):
+        if i >= len(pairs) - len(SHARED_PAIRS):
             continue
         for c in range(4):
             plus, minus = pred[i].copy(), pred[i].copy()
@@ -706,3 +744,33 @@ def test_train_toy_requires_scenes():
     decoder = init_caption_decoder(QDIM, 64, seed=9)
     with pytest.raises(ValueError):
         train_toy(params, decoder, [], epochs=1, lr=0.1)
+
+
+@pytest.mark.parametrize("epochs, lr", [(-3, 0.1), (2, math.nan), (2, math.inf),
+                                        (2, -math.inf)])
+def test_train_toy_refuses_bad_arguments_before_any_step(monkeypatch, epochs, lr):
+    scene = make_scene(seed=2, side=4, dim=FEAT_DIM)
+    params = small_setup()
+    before = {name: arr.copy() for name, arr in params.items()}
+    decoder = init_caption_decoder(QDIM, 64, seed=9)
+    calls = []
+    monkeypatch.setattr(connector, "stage1_value_and_grads",
+                        lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="epochs|lr"):
+        train_toy(params, decoder, [scene], epochs=epochs, lr=lr)
+    assert calls == []
+    assert all(params[name].tobytes() == before[name].tobytes() for name in params)
+
+
+def test_train_toy_sums_scene_gradients_as_the_zero_started_loop():
+    scenes = [make_scene(seed=2, side=4, dim=FEAT_DIM),
+              make_scene(seed=3, side=4, dim=FEAT_DIM, n_hands=1, n_objects=1)]
+    decoder = init_caption_decoder(QDIM, 64, seed=9)
+    params, ref_params = small_setup(), small_setup()
+    result = train_toy(params, decoder, scenes, epochs=6, lr=0.2)
+    ref = naive_reference.train_toy(ref_params, decoder, scenes, epochs=6, lr=0.2)
+    assert result.curve.shape == (7, 3)
+    assert result.curve.tobytes() == ref.curve.tobytes()
+    assert params.keys() == ref_params.keys()
+    for name in params:
+        assert params[name].tobytes() == ref_params[name].tobytes(), name

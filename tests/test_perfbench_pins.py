@@ -3,7 +3,9 @@
 ``perfbench/run.py`` is loaded as it is, and its ``check_trace`` and
 ``trace_digest`` read each trace the way a benchmark pass does: a change to
 the trace's read API or to what a run computes fails here, not only in the
-benchmark. ``perfbench/tracing.py`` is loaded as it is too, and its tracer
+benchmark. ``connector-train`` runs through the workload's own ``setup`` and
+``run``, so a change to its loss curve fails here too.
+``perfbench/tracing.py`` is loaded as it is too, and its tracer
 must find every name it wraps, so a renamed function fails here before it
 fails ``perfbench/run.py --trace 1``.
 """
@@ -52,6 +54,16 @@ def test_strategy_workload_output_matches_its_pin(bench, name, seed):
     assert bench.check_trace(trace, len(stream.times)) == []
     pins = json.loads((PERFBENCH / "pins.json").read_text(encoding="utf-8"))
     assert bench.trace_digest(trace) == pins[name][str(seed)]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_connector_workload_output_matches_its_pin(bench, tmp_path, seed):
+    workload = bench.WORKLOADS["connector-train"]
+    workload.prepare(seed, tmp_path)
+    result = workload.run(workload.setup())
+    assert result.failures == []
+    pins = json.loads((PERFBENCH / "pins.json").read_text(encoding="utf-8"))
+    assert result.digest == pins["connector-train"][str(seed)]
 
 
 def test_tracer_wraps_every_trace_point_and_restores_it():
