@@ -10,8 +10,9 @@ objectness score. All trainable weights live in one params dict keyed by
 language-modeling loss (through a frozen caption readout) with a matched
 GIoU + L1 box loss; gradients are written out by hand and checked against
 central differences. GIoU and its gradient run pair by pair over Python
-floats (``_giou_pair``), as the matcher does, since a training step's box
-block holds only 4 to 16 pairs. Box assignments come from ``_match``: one
+floats (``_giou_pair``), as the matcher does, in blocks of up to
+``GIOU_SCALAR_MAX_PAIRS`` pairs, and as elementwise arrays in larger ones;
+both give the same bits. Box assignments come from ``_match``: one
 shortest-augmenting-path solve in plain Python (``_assign``), whose dual
 potentials bound which tie-break candidates need a solve of their own.
 """
@@ -203,26 +204,66 @@ def _giou_pair(a: List[float], b: List[float]) -> List[float]:
     return [inter / union - (c_area - union) / c_area, d_cx, d_cy, d_w, d_h]
 
 
+# the scalar form's cost grows with the pairs and the array form's barely does;
+# on a 2-vCPU x86-64 host they cross near 30 pairs (16 pairs: 48 against 81 us,
+# 49 pairs: 135 against 91 us)
+GIOU_SCALAR_MAX_PAIRS = 30
+
+
 def giou_and_grad(pred_params: np.ndarray, gt_params: np.ndarray
                   ) -> Tuple[np.ndarray, np.ndarray]:
     """GIoU of broadcast (..., 4) center-format boxes of positive size, plus
     its gradient w.r.t. the predicted (cx, cy, w, h).
 
-    Pair by pair over Python floats, the way ``_assign`` reads its costs: the
-    blocks a training step asks for hold 4 to 16 pairs, where numpy's per-call
-    cost would dominate. Each expression keeps the order of the elementwise
-    array form in ``tests/naive_reference.py`` (a negation is its exact
-    product with -1.0), so every bit matches it.
+    A stage-1 block holds (hands + objects) x (2 + object queries) pairs: 16
+    for the 2-hand, 2-object scenes of ``connector-train`` and the default
+    ``gradcheck``, up to 32 x 34 for a ``gradcheck --scene`` file at
+    ``MAX_SCENE_BOXES``. Blocks of up to ``GIOU_SCALAR_MAX_PAIRS`` pairs run
+    pair by pair over Python floats, the way ``_assign`` reads its costs,
+    since numpy's per-call cost dominates them; larger blocks run as arrays.
+    Both forms evaluate each expression in the same order (a negation is its
+    exact product with -1.0), so every bit is the same whichever runs.
     """
     pred = np.asarray(pred_params, dtype=np.float64)
     gt = np.asarray(gt_params, dtype=np.float64)
     shape = np.broadcast(pred, gt).shape
+    if math.prod(shape[:-1]) > GIOU_SCALAR_MAX_PAIRS:
+        return _giou_and_grad_array(pred, gt)
     both = np.empty((2,) + shape)  # one copy broadcasts both, cheaper than broadcast_arrays
     both[0], both[1] = pred, gt
     pred_rows, gt_rows = both.reshape(2, -1, 4).tolist()
     out = np.array([_giou_pair(a, b) for a, b in zip(pred_rows, gt_rows)])
     out = out.reshape(shape[:-1] + (5,))
     return out[..., 0], out[..., 1:]
+
+
+def _giou_and_grad_array(pred_params: np.ndarray, gt_params: np.ndarray
+                         ) -> Tuple[np.ndarray, np.ndarray]:
+    """``giou_and_grad`` as elementwise arrays over (lo, hi) corner pairs."""
+    a_lo, a_hi = _corner_pairs(pred_params)
+    b_lo, b_hi = _corner_pairs(gt_params)
+    size = a_hi - a_lo
+    inter_wh = np.minimum(a_hi, b_hi) - np.maximum(a_lo, b_lo)
+    hull_wh = np.maximum(a_hi, b_hi) - np.minimum(a_lo, b_lo)
+    has_inter = (inter_wh > 0).all(-1, keepdims=True)
+    inter = np.where(has_inter, inter_wh.prod(-1, keepdims=True), 0.0)
+    union = size.prod(-1, keepdims=True) + (b_hi - b_lo).prod(-1, keepdims=True) - inter
+    c_area = hull_wh.prod(-1, keepdims=True)
+    value = (inter / union - (c_area - union) / c_area)[..., 0]
+
+    # a corner coordinate moves each area by the other axis's extent; it moves
+    # the overlap only inside the gt box's span and the hull only beyond it
+    def d_corner(sign: float, beyond: np.ndarray) -> np.ndarray:
+        d_area = sign * size[..., ::-1]
+        d_inter = np.where(has_inter & ~beyond, sign * inter_wh[..., ::-1], 0.0)
+        d_c = np.where(beyond, sign * hull_wh[..., ::-1], 0.0)
+        d_union = d_area - d_inter
+        d_iou = (d_inter * union - inter * d_union) / (union * union)
+        return d_iou + (d_union * c_area - union * d_c) / (c_area * c_area)
+
+    d_lo, d_hi = d_corner(-1.0, a_lo < b_lo), d_corner(1.0, a_hi > b_hi)
+    # map corner grads back to center parametrization
+    return value, np.concatenate([d_lo + d_hi, 0.5 * (d_hi - d_lo)], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -368,12 +409,13 @@ def hungarian_match(pred: Sequence[BBox], gt: Sequence[BBox]) -> List[int]:
 
 def loss_lm(logits: np.ndarray, targets: Sequence[int]) -> float:
     """Mean negative log-likelihood of the target ids under the logits."""
-    return _lm_and_probs(logits, targets)[0]
+    return _lm_parts(logits, targets)[0]
 
 
-def _lm_and_probs(logits: np.ndarray, targets: Sequence[int]) -> Tuple[float, np.ndarray]:
-    """``loss_lm`` and the softmax rows its log-normalizers sum, which the
-    backward needs as they are."""
+def _lm_parts(logits: np.ndarray, targets: Sequence[int]
+              ) -> Tuple[float, np.ndarray, np.ndarray]:
+    """``loss_lm`` with the shifted exponentials and their row sums, from which
+    the backward takes the softmax rows."""
     logits = np.asarray(logits, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.int64)
     if targets.size == 0:
@@ -386,7 +428,7 @@ def _lm_and_probs(logits: np.ndarray, targets: Sequence[int]) -> Tuple[float, np
     e = np.exp(shifted)
     z = e.sum(axis=1)
     lm = float(np.mean(np.log(z) - shifted[np.arange(targets.size), targets]))
-    return lm, e / z[:, None]
+    return lm, e, z
 
 
 def loss_total(lm: float, ho: float, lambda_1: float) -> float:
@@ -591,7 +633,7 @@ def _stage1_forward(params, decoder, scene, lambda_1):
         raise TrainingDivergence("non-finite connector activations")
     targets = np.asarray(scene.caption, dtype=np.int64)
     cap = _caption_forward(decoder, fwd["tokens"], targets)
-    lm, probs = _lm_and_probs(cap["logits"], targets)
+    lm, exp_rows, exp_sums = _lm_parts(cap["logits"], targets)
 
     # one (gt x prediction) block: hand rows match the first 2 columns, objects the rest
     gt = _box_array(scene.hands + scene.objects)
@@ -604,8 +646,9 @@ def _stage1_forward(params, decoder, scene, lambda_1):
     total = loss_total(lm, ho, lambda_1)
     losses = {"total": total, "lm": lm, "ho": ho}
     matched = np.array(sigma_h + [2 + j for j in sigma_o], dtype=np.intp)
-    return losses, fwd, {"cap": cap, "probs": probs, "targets": targets, "gt": gt,
-                         "matched": matched, "g_giou": g_giou[np.arange(gt.shape[0]), matched]}
+    return losses, fwd, {"cap": cap, "exp_rows": exp_rows, "exp_sums": exp_sums,
+                         "targets": targets, "gt": gt, "matched": matched,
+                         "g_giou": g_giou[np.arange(gt.shape[0]), matched]}
 
 
 def stage1_value_and_grads(params: Dict[str, np.ndarray], decoder: CaptionDecoder,
@@ -623,7 +666,7 @@ def stage1_value_and_grads(params: Dict[str, np.ndarray], decoder: CaptionDecode
     patches = scene.grid.patches
 
     # language path: cross-entropy -> frozen readout -> compressed tokens
-    dlogits = aux["probs"].copy()
+    dlogits = aux["exp_rows"] / aux["exp_sums"][:, None]  # the softmax rows
     dlogits[np.arange(n_t), targets] -= 1.0
     dlogits /= n_t
     d_out_cap = dlogits @ decoder.w_lm.T
@@ -780,11 +823,8 @@ def train_toy(params: Dict[str, np.ndarray], decoder: CaptionDecoder,
                 raise TrainingDivergence(
                     f"non-finite loss at epoch {epoch}: {losses}")
             sums += (losses["total"], losses["lm"], losses["ho"])
-            if grad_acc is None:  # each call returns fresh arrays, so the sum starts in them
-                grad_acc = grads
-            else:
-                for name in grad_acc:
-                    grad_acc[name] += grads[name]
+            grad_acc = grads if grad_acc is None else {
+                name: grad_acc[name] + grads[name] for name in grad_acc}
         rows.append(sums / len(scenes))
         step = lr * 0.5 * (1.0 + math.cos(math.pi * epoch / epochs))
         for name in params:

@@ -15,10 +15,9 @@ first is read and kept in a ``NaiveStream``. ``last_rows`` is
 real runs in O(k·n) memory. ``grad_check`` is the finite-difference checker
 in its first form: a list of every parameter coordinate, sampled by index.
 ``save_scene`` writes a scene in the file format that ``load_scene`` reads, so
-tests can make scene files. ``giou_and_grad`` is the GIoU value and gradient
-in their first, elementwise array form over ``(lo, hi)`` corner pairs.
-``train_toy`` is the toy trainer's loop in its first form: each epoch's
-gradient sum starts from zero arrays and adds every scene's in scene order.
+tests can make scene files. ``train_toy`` is the toy trainer's loop in its
+first form: each epoch's gradient sum starts from zero arrays and adds every
+scene's in scene order.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from streamcache import (AttentionWeights, OraclePredictor, Scene, SimConfig, St
                          SyntheticStream, Token, append_flop_cost, validate_config)
 from streamcache.attention import REL_BIAS_CLIP
 from streamcache.connector import (CaptionDecoder, TrainingDivergence, TrainResult,
-                                   _corner_pairs, stage1_losses, stage1_value_and_grads)
+                                   stage1_losses, stage1_value_and_grads)
 from streamcache.harness import ENGINE_LAYERS, FEATURE_NOISE
 
 # each symbolic kind is the name that a cache event gives its token kind
@@ -351,36 +350,6 @@ def save_scene(scene: Scene, path: str) -> None:
            "caption": scene.caption}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
-
-
-def giou_and_grad(pred_params: np.ndarray, gt_params: np.ndarray
-                  ) -> Tuple[np.ndarray, np.ndarray]:
-    """GIoU of paired (..., 4) center-format boxes plus its gradient w.r.t.
-    the predicted (cx, cy, w, h)."""
-    a_lo, a_hi = _corner_pairs(pred_params)
-    b_lo, b_hi = _corner_pairs(gt_params)
-    size = a_hi - a_lo
-    inter_wh = np.minimum(a_hi, b_hi) - np.maximum(a_lo, b_lo)
-    hull_wh = np.maximum(a_hi, b_hi) - np.minimum(a_lo, b_lo)
-    has_inter = (inter_wh > 0).all(-1, keepdims=True)
-    inter = np.where(has_inter, inter_wh.prod(-1, keepdims=True), 0.0)
-    union = size.prod(-1, keepdims=True) + (b_hi - b_lo).prod(-1, keepdims=True) - inter
-    c_area = hull_wh.prod(-1, keepdims=True)
-    value = (inter / union - (c_area - union) / c_area)[..., 0]
-
-    # a corner coordinate moves each area by the other axis's extent; it moves
-    # the overlap only inside the gt box's span and the hull only beyond it
-    def d_corner(sign: float, beyond: np.ndarray) -> np.ndarray:
-        d_area = sign * size[..., ::-1]
-        d_inter = np.where(has_inter & ~beyond, sign * inter_wh[..., ::-1], 0.0)
-        d_c = np.where(beyond, sign * hull_wh[..., ::-1], 0.0)
-        d_union = d_area - d_inter
-        d_iou = (d_inter * union - inter * d_union) / (union * union)
-        return d_iou + (d_union * c_area - union * d_c) / (c_area * c_area)
-
-    d_lo, d_hi = d_corner(-1.0, a_lo < b_lo), d_corner(1.0, a_hi > b_hi)
-    # map corner grads back to center parametrization
-    return value, np.concatenate([d_lo + d_hi, 0.5 * (d_hi - d_lo)], axis=-1)
 
 
 def train_toy(params: Dict[str, np.ndarray], decoder: CaptionDecoder,

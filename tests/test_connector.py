@@ -156,14 +156,19 @@ SHARED_PAIRS = [((0.375, 0.5, 0.25, 0.25), (0.5, 0.5, 0.5, 0.25)),
                 ((0.25, 0.5, 0.25, 0.25), (0.5, 0.5, 0.25, 0.25))]
 
 
-def test_giou_and_grad_is_the_array_form_bit_for_bit(rng):
+def test_giou_and_grad_is_the_array_form_bit_for_bit(rng, monkeypatch):
     def check(pred, gt):
-        value, grad = giou_and_grad(pred, gt)
-        ref_value, ref_grad = naive_reference.giou_and_grad(pred, gt)
-        assert value.shape == ref_value.shape and grad.shape == ref_grad.shape
-        assert np.array_equal(value, ref_value) and np.array_equal(grad, ref_grad)
-        # array_equal takes -0.0 for 0.0; the bytes do not
-        assert value.tobytes() == ref_value.tobytes() and grad.tobytes() == ref_grad.tobytes()
+        with monkeypatch.context() as patch:  # every block pair by pair
+            patch.setattr(connector, "GIOU_SCALAR_MAX_PAIRS", math.inf)
+            value, grad = giou_and_grad(pred, gt)
+        # the array form, and whichever form the block's size picks
+        for ref_value, ref_grad in (connector._giou_and_grad_array(pred, gt),
+                                    giou_and_grad(pred, gt)):
+            assert value.shape == ref_value.shape and grad.shape == ref_grad.shape
+            assert np.array_equal(value, ref_value) and np.array_equal(grad, ref_grad)
+            # array_equal takes -0.0 for 0.0; the bytes do not
+            assert value.tobytes() == ref_value.tobytes()
+            assert grad.tobytes() == ref_grad.tobytes()
 
     def boxes(n):
         return np.column_stack([rng.uniform(0, 1, (n, 2)), rng.uniform(1e-6, 1, (n, 2))])
@@ -175,6 +180,11 @@ def test_giou_and_grad_is_the_array_form_bit_for_bit(rng):
         if trial % 3 == 0 and n_gt:
             pred[rng.integers(n_pred)] = gt[rng.integers(n_gt)]
         check(pred[None], gt[:, None])
+    # a scene file's largest block, MAX_SCENE_BOXES objects against as many
+    # object queries and the 2 hand queries, runs as arrays
+    n_gt = connector.MAX_SCENE_BOXES
+    assert n_gt * (n_gt + 2) > connector.GIOU_SCALAR_MAX_PAIRS
+    check(boxes(n_gt + 2)[None], boxes(n_gt)[:, None])
     pred, gt = boxes(200), boxes(200)
     check(pred, gt)
     check(pred[0], gt[0])
