@@ -9,10 +9,12 @@ objectness score. All trainable weights live in one params dict keyed by
 ``PARAM_KEYS``, built by ``init_connector``. Training pairs a
 language-modeling loss (through a frozen caption readout) with a matched
 GIoU + L1 box loss; gradients are written out by hand and checked against
-central differences. GIoU and its gradient run pair by pair over Python
-floats (``_giou_pair``), as the matcher does, in blocks of up to
-``GIOU_SCALAR_MAX_PAIRS`` pairs, and as elementwise arrays in larger ones;
-both give the same bits. Box assignments come from ``_match``: one
+central differences. A step scores only the pairs the matcher reads, each
+hand box against the 2 hand queries and each object box against the object
+queries, in one call. GIoU and its gradient run pair by pair over Python
+floats (``_giou_pair``), as the matcher does, for up to
+``GIOU_SCALAR_MAX_PAIRS`` pairs, and as elementwise arrays for more; both
+give the same bits. Box assignments come from ``_match``: one
 shortest-augmenting-path solve in plain Python (``_assign``), whose dual
 potentials bound which tie-break candidates need a solve of their own.
 """
@@ -101,12 +103,10 @@ def _softmax_rows(s: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) never overflows, and it is exp(-x) where x >= 0 and exp(x)
+    # elsewhere; minimum returns its first NaN, so a NaN keeps its sign bit
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def _forward(patches: np.ndarray, params: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
@@ -215,12 +215,12 @@ def giou_and_grad(pred_params: np.ndarray, gt_params: np.ndarray
     """GIoU of broadcast (..., 4) center-format boxes of positive size, plus
     its gradient w.r.t. the predicted (cx, cy, w, h).
 
-    A stage-1 block holds (hands + objects) x (2 + object queries) pairs: 16
+    A stage-1 step scores hands x 2 + objects x (object queries) pairs: 8
     for the 2-hand, 2-object scenes of ``connector-train`` and the default
-    ``gradcheck``, up to 32 x 34 for a ``gradcheck --scene`` file at
-    ``MAX_SCENE_BOXES``. Blocks of up to ``GIOU_SCALAR_MAX_PAIRS`` pairs run
-    pair by pair over Python floats, the way ``_assign`` reads its costs,
-    since numpy's per-call cost dominates them; larger blocks run as arrays.
+    ``gradcheck``, up to 32 x 32 for a ``gradcheck --scene`` file of
+    ``MAX_SCENE_BOXES`` object boxes. Up to ``GIOU_SCALAR_MAX_PAIRS`` pairs
+    run pair by pair over Python floats, the way ``_assign`` reads its costs,
+    since numpy's per-call cost dominates them; more pairs run as arrays.
     Both forms evaluate each expression in the same order (a negation is its
     exact product with -1.0), so every bit is the same whichever runs.
     """
@@ -272,7 +272,8 @@ def _giou_and_grad_array(pred_params: np.ndarray, gt_params: np.ndarray
 
 def _box_array(boxes: Sequence[BBox]) -> np.ndarray:
     """Validated (n, 4) center-format array of ``boxes``."""
-    return np.array([b.validate().as_array() for b in boxes]).reshape(-1, 4)
+    return np.array([(b.cx, b.cy, b.w, b.h) for b in map(BBox.validate, boxes)],
+                    dtype=np.float64).reshape(-1, 4)
 
 
 def _box_cost(gt: np.ndarray, pred: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -427,13 +428,17 @@ def _lm_parts(logits: np.ndarray, targets: Sequence[int]
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     z = e.sum(axis=1)
-    lm = float(np.mean(np.log(z) - shifted[np.arange(targets.size), targets]))
+    lm = float((np.log(z) - shifted[np.arange(targets.size), targets]).sum() / targets.size)
     return lm, e, z
 
 
+def _check_lambda_1(lambda_1: float) -> None:
+    if not (math.isfinite(lambda_1) and lambda_1 >= 0):
+        raise ValueError(f"lambda_1 must be finite and >= 0, got {lambda_1}")
+
+
 def loss_total(lm: float, ho: float, lambda_1: float) -> float:
-    if lambda_1 < 0:
-        raise ValueError(f"lambda_1 must be >= 0, got {lambda_1}")
+    _check_lambda_1(lambda_1)
     return lm + lambda_1 * ho
 
 
@@ -629,26 +634,32 @@ def _stage1_forward(params, decoder, scene, lambda_1):
     if len(scene.hands) > 2 or len(scene.objects) > k:
         raise ValueError("scene has more ground-truth boxes than queries")
     fwd = _forward(scene.grid.patches, params)
-    if not (np.all(np.isfinite(fwd["out"])) and np.all(np.isfinite(fwd["box_params"]))):
+    if not (np.isfinite(fwd["out"]).all() and np.isfinite(fwd["box_params"]).all()):
         raise TrainingDivergence("non-finite connector activations")
     targets = np.asarray(scene.caption, dtype=np.int64)
     cap = _caption_forward(decoder, fwd["tokens"], targets)
     lm, exp_rows, exp_sums = _lm_parts(cap["logits"], targets)
 
-    # one (gt x prediction) block: hand rows match the first 2 columns, objects the rest
+    # only the pairs the matcher reads, in one call: each hand row against the
+    # 2 hand queries, then each object row against the k object queries
+    n_h, n_o = len(scene.hands), len(scene.objects)
     gt = _box_array(scene.hands + scene.objects)
-    cost, g_giou = _box_cost(gt[:, None], fwd["box_params"][None])
-    n_h = len(scene.hands)
-    sigma_h = _match(cost[:n_h, :2])
-    sigma_o = _match(cost[n_h:, 2:])
-    ho = _matched_loss(cost[:n_h, :2], sigma_h, fwd["obj"][:2])
-    ho += _matched_loss(cost[n_h:, 2:], sigma_o, fwd["obj"][2:])
+    gt_rows = [i for i in range(n_h) for _ in range(2)] + \
+        [i for i in range(n_h, n_h + n_o) for _ in range(k)]
+    pred_rows = [0, 1] * n_h + list(range(2, 2 + k)) * n_o
+    cost, g_giou = _box_cost(gt[gt_rows], fwd["box_params"][pred_rows])
+    cost_h, cost_o = cost[:2 * n_h].reshape(n_h, 2), cost[2 * n_h:].reshape(n_o, k)
+    sigma_h, sigma_o = _match(cost_h), _match(cost_o)
+    ho = _matched_loss(cost_h, sigma_h, fwd["obj"][:2])
+    ho += _matched_loss(cost_o, sigma_o, fwd["obj"][2:])
     total = loss_total(lm, ho, lambda_1)
     losses = {"total": total, "lm": lm, "ho": ho}
     matched = np.array(sigma_h + [2 + j for j in sigma_o], dtype=np.intp)
+    picked = [2 * i + j for i, j in enumerate(sigma_h)] + \
+        [2 * n_h + k * i + j for i, j in enumerate(sigma_o)]
     return losses, fwd, {"cap": cap, "exp_rows": exp_rows, "exp_sums": exp_sums,
                          "targets": targets, "gt": gt, "matched": matched,
-                         "g_giou": g_giou[np.arange(gt.shape[0]), matched]}
+                         "g_giou": g_giou[picked]}
 
 
 def stage1_value_and_grads(params: Dict[str, np.ndarray], decoder: CaptionDecoder,
@@ -803,9 +814,9 @@ def train_toy(params: Dict[str, np.ndarray], decoder: CaptionDecoder,
 
     The step size follows a cosine schedule annealed to zero, which settles
     the constant-magnitude L1 gradients near the optimum. The caption decoder
-    stays frozen. Raises ``ValueError`` for no scenes, ``epochs < 0`` or a
-    non-finite ``lr`` before any step, and ``TrainingDivergence`` when the
-    loss goes non-finite.
+    stays frozen. Raises ``ValueError`` for no scenes, ``epochs < 0``, a
+    non-finite ``lr`` or a negative or non-finite ``lambda_1`` before any
+    step, and ``TrainingDivergence`` when the loss goes non-finite.
     """
     if not scenes:
         raise ValueError("need at least one scene")
@@ -813,6 +824,7 @@ def train_toy(params: Dict[str, np.ndarray], decoder: CaptionDecoder,
         raise ValueError(f"epochs must be >= 0, got {epochs}")
     if not math.isfinite(lr):
         raise ValueError(f"lr must be finite, got {lr}")
+    _check_lambda_1(lambda_1)
     rows = []
     for epoch in range(epochs):
         sums = np.zeros(3)

@@ -17,7 +17,11 @@ in its first form: a list of every parameter coordinate, sampled by index.
 ``save_scene`` writes a scene in the file format that ``load_scene`` reads, so
 tests can make scene files. ``train_toy`` is the toy trainer's loop in its
 first form: each epoch's gradient sum starts from zero arrays and adds every
-scene's in scene order.
+scene's in scene order. ``masked_sigmoid`` is the connector's sigmoid in its
+first form: a boolean mask splits the input, and each side is written through
+it. ``stage1_forward_full_block`` is the stage-1 forward in its first form:
+it scores every (gt, query) pair in one block, slices each group's block out
+of it and picks the matched pairs' GIoU gradients by row and column.
 """
 
 from __future__ import annotations
@@ -35,7 +39,9 @@ from streamcache import (AttentionWeights, OraclePredictor, Scene, SimConfig, St
                          SyntheticStream, Token, append_flop_cost, validate_config)
 from streamcache.attention import REL_BIAS_CLIP
 from streamcache.connector import (CaptionDecoder, TrainingDivergence, TrainResult,
-                                   stage1_losses, stage1_value_and_grads)
+                                   _box_cost, _caption_forward, _forward, _lm_parts, _match,
+                                   _matched_loss, loss_total, stage1_losses,
+                                   stage1_value_and_grads)
 from streamcache.harness import ENGINE_LAYERS, FEATURE_NOISE
 
 # each symbolic kind is the name that a cache event gives its token kind
@@ -378,3 +384,40 @@ def train_toy(params: Dict[str, np.ndarray], decoder: CaptionDecoder,
         final += (losses["total"], losses["lm"], losses["ho"])
     rows.append(final / len(scenes))
     return TrainResult(curve=np.array(rows))
+
+
+def masked_sigmoid(x: np.ndarray) -> np.ndarray:
+    """The logistic function, each sign's side computed through a mask."""
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def stage1_forward_full_block(params, decoder, scene, lambda_1):
+    """Stage 1's losses, forward intermediates and box terms, with every
+    (gt, query) pair scored in one block: ``(losses, fwd, aux)`` as
+    ``connector._stage1_forward`` returns them."""
+    k = params["q_o"].shape[0]
+    if len(scene.hands) > 2 or len(scene.objects) > k:
+        raise ValueError("scene has more ground-truth boxes than queries")
+    fwd = _forward(scene.grid.patches, params)
+    if not (np.all(np.isfinite(fwd["out"])) and np.all(np.isfinite(fwd["box_params"]))):
+        raise TrainingDivergence("non-finite connector activations")
+    targets = np.asarray(scene.caption, dtype=np.int64)
+    cap = _caption_forward(decoder, fwd["tokens"], targets)
+    lm, exp_rows, exp_sums = _lm_parts(cap["logits"], targets)
+    gt = np.array([b.validate().as_array() for b in scene.hands + scene.objects]).reshape(-1, 4)
+    cost, g_giou = _box_cost(gt[:, None], fwd["box_params"][None])
+    n_h = len(scene.hands)
+    sigma_h = _match(cost[:n_h, :2])
+    sigma_o = _match(cost[n_h:, 2:])
+    ho = _matched_loss(cost[:n_h, :2], sigma_h, fwd["obj"][:2])
+    ho += _matched_loss(cost[n_h:, 2:], sigma_o, fwd["obj"][2:])
+    losses = {"total": loss_total(lm, ho, lambda_1), "lm": lm, "ho": ho}
+    matched = np.array(sigma_h + [2 + j for j in sigma_o], dtype=np.intp)
+    return losses, fwd, {"cap": cap, "exp_rows": exp_rows, "exp_sums": exp_sums,
+                         "targets": targets, "gt": gt, "matched": matched,
+                         "g_giou": g_giou[np.arange(gt.shape[0]), matched]}

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -81,6 +82,21 @@ def test_forward_dim_mismatch():
     scene = make_scene(seed=1, side=4, dim=FEAT_DIM + 1)
     with pytest.raises(ValueError, match="dim"):
         stage1_losses(small_setup(), init_caption_decoder(QDIM, 64, seed=9), scene, 2.0)
+
+
+def test_sigmoid_is_the_masked_form_bit_for_bit():
+    edges = np.array([0.0, math.inf, math.nan, 1e-300, 36.0, 709.0, 745.0, 1e4])
+    rng = np.random.default_rng(24)
+    normals = rng.standard_normal(10_000)
+    raw = rng.standard_normal((4, 5)) * 8  # a box head's output: 4 box columns, 1 score
+    cases = [np.concatenate([edges, -edges]), normals, normals * 40, raw[:, :4], raw[:, 4]]
+    assert not raw[:, :4].flags.c_contiguous
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in cases:
+            got, want = connector._sigmoid(x), naive_reference.masked_sigmoid(x)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 def test_grid_validation(rng):
@@ -455,6 +471,59 @@ def test_stage1_box_loss_equals_public_wrappers():
         assert got.hex() == want.hex(), (trial, got, want)
 
 
+def _stage1_scenes():
+    """(label, params, decoder, scene) for the stage-1 full-block comparison."""
+    for seed in range(8):  # the connector-train workload's scenes and weights
+        yield (f"connector-train-{seed}",
+               init_connector(feat_dim=48, d=32, m=8, k=2, d_mlp=48, seed=seed + 1),
+               init_caption_decoder(32, 64, seed=seed + 2), make_scene(seed, side=16, dim=48))
+    decoder = init_caption_decoder(QDIM, 64, seed=9)
+    shapes = [("no-gt", 0, 0, 2), ("hands-only", 2, 0, 2),
+              ("objects-only", 0, 5, 5),  # 25 pairs: scalar, where the full block's 35 are not
+              ("three-objects", 2, 3, 3),
+              ("max-scene-boxes", 2, connector.MAX_SCENE_BOXES - 2,
+               connector.MAX_SCENE_BOXES - 2)]
+    for label, n_hands, n_objects, k in shapes:
+        scene = make_scene(seed=7, side=4, dim=FEAT_DIM, n_hands=n_hands, n_objects=n_objects)
+        yield label, small_setup(k=k, seed=7), decoder, scene
+    scene = make_scene(seed=3, side=4, dim=FEAT_DIM)
+    yield ("identical-objects", small_setup(k=2, seed=3), decoder,
+           dataclasses.replace(scene, objects=[scene.objects[0], scene.objects[0]]))
+
+
+@pytest.mark.parametrize("label, params, decoder, scene",
+                         [pytest.param(*case, id=case[0]) for case in _stage1_scenes()])
+def test_stage1_matches_the_full_block_bit_for_bit(monkeypatch, label, params, decoder, scene):
+    # stage 1 scores only each group's block; the reference scores every
+    # (gt, query) pair and slices the blocks out, and the same backward runs
+    # on both forwards
+    solves = []
+
+    def counting(cost, m):
+        solves.append(len(cost))
+        return _assign(cost, m)
+
+    monkeypatch.setattr(connector, "_assign", counting)
+    losses, grads = stage1_value_and_grads(params, decoder, scene, 2.0)
+    value = stage1_losses(params, decoder, scene, 2.0)
+    aux = connector._stage1_forward(params, decoder, scene, 2.0)[2]
+    if label == "identical-objects":  # the tie-break walk re-solves a tail in each call
+        assert solves == [2, 2, 1] * 3
+    ref = naive_reference.stage1_forward_full_block
+    ref_losses, _, ref_aux = ref(params, decoder, scene, 2.0)
+    monkeypatch.setattr(connector, "_stage1_forward", ref)
+    ref_grads = stage1_value_and_grads(params, decoder, scene, 2.0)[1]
+    for key in ("total", "lm", "ho"):
+        assert losses[key].hex() == ref_losses[key].hex() == value[key].hex(), key
+    assert aux["matched"].tobytes() == ref_aux["matched"].tobytes()
+    assert aux["g_giou"].shape == ref_aux["g_giou"].shape
+    assert aux["g_giou"].tobytes() == ref_aux["g_giou"].tobytes()
+    assert grads.keys() == ref_grads.keys() == set(connector.PARAM_KEYS)
+    for name in grads:
+        assert grads[name].shape == ref_grads[name].shape, name
+        assert grads[name].tobytes() == ref_grads[name].tobytes(), name
+
+
 def test_loss_ho_unmatched_score_penalty():
     scene = make_scene(seed=0, side=4, dim=FEAT_DIM)
     params = small_setup(k=2)
@@ -528,6 +597,9 @@ def test_loss_total_definition_and_affinity():
     assert slopes[1] == pytest.approx(ho, abs=1e-12)
     with pytest.raises(ValueError):
         loss_total(1.0, 1.0, -0.1)
+    for lambda_1 in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="lambda_1 must be finite"):
+            loss_total(1.0, 2.0, lambda_1)
 
 
 # -- gradient checking ------------------------------------------------------
@@ -768,6 +840,22 @@ def test_train_toy_refuses_bad_arguments_before_any_step(monkeypatch, epochs, lr
                         lambda *args: calls.append(args))
     with pytest.raises(ValueError, match="epochs|lr"):
         train_toy(params, decoder, [scene], epochs=epochs, lr=lr)
+    assert calls == []
+    assert all(params[name].tobytes() == before[name].tobytes() for name in params)
+
+
+@pytest.mark.parametrize("lambda_1", [math.nan, math.inf, -math.inf])
+def test_train_toy_refuses_non_finite_lambda_before_any_step(monkeypatch, lambda_1):
+    scene = make_scene(seed=2, side=4, dim=FEAT_DIM)
+    params = small_setup()
+    before = {name: arr.copy() for name, arr in params.items()}
+    decoder = init_caption_decoder(QDIM, 64, seed=9)
+    calls = []
+    monkeypatch.setattr(connector, "stage1_value_and_grads",
+                        lambda *args: calls.append(args))
+    monkeypatch.setattr(connector, "stage1_losses", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="lambda_1 must be finite"):
+        train_toy(params, decoder, [scene], epochs=2, lr=0.1, lambda_1=lambda_1)
     assert calls == []
     assert all(params[name].tobytes() == before[name].tobytes() for name in params)
 
