@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .attention import AttentionEngine
-from .config import ConfigError, SimConfig, load_config
+from .config import DEFAULT_LAMBDA_1, ConfigError, SimConfig, load_config
 from .connector import (grad_check, init_caption_decoder, init_connector,
                         load_scene, make_scene, stage1_losses, stage1_value_and_grads)
 from .harness import (ENGINE_HEADS, ENGINE_LAYERS, MAX_LIVE_TOKENS, StrategyAbort,
@@ -205,11 +205,11 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     decoder = init_caption_decoder(16, 64, args.seed)
 
     def value_and_grad(p):
-        losses, grads = stage1_value_and_grads(p, decoder, scene, lambda_1=2.0)
+        losses, grads = stage1_value_and_grads(p, decoder, scene, lambda_1=DEFAULT_LAMBDA_1)
         return losses["total"], grads
 
     def value(p):
-        return stage1_losses(p, decoder, scene, lambda_1=2.0)["total"]
+        return stage1_losses(p, decoder, scene, lambda_1=DEFAULT_LAMBDA_1)["total"]
 
     err = grad_check(params, value_and_grad, eps=args.eps,
                      rng=np.random.default_rng(args.seed), value_fn=value)

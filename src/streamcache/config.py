@@ -10,6 +10,9 @@ from dataclasses import dataclass, fields, asdict
 
 MAX_D = 1024
 MAX_TABLE = 2 ** 24  # cap on d * vocab_size: a (vocab_size, d) float64 table stays <= 128 MiB
+# the connector's box-loss weight: SimConfig's default, train_toy's default and
+# the weight gradcheck uses
+DEFAULT_LAMBDA_1 = 2.0
 
 
 class ConfigError(ValueError):
@@ -18,6 +21,14 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SimConfig:
+    """One simulation's settings, the fields of a config file.
+
+    ``lambda_1`` is the connector's box-loss weight. ``simulate`` records it
+    in ``summary.json`` and ``manifest.json`` and reads nothing from it: no
+    strategy trains the connector, and ``gradcheck`` and ``train_toy`` use
+    ``DEFAULT_LAMBDA_1``, this field's default.
+    """
+
     fps: float = 4.0
     tokens_per_frame: int = 1
     d: int = 64
@@ -28,7 +39,7 @@ class SimConfig:
     step_s_jitter: float = 8.0
     vocab_size: int = 128
     seed: int = 7
-    lambda_1: float = 2.0
+    lambda_1: float = DEFAULT_LAMBDA_1
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -9,26 +9,30 @@ objectness score. All trainable weights live in one params dict keyed by
 ``PARAM_KEYS``, built by ``init_connector``. Training pairs a
 language-modeling loss (through a frozen caption readout) with a matched
 GIoU + L1 box loss; gradients are written out by hand and checked against
-central differences. A step scores only the pairs the matcher reads, each
-hand box against the 2 hand queries and each object box against the object
-queries, in one call. GIoU and its gradient run pair by pair over Python
-floats (``_giou_pair``), as the matcher does, for up to
-``GIOU_SCALAR_MAX_PAIRS`` pairs, and as elementwise arrays for more; both
-give the same bits. Box assignments come from ``_match``: one
-shortest-augmenting-path solve in plain Python (``_assign``), whose dual
-potentials bound which tie-break candidates need a solve of their own.
+central differences. A ``Scene`` builds, once and read-only, its validated
+box array, those boxes' rows as Python floats and its caption ids. A step
+scores only the pairs the matcher reads, each hand box against the 2 hand
+queries and each object box against the object queries. Up to
+``GIOU_SCALAR_MAX_PAIRS`` pairs get their whole cost, L1 + (1 - GIoU), and
+GIoU gradient in one scalar pass over Python floats (``_pair_cost``), as the
+matcher reads its costs; more pairs run as elementwise arrays. Both give the
+same bits. Box assignments come from ``_match``: one shortest-augmenting-path
+solve in plain Python (``_assign``), whose dual potentials bound which
+tie-break candidates need a solve of their own.
 """
 
 from __future__ import annotations
 
 import base64
+import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .config import DEFAULT_LAMBDA_1
 from .types import BBox
 
 _MATCH_TIE_TOL = 1e-9
@@ -127,9 +131,10 @@ def _forward(patches: np.ndarray, params: Dict[str, np.ndarray]) -> Dict[str, np
     box_in = out[m:]
     hidden = np.tanh(box_in @ params["w1"] + params["b1"])
     raw = hidden @ params["w2"] + params["b2"]
+    heads = _sigmoid(raw)
     # clamp off exact 0/1 so saturated heads still emit non-degenerate boxes
-    box_params = np.clip(_sigmoid(raw[:, :4]), 1e-6, 1.0 - 1e-6)
-    obj = _sigmoid(raw[:, 4])
+    box_params = np.minimum(np.maximum(heads[:, :4], 1e-6), 1.0 - 1e-6)
+    obj = heads[:, 4]
     return {
         "q_all": q_all, "keys": keys, "values": values, "attn": attn,
         "out": out, "tokens": tokens, "box_in": box_in, "hidden": hidden,
@@ -204,6 +209,27 @@ def _giou_pair(a: List[float], b: List[float]) -> List[float]:
     return [inter / union - (c_area - union) / c_area, d_cx, d_cy, d_w, d_h]
 
 
+def _pair_cost(g: Sequence[float], p: Sequence[float]) -> List[float]:
+    """One gt/prediction pair's [L1 + (1 - GIoU), d_cx, d_cy, d_w, d_h], the
+    gradient w.r.t. the prediction, over Python floats. L1 adds left to right,
+    the order of numpy's sum over a 4-wide row, so it has the array form's bits."""
+    out = _giou_pair(p, g)
+    out[0] = (((abs(g[0] - p[0]) + abs(g[1] - p[1])) + abs(g[2] - p[2]))
+              + abs(g[3] - p[3])) + (1.0 - out[0])
+    return out
+
+
+def _broadcast_rows(a: np.ndarray, b: np.ndarray
+                    ) -> Tuple[Tuple[int, ...], List[List[float]], List[List[float]]]:
+    """The broadcast shape of (..., 4) arrays ``a`` and ``b``, and each one's
+    rows at that shape as lists of Python floats."""
+    shape = np.broadcast(a, b).shape
+    both = np.empty((2,) + shape)  # one copy broadcasts both, cheaper than broadcast_arrays
+    both[0], both[1] = a, b
+    a_rows, b_rows = both.reshape(2, -1, 4).tolist()
+    return shape, a_rows, b_rows
+
+
 # the scalar form's cost grows with the pairs and the array form's barely does;
 # on a 2-vCPU x86-64 host they cross near 30 pairs (16 pairs: 48 against 81 us,
 # 49 pairs: 135 against 91 us)
@@ -215,23 +241,21 @@ def giou_and_grad(pred_params: np.ndarray, gt_params: np.ndarray
     """GIoU of broadcast (..., 4) center-format boxes of positive size, plus
     its gradient w.r.t. the predicted (cx, cy, w, h).
 
-    A stage-1 step scores hands x 2 + objects x (object queries) pairs: 8
-    for the 2-hand, 2-object scenes of ``connector-train`` and the default
-    ``gradcheck``, up to 32 x 32 for a ``gradcheck --scene`` file of
-    ``MAX_SCENE_BOXES`` object boxes. Up to ``GIOU_SCALAR_MAX_PAIRS`` pairs
-    run pair by pair over Python floats, the way ``_assign`` reads its costs,
-    since numpy's per-call cost dominates them; more pairs run as arrays.
-    Both forms evaluate each expression in the same order (a negation is its
-    exact product with -1.0), so every bit is the same whichever runs.
+    Up to ``GIOU_SCALAR_MAX_PAIRS`` pairs run pair by pair over Python
+    floats (``_giou_pair``), the way ``_assign`` reads its costs, since
+    numpy's per-call cost dominates them; more pairs run as arrays. Both
+    forms evaluate each expression in the same order (a negation is its
+    exact product with -1.0), so every bit is the same whichever runs. A
+    stage-1 step picks its form the same way by its pair count, hands x 2 +
+    objects x (object queries): 8 for the 2-hand, 2-object scenes of
+    ``connector-train`` and the default ``gradcheck``, up to 32 x 32 for a
+    ``gradcheck --scene`` file of ``MAX_SCENE_BOXES`` object boxes.
     """
     pred = np.asarray(pred_params, dtype=np.float64)
     gt = np.asarray(gt_params, dtype=np.float64)
-    shape = np.broadcast(pred, gt).shape
-    if math.prod(shape[:-1]) > GIOU_SCALAR_MAX_PAIRS:
+    if math.prod(np.broadcast(pred, gt).shape[:-1]) > GIOU_SCALAR_MAX_PAIRS:
         return _giou_and_grad_array(pred, gt)
-    both = np.empty((2,) + shape)  # one copy broadcasts both, cheaper than broadcast_arrays
-    both[0], both[1] = pred, gt
-    pred_rows, gt_rows = both.reshape(2, -1, 4).tolist()
+    shape, pred_rows, gt_rows = _broadcast_rows(pred, gt)
     out = np.array([_giou_pair(a, b) for a, b in zip(pred_rows, gt_rows)])
     out = out.reshape(shape[:-1] + (5,))
     return out[..., 0], out[..., 1:]
@@ -278,9 +302,15 @@ def _box_array(boxes: Sequence[BBox]) -> np.ndarray:
 
 def _box_cost(gt: np.ndarray, pred: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """L1 + (1 - GIoU) pair costs of broadcast (..., 4) box arrays, and the
-    GIoU gradient w.r.t. ``pred``."""
-    value, grad = giou_and_grad(pred, gt)
-    return np.abs(gt - pred).sum(-1) + (1.0 - value), grad
+    GIoU gradient w.r.t. ``pred``: pair by pair (``_pair_cost``) for up to
+    ``GIOU_SCALAR_MAX_PAIRS`` pairs, as arrays for more, with the same bits."""
+    if math.prod(np.broadcast(gt, pred).shape[:-1]) > GIOU_SCALAR_MAX_PAIRS:
+        value, grad = _giou_and_grad_array(pred, gt)
+        return np.abs(gt - pred).sum(-1) + (1.0 - value), grad
+    shape, gt_rows, pred_rows = _broadcast_rows(gt, pred)
+    out = np.array([_pair_cost(g, p) for g, p in zip(gt_rows, pred_rows)])
+    out = out.reshape(shape[:-1] + (5,))
+    return out[..., 0], out[..., 1:]
 
 
 def _assign(cost: List[List[float]], m: int
@@ -498,12 +528,36 @@ def _caption_forward(decoder: CaptionDecoder, tokens: np.ndarray,
 # synthetic scenes
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class Scene:
+    """A patch grid with its ground-truth hand and object boxes and caption.
+
+    Building a scene validates its boxes, so a degenerate or non-finite one
+    raises ``ValueError`` here, and stores read-only what every training step
+    reads of them: ``boxes``, the (hands + objects, 4) center-format array,
+    hands first; ``box_rows``, those rows as Python floats for the scalar pair
+    pass; and ``caption_ids``, the caption as int64. ``hands``, ``objects`` and
+    ``caption`` are kept as tuples, and ``dataclasses.replace`` builds all
+    three anew.
+    """
+
     grid: PatchGrid
-    hands: List[BBox]
-    objects: List[BBox]
-    caption: List[int]
+    hands: Tuple[BBox, ...]
+    objects: Tuple[BBox, ...]
+    caption: Tuple[int, ...]
+    boxes: np.ndarray = field(init=False, repr=False, compare=False)
+    box_rows: Tuple[Tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
+    caption_ids: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        hands, objects, caption = tuple(self.hands), tuple(self.objects), tuple(self.caption)
+        boxes = _box_array(hands + objects)
+        caption_ids = np.array(caption, dtype=np.int64)
+        boxes.flags.writeable = caption_ids.flags.writeable = False
+        for name, value in (("hands", hands), ("objects", objects), ("caption", caption),
+                            ("boxes", boxes), ("box_rows", tuple(map(tuple, boxes.tolist()))),
+                            ("caption_ids", caption_ids)):
+            object.__setattr__(self, name, value)  # a frozen dataclass sets fields this way
 
 
 def synth_patches(seed: int, side: int, dim: int, hands: Sequence[BBox],
@@ -629,25 +683,39 @@ def stage1_losses(params: Dict[str, np.ndarray], decoder: CaptionDecoder,
     return value
 
 
+@functools.lru_cache(maxsize=64)
+def _block_rows(n_h: int, n_o: int, k: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """The (gt row, query row) pairs the matcher reads, as two index tuples:
+    each hand row against the 2 hand queries, then each object row against
+    the ``k`` object queries."""
+    gt_rows = [i for i in range(n_h) for _ in range(2)] + \
+        [i for i in range(n_h, n_h + n_o) for _ in range(k)]
+    pred_rows = [0, 1] * n_h + list(range(2, 2 + k)) * n_o
+    return tuple(gt_rows), tuple(pred_rows)
+
+
 def _stage1_forward(params, decoder, scene, lambda_1):
     k = params["q_o"].shape[0]
-    if len(scene.hands) > 2 or len(scene.objects) > k:
+    n_h, n_o = len(scene.hands), len(scene.objects)
+    if n_h > 2 or n_o > k:
         raise ValueError("scene has more ground-truth boxes than queries")
     fwd = _forward(scene.grid.patches, params)
     if not (np.isfinite(fwd["out"]).all() and np.isfinite(fwd["box_params"]).all()):
         raise TrainingDivergence("non-finite connector activations")
-    targets = np.asarray(scene.caption, dtype=np.int64)
+    targets = scene.caption_ids
     cap = _caption_forward(decoder, fwd["tokens"], targets)
     lm, exp_rows, exp_sums = _lm_parts(cap["logits"], targets)
 
-    # only the pairs the matcher reads, in one call: each hand row against the
-    # 2 hand queries, then each object row against the k object queries
-    n_h, n_o = len(scene.hands), len(scene.objects)
-    gt = _box_array(scene.hands + scene.objects)
-    gt_rows = [i for i in range(n_h) for _ in range(2)] + \
-        [i for i in range(n_h, n_h + n_o) for _ in range(k)]
-    pred_rows = [0, 1] * n_h + list(range(2, 2 + k)) * n_o
-    cost, g_giou = _box_cost(gt[gt_rows], fwd["box_params"][pred_rows])
+    # only the pairs the matcher reads, hand rows first
+    gt_rows, pred_rows = _block_rows(n_h, n_o, k)
+    if len(gt_rows) > GIOU_SCALAR_MAX_PAIRS:
+        cost, g_giou = _box_cost(scene.boxes[list(gt_rows)],
+                                 fwd["box_params"][list(pred_rows)])
+    else:
+        gt, pred = scene.box_rows, fwd["box_params"].tolist()
+        out = np.array([_pair_cost(gt[i], pred[j]) for i, j in zip(gt_rows, pred_rows)])
+        out = out.reshape(-1, 5)
+        cost, g_giou = out[:, 0], out[:, 1:]
     cost_h, cost_o = cost[:2 * n_h].reshape(n_h, 2), cost[2 * n_h:].reshape(n_o, k)
     sigma_h, sigma_o = _match(cost_h), _match(cost_o)
     ho = _matched_loss(cost_h, sigma_h, fwd["obj"][:2])
@@ -658,7 +726,7 @@ def _stage1_forward(params, decoder, scene, lambda_1):
     picked = [2 * i + j for i, j in enumerate(sigma_h)] + \
         [2 * n_h + k * i + j for i, j in enumerate(sigma_o)]
     return losses, fwd, {"cap": cap, "exp_rows": exp_rows, "exp_sums": exp_sums,
-                         "targets": targets, "gt": gt, "matched": matched,
+                         "targets": targets, "gt": scene.boxes, "matched": matched,
                          "g_giou": g_giou[picked]}
 
 
@@ -809,7 +877,7 @@ class TrainResult:
 
 def train_toy(params: Dict[str, np.ndarray], decoder: CaptionDecoder,
               scenes: Sequence[Scene], epochs: int, lr: float,
-              lambda_1: float = 2.0) -> TrainResult:
+              lambda_1: float = DEFAULT_LAMBDA_1) -> TrainResult:
     """Plain gradient descent on the connector parameters only.
 
     The step size follows a cosine schedule annealed to zero, which settles

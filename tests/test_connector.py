@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 import streamcache.connector as connector
-from streamcache import (BBox, PatchGrid, TrainingDivergence, giou, giou_batch, grad_check,
+from streamcache import (BBox, PatchGrid, Scene, TrainingDivergence, giou, giou_batch, grad_check,
                          hungarian_match, init_caption_decoder, init_connector, load_scene,
                          loss_lm, loss_total, make_scene, stage1_losses,
                          stage1_value_and_grads, train_toy)
@@ -214,6 +214,45 @@ def test_giou_and_grad_is_the_array_form_bit_for_bit(rng, monkeypatch):
     assert {0.0, 1.0} <= set((edges[:, :2] - edges[:, 2:] / 2).ravel()) \
         | set((edges[:, :2] + edges[:, 2:] / 2).ravel())
     check(edges[None], edges[:, None])
+
+
+def test_box_cost_scalar_pass_is_the_array_form_bit_for_bit(rng, monkeypatch):
+    # up to GIOU_SCALAR_MAX_PAIRS pairs, the whole cost, L1 included, and the
+    # gradient come from the scalar pass
+    def check(gt, pred):
+        assert math.prod(np.broadcast(gt, pred).shape[:-1]) <= connector.GIOU_SCALAR_MAX_PAIRS
+        with monkeypatch.context() as patch:  # the array form must not run
+            patch.setattr(connector, "_giou_and_grad_array", None)
+            cost, grad = _box_cost(gt, pred)
+        ref_cost, ref_grad = naive_reference.array_box_cost(gt, pred)
+        assert cost.shape == ref_cost.shape and grad.shape == ref_grad.shape
+        assert cost.tobytes() == ref_cost.tobytes()
+        assert grad.tobytes() == ref_grad.tobytes()
+
+    def boxes(n):
+        return np.column_stack([rng.uniform(0, 1, (n, 2)), rng.uniform(1e-6, 1, (n, 2))])
+
+    for n in range(1, connector.GIOU_SCALAR_MAX_PAIRS + 1):  # every scalar block size
+        check(boxes(n), boxes(n))
+    # stage-1 blocks, (n_gt, 1, 4) x (1, n_pred, 4); a third repeat a gt box
+    for trial in range(600):
+        n_gt, n_pred = int(rng.integers(0, 6)), int(rng.integers(1, 6))
+        gt, pred = boxes(n_gt), boxes(n_pred)
+        if trial % 3 == 0 and n_gt:
+            pred[rng.integers(n_pred)] = gt[rng.integers(n_gt)]
+        check(gt[:, None], pred[None])
+    pairs = np.array(SMOOTH_PAIRS + SHARED_PAIRS)
+    check(pairs[:, 1], pairs[:, 0])
+    # corners at exactly 0, 0.5 and 1, and edges that touch at 0.5, each box
+    # as the gt of a block against all of them
+    edges = np.array([(0.25, 0.5, 0.5, 0.2), (0.75, 0.5, 0.5, 0.4), (0.5, 0.25, 0.2, 0.5),
+                      (0.5, 0.75, 0.6, 0.5), (0.5, 0.5, 1.0, 1.0), (0.125, 0.875, 0.25, 0.25),
+                      (0.5, 0.5, 0.25, 0.25), (0.75, 0.25, 0.5, 0.5)])
+    corners = np.concatenate([edges[:, :2] - edges[:, 2:] / 2, edges[:, :2] + edges[:, 2:] / 2])
+    assert {0.0, 0.5, 1.0} <= set(corners.ravel())
+    for box in edges:
+        check(box[None], edges)
+        check(edges, box[None])
 
 
 def test_giou_grad_matches_finite_differences(rng):
@@ -780,6 +819,40 @@ def test_scene_seed_form_regenerates(tmp_path):
     back = load_scene(str(path))
     np.testing.assert_allclose(back.grid.patches, scene.grid.patches)
     assert len(back.caption) > 0  # derived deterministically when absent
+
+
+def test_scene_stores_its_box_and_caption_arrays_read_only():
+    scene = make_scene(seed=3, side=4, dim=FEAT_DIM, n_hands=1, n_objects=2)
+    want = np.array([b.as_array() for b in scene.hands + scene.objects])
+    assert scene.boxes.shape == (3, 4) and scene.boxes.tobytes() == want.tobytes()
+    assert scene.box_rows == tuple(map(tuple, want.tolist()))
+    assert scene.caption_ids.dtype == np.int64
+    assert scene.caption_ids.tolist() == list(scene.caption)
+    for arr in (scene.boxes, scene.caption_ids):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        scene.hands = ()
+    box = BBox(0.3, 0.6, 0.2, 0.1)
+    moved = dataclasses.replace(scene, hands=[box], objects=[scene.objects[1]], caption=[5, 6])
+    assert moved.hands == (box,) and moved.caption == (5, 6)
+    assert moved.boxes.tobytes() == np.array([box.as_array(),
+                                              scene.objects[1].as_array()]).tobytes()
+    assert moved.box_rows == ((0.3, 0.6, 0.2, 0.1), tuple(scene.objects[1].as_array()))
+    assert moved.caption_ids.tolist() == [5, 6] and not moved.boxes.flags.writeable
+    assert scene.boxes.tobytes() == want.tobytes()  # the source scene keeps its own
+    empty = dataclasses.replace(scene, hands=[], objects=[])
+    assert empty.boxes.shape == (0, 4) and empty.box_rows == ()
+
+
+@pytest.mark.parametrize("bad", [BBox(0.5, 0.5, 0.0, 0.1), BBox(0.5, 0.5, 0.1, -0.2),
+                                 BBox(math.nan, 0.5, 0.1, 0.1), BBox(0.5, 0.5, math.inf, 0.1)])
+def test_scene_refuses_a_bad_box_when_built(bad):
+    scene = make_scene(seed=3, side=4, dim=FEAT_DIM)
+    with pytest.raises(ValueError, match="degenerate box|non-finite box"):
+        Scene(scene.grid, [bad], [], [1, 2])
+    with pytest.raises(ValueError, match="degenerate box|non-finite box"):
+        dataclasses.replace(scene, objects=[scene.objects[0], bad])
 
 
 def test_train_toy_overfits_single_scene():
