@@ -219,17 +219,6 @@ def _pair_cost(g: Sequence[float], p: Sequence[float]) -> List[float]:
     return out
 
 
-def _broadcast_rows(a: np.ndarray, b: np.ndarray
-                    ) -> Tuple[Tuple[int, ...], List[List[float]], List[List[float]]]:
-    """The broadcast shape of (..., 4) arrays ``a`` and ``b``, and each one's
-    rows at that shape as lists of Python floats."""
-    shape = np.broadcast(a, b).shape
-    both = np.empty((2,) + shape)  # one copy broadcasts both, cheaper than broadcast_arrays
-    both[0], both[1] = a, b
-    a_rows, b_rows = both.reshape(2, -1, 4).tolist()
-    return shape, a_rows, b_rows
-
-
 # the scalar form's cost grows with the pairs and the array form's barely does;
 # on a 2-vCPU x86-64 host they cross near 30 pairs (16 pairs: 48 against 81 us,
 # 49 pairs: 135 against 91 us)
@@ -242,20 +231,24 @@ def giou_and_grad(pred_params: np.ndarray, gt_params: np.ndarray
     its gradient w.r.t. the predicted (cx, cy, w, h).
 
     Up to ``GIOU_SCALAR_MAX_PAIRS`` pairs run pair by pair over Python
-    floats (``_giou_pair``), the way ``_assign`` reads its costs, since
-    numpy's per-call cost dominates them; more pairs run as arrays. Both
-    forms evaluate each expression in the same order (a negation is its
-    exact product with -1.0), so every bit is the same whichever runs. A
-    stage-1 step picks its form the same way by its pair count, hands x 2 +
-    objects x (object queries): 8 for the 2-hand, 2-object scenes of
-    ``connector-train`` and the default ``gradcheck``, up to 32 x 32 for a
-    ``gradcheck --scene`` file of ``MAX_SCENE_BOXES`` object boxes.
+    floats, the way ``_assign`` reads its costs, since numpy's per-call cost
+    dominates them; more pairs run as arrays. Both forms evaluate each
+    expression in the same order (a negation is its exact product with
+    -1.0), so every bit is the same whichever runs. A stage-1 step scores
+    hands x 2 + objects x (object queries) pairs: 8 for the 2-hand, 2-object
+    scenes of ``connector-train`` and the default ``gradcheck``, up to 32 x 32
+    for a ``gradcheck --scene`` file of ``MAX_SCENE_BOXES`` object boxes. It
+    scores blocks of up to ``GIOU_SCALAR_MAX_PAIRS`` pairs with
+    ``_pair_cost`` and larger ones here, as arrays.
     """
     pred = np.asarray(pred_params, dtype=np.float64)
     gt = np.asarray(gt_params, dtype=np.float64)
-    if math.prod(np.broadcast(pred, gt).shape[:-1]) > GIOU_SCALAR_MAX_PAIRS:
+    shape = np.broadcast(pred, gt).shape
+    if math.prod(shape[:-1]) > GIOU_SCALAR_MAX_PAIRS:
         return _giou_and_grad_array(pred, gt)
-    shape, pred_rows, gt_rows = _broadcast_rows(pred, gt)
+    both = np.empty((2,) + shape)  # one copy broadcasts both, cheaper than broadcast_arrays
+    both[0], both[1] = pred, gt
+    pred_rows, gt_rows = both.reshape(2, -1, 4).tolist()
     out = np.array([_giou_pair(a, b) for a, b in zip(pred_rows, gt_rows)])
     out = out.reshape(shape[:-1] + (5,))
     return out[..., 0], out[..., 1:]
@@ -302,15 +295,9 @@ def _box_array(boxes: Sequence[BBox]) -> np.ndarray:
 
 def _box_cost(gt: np.ndarray, pred: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """L1 + (1 - GIoU) pair costs of broadcast (..., 4) box arrays, and the
-    GIoU gradient w.r.t. ``pred``: pair by pair (``_pair_cost``) for up to
-    ``GIOU_SCALAR_MAX_PAIRS`` pairs, as arrays for more, with the same bits."""
-    if math.prod(np.broadcast(gt, pred).shape[:-1]) > GIOU_SCALAR_MAX_PAIRS:
-        value, grad = _giou_and_grad_array(pred, gt)
-        return np.abs(gt - pred).sum(-1) + (1.0 - value), grad
-    shape, gt_rows, pred_rows = _broadcast_rows(gt, pred)
-    out = np.array([_pair_cost(g, p) for g, p in zip(gt_rows, pred_rows)])
-    out = out.reshape(shape[:-1] + (5,))
-    return out[..., 0], out[..., 1:]
+    GIoU gradient w.r.t. ``pred``."""
+    value, grad = giou_and_grad(pred, gt)
+    return np.abs(gt - pred).sum(-1) + (1.0 - value), grad
 
 
 def _assign(cost: List[List[float]], m: int
@@ -711,7 +698,7 @@ def _stage1_forward(params, decoder, scene, lambda_1):
     if len(gt_rows) > GIOU_SCALAR_MAX_PAIRS:
         cost, g_giou = _box_cost(scene.boxes[list(gt_rows)],
                                  fwd["box_params"][list(pred_rows)])
-    else:
+    else:  # each pair's whole cost and gradient in one scalar pass
         gt, pred = scene.box_rows, fwd["box_params"].tolist()
         out = np.array([_pair_cost(gt[i], pred[j]) for i, j in zip(gt_rows, pred_rows)])
         out = out.reshape(-1, 5)

@@ -185,10 +185,22 @@ def test_giou_and_grad_is_the_array_form_bit_for_bit(rng, monkeypatch):
             # array_equal takes -0.0 for 0.0; the bytes do not
             assert value.tobytes() == ref_value.tobytes()
             assert grad.tobytes() == ref_grad.tobytes()
+        # stage 1's scalar pass: each pair's whole cost, L1 included, and its
+        # gradient from _pair_cost, against the array expression
+        shape = np.broadcast(pred, gt).shape
+        pred_rows = np.broadcast_to(pred, shape).reshape(-1, 4).tolist()
+        gt_rows = np.broadcast_to(gt, shape).reshape(-1, 4).tolist()
+        out = np.array([connector._pair_cost(g, p) for g, p in zip(gt_rows, pred_rows)])
+        out = out.reshape(shape[:-1] + (5,))
+        ref_cost, ref_grad = naive_reference.array_box_cost(gt, pred)
+        assert out[..., 0].tobytes() == ref_cost.tobytes()
+        assert out[..., 1:].tobytes() == ref_grad.tobytes()
 
     def boxes(n):
         return np.column_stack([rng.uniform(0, 1, (n, 2)), rng.uniform(1e-6, 1, (n, 2))])
 
+    for n in range(1, connector.GIOU_SCALAR_MAX_PAIRS + 1):  # every scalar block size
+        check(boxes(n), boxes(n))
     # stage-1 blocks, (n_gt, 1, 4) x (1, n_pred, 4); a third repeat a gt box
     for trial in range(600):
         n_gt, n_pred = int(rng.integers(0, 5)), int(rng.integers(1, 6))
@@ -206,53 +218,14 @@ def test_giou_and_grad_is_the_array_form_bit_for_bit(rng, monkeypatch):
     check(pred[0], gt[0])
     pairs = np.array(SMOOTH_PAIRS + SHARED_PAIRS)
     check(pairs[:, 0], pairs[:, 1])
-    # corners at exactly 0 and 1, and boxes whose edges touch at 0.5 with
+    # corners at exactly 0, 0.5 and 1, and boxes whose edges touch at 0.5 with
     # unequal spans on the other axis, where the overlap is exactly 0
     edges = np.array([(0.25, 0.5, 0.5, 0.2), (0.75, 0.5, 0.5, 0.4), (0.5, 0.25, 0.2, 0.5),
                       (0.5, 0.75, 0.6, 0.5), (0.5, 0.5, 1.0, 1.0), (0.125, 0.875, 0.25, 0.25),
                       (0.5, 0.5, 0.25, 0.25), (0.75, 0.25, 0.5, 0.5)])
-    assert {0.0, 1.0} <= set((edges[:, :2] - edges[:, 2:] / 2).ravel()) \
+    assert {0.0, 0.5, 1.0} <= set((edges[:, :2] - edges[:, 2:] / 2).ravel()) \
         | set((edges[:, :2] + edges[:, 2:] / 2).ravel())
     check(edges[None], edges[:, None])
-
-
-def test_box_cost_scalar_pass_is_the_array_form_bit_for_bit(rng, monkeypatch):
-    # up to GIOU_SCALAR_MAX_PAIRS pairs, the whole cost, L1 included, and the
-    # gradient come from the scalar pass
-    def check(gt, pred):
-        assert math.prod(np.broadcast(gt, pred).shape[:-1]) <= connector.GIOU_SCALAR_MAX_PAIRS
-        with monkeypatch.context() as patch:  # the array form must not run
-            patch.setattr(connector, "_giou_and_grad_array", None)
-            cost, grad = _box_cost(gt, pred)
-        ref_cost, ref_grad = naive_reference.array_box_cost(gt, pred)
-        assert cost.shape == ref_cost.shape and grad.shape == ref_grad.shape
-        assert cost.tobytes() == ref_cost.tobytes()
-        assert grad.tobytes() == ref_grad.tobytes()
-
-    def boxes(n):
-        return np.column_stack([rng.uniform(0, 1, (n, 2)), rng.uniform(1e-6, 1, (n, 2))])
-
-    for n in range(1, connector.GIOU_SCALAR_MAX_PAIRS + 1):  # every scalar block size
-        check(boxes(n), boxes(n))
-    # stage-1 blocks, (n_gt, 1, 4) x (1, n_pred, 4); a third repeat a gt box
-    for trial in range(600):
-        n_gt, n_pred = int(rng.integers(0, 6)), int(rng.integers(1, 6))
-        gt, pred = boxes(n_gt), boxes(n_pred)
-        if trial % 3 == 0 and n_gt:
-            pred[rng.integers(n_pred)] = gt[rng.integers(n_gt)]
-        check(gt[:, None], pred[None])
-    pairs = np.array(SMOOTH_PAIRS + SHARED_PAIRS)
-    check(pairs[:, 1], pairs[:, 0])
-    # corners at exactly 0, 0.5 and 1, and edges that touch at 0.5, each box
-    # as the gt of a block against all of them
-    edges = np.array([(0.25, 0.5, 0.5, 0.2), (0.75, 0.5, 0.5, 0.4), (0.5, 0.25, 0.2, 0.5),
-                      (0.5, 0.75, 0.6, 0.5), (0.5, 0.5, 1.0, 1.0), (0.125, 0.875, 0.25, 0.25),
-                      (0.5, 0.5, 0.25, 0.25), (0.75, 0.25, 0.5, 0.5)])
-    corners = np.concatenate([edges[:, :2] - edges[:, 2:] / 2, edges[:, :2] + edges[:, 2:] / 2])
-    assert {0.0, 0.5, 1.0} <= set(corners.ravel())
-    for box in edges:
-        check(box[None], edges)
-        check(edges, box[None])
 
 
 def test_giou_grad_matches_finite_differences(rng):
