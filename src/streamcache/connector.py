@@ -15,8 +15,9 @@ scores only the pairs the matcher reads, each hand box against the 2 hand
 queries and each object box against the object queries. Up to
 ``GIOU_SCALAR_MAX_PAIRS`` pairs get their whole cost, L1 + (1 - GIoU), and
 GIoU gradient in one scalar pass over Python floats (``_pair_cost``), as the
-matcher reads its costs; more pairs run as elementwise arrays. Both give the
-same bits. Box assignments come from ``_match``: one shortest-augmenting-path
+matcher reads its costs. That pass is stage 1's alone: larger blocks and every
+other caller run ``giou_and_grad``'s elementwise arrays, with the same bits.
+Box assignments come from ``_match``: one shortest-augmenting-path
 solve in plain Python (``_assign``), whose dual potentials bound which
 tie-break candidates need a solve of their own.
 """
@@ -154,12 +155,7 @@ def _corner_pairs(params: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 def giou_batch(a_params: np.ndarray, b_params: np.ndarray) -> np.ndarray:
     """Generalized IoU for paired (n, 4) center-format box arrays."""
-    a_lo, a_hi = _corner_pairs(np.asarray(a_params, dtype=np.float64))
-    b_lo, b_hi = _corner_pairs(np.asarray(b_params, dtype=np.float64))
-    inter = np.clip(np.minimum(a_hi, b_hi) - np.maximum(a_lo, b_lo), 0, None).prod(-1)
-    union = (a_hi - a_lo).prod(-1) + (b_hi - b_lo).prod(-1) - inter
-    c_area = (np.maximum(a_hi, b_hi) - np.minimum(a_lo, b_lo)).prod(-1)
-    return inter / union - (c_area - union) / c_area
+    return giou_and_grad(a_params, b_params)[0]
 
 
 def giou(a: BBox, b: BBox) -> float:
@@ -219,46 +215,20 @@ def _pair_cost(g: Sequence[float], p: Sequence[float]) -> List[float]:
     return out
 
 
-# the scalar form's cost grows with the pairs and the array form's barely does;
-# on a 2-vCPU x86-64 host they cross near 30 pairs (16 pairs: 48 against 81 us,
-# 49 pairs: 135 against 91 us)
+# stage 1 scores blocks of up to this many pairs with the scalar _pair_cost and
+# larger ones (up to 32 x 32) with _box_cost's arrays; on a 2-vCPU x86-64 host
+# their costs cross near 30 pairs (16: 48 against 81 us, 49: 135 against 91 us)
 GIOU_SCALAR_MAX_PAIRS = 30
 
 
 def giou_and_grad(pred_params: np.ndarray, gt_params: np.ndarray
                   ) -> Tuple[np.ndarray, np.ndarray]:
     """GIoU of broadcast (..., 4) center-format boxes of positive size, plus
-    its gradient w.r.t. the predicted (cx, cy, w, h).
-
-    Up to ``GIOU_SCALAR_MAX_PAIRS`` pairs run pair by pair over Python
-    floats, the way ``_assign`` reads its costs, since numpy's per-call cost
-    dominates them; more pairs run as arrays. Both forms evaluate each
-    expression in the same order (a negation is its exact product with
-    -1.0), so every bit is the same whichever runs. A stage-1 step scores
-    hands x 2 + objects x (object queries) pairs: 8 for the 2-hand, 2-object
-    scenes of ``connector-train`` and the default ``gradcheck``, up to 32 x 32
-    for a ``gradcheck --scene`` file of ``MAX_SCENE_BOXES`` object boxes. It
-    scores blocks of up to ``GIOU_SCALAR_MAX_PAIRS`` pairs with
-    ``_pair_cost`` and larger ones here, as arrays.
-    """
-    pred = np.asarray(pred_params, dtype=np.float64)
-    gt = np.asarray(gt_params, dtype=np.float64)
-    shape = np.broadcast(pred, gt).shape
-    if math.prod(shape[:-1]) > GIOU_SCALAR_MAX_PAIRS:
-        return _giou_and_grad_array(pred, gt)
-    both = np.empty((2,) + shape)  # one copy broadcasts both, cheaper than broadcast_arrays
-    both[0], both[1] = pred, gt
-    pred_rows, gt_rows = both.reshape(2, -1, 4).tolist()
-    out = np.array([_giou_pair(a, b) for a, b in zip(pred_rows, gt_rows)])
-    out = out.reshape(shape[:-1] + (5,))
-    return out[..., 0], out[..., 1:]
-
-
-def _giou_and_grad_array(pred_params: np.ndarray, gt_params: np.ndarray
-                         ) -> Tuple[np.ndarray, np.ndarray]:
-    """``giou_and_grad`` as elementwise arrays over (lo, hi) corner pairs."""
-    a_lo, a_hi = _corner_pairs(pred_params)
-    b_lo, b_hi = _corner_pairs(gt_params)
+    its gradient w.r.t. the predicted (cx, cy, w, h), as elementwise arrays.
+    Stage 1's scalar ``_giou_pair`` evaluates each expression in the same
+    order (a negation is its exact product with -1.0), so it gives the same bits."""
+    a_lo, a_hi = _corner_pairs(np.asarray(pred_params, dtype=np.float64))
+    b_lo, b_hi = _corner_pairs(np.asarray(gt_params, dtype=np.float64))
     size = a_hi - a_lo
     inter_wh = np.minimum(a_hi, b_hi) - np.maximum(a_lo, b_lo)
     hull_wh = np.maximum(a_hi, b_hi) - np.minimum(a_lo, b_lo)
@@ -808,10 +778,10 @@ def grad_check(params: Dict[str, np.ndarray],
     coordinates are checked when the parameter count allows, otherwise a
     seeded sample of ``max_coords``. The perturbed evaluations call
     ``value_fn``, which must return the same value as ``value_and_grad_fn``
-    without its gradients, when given.
-    """
-    if eps <= 0:
-        raise ValueError(f"eps must be > 0, got {eps}")
+    without its gradients, when given. A NaN error, as from a NaN gradient,
+    ends the check and is returned."""
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and > 0, got {eps}")
     if max_coords < 1:
         raise ValueError(f"max_coords must be >= 1, got {max_coords}")
     value, grads = value_and_grad_fn(params)
@@ -843,6 +813,8 @@ def grad_check(params: Dict[str, np.ndarray],
         numeric = (up - down) / (2 * eps)
         analytic = grads[name][idx]
         rel = abs(numeric - analytic) / max(abs(numeric), abs(analytic), 1e-8)
+        if math.isnan(rel):  # max() would drop it
+            return rel
         worst = max(worst, rel)
     return worst
 

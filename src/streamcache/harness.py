@@ -329,8 +329,10 @@ def run_strategy(kind: StrategyKind, stream: SyntheticStream, cfg: SimConfig, *,
     which must end with its counter equal to the charged total. ``a2`` builds
     none, as it would replay ``b``'s appends exactly and nothing reads its
     outputs, so it draws no feature: its visual tokens share one placeholder
-    embedding. A stream ``admit`` refuses raises before anything is built.
+    embedding. A stream ``admit`` refuses raises before anything is built, as
+    does a ``kind`` that is neither a ``StrategyKind`` nor one's value.
     """
+    kind = StrategyKind(kind)
     validate_config(cfg)
     capacity = admit(kind, cfg, len(stream.times), prompt_tokens)
     factory = TokenFactory()

@@ -21,10 +21,8 @@ scene's in scene order. ``masked_sigmoid`` is the connector's sigmoid in its
 first form: a boolean mask splits the input, and each side is written through
 it. ``stage1_forward_full_block`` is the stage-1 forward in its first form:
 it scores every (gt, query) pair in one block, slices each group's block out
-of it and picks the matched pairs' GIoU gradients by row and column.
-``array_box_cost`` is the box pair cost in its array form at every block size:
-numpy's L1 row sum plus ``1 - GIoU`` from the elementwise GIoU, which the full
-block scores with.
+of it and picks the matched pairs' GIoU gradients by row and column, all
+with the connector's array box cost, ``_box_cost``.
 """
 
 from __future__ import annotations
@@ -42,8 +40,7 @@ from streamcache import (AttentionWeights, OraclePredictor, Scene, SimConfig, St
                          SyntheticStream, Token, append_flop_cost, validate_config)
 from streamcache.attention import REL_BIAS_CLIP
 from streamcache.connector import (CaptionDecoder, TrainingDivergence, TrainResult,
-                                   _caption_forward, _forward, _giou_and_grad_array,
-                                   _lm_parts, _match,
+                                   _box_cost, _caption_forward, _forward, _lm_parts, _match,
                                    _matched_loss, loss_total, stage1_losses,
                                    stage1_value_and_grads)
 from streamcache.harness import ENGINE_LAYERS, FEATURE_NOISE
@@ -400,13 +397,6 @@ def masked_sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def array_box_cost(gt: np.ndarray, pred: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """L1 + (1 - GIoU) costs of broadcast (..., 4) box arrays, and the GIoU
-    gradient w.r.t. ``pred``, as elementwise arrays whatever the pair count."""
-    value, grad = _giou_and_grad_array(pred, gt)
-    return np.abs(gt - pred).sum(-1) + (1.0 - value), grad
-
-
 def stage1_forward_full_block(params, decoder, scene, lambda_1):
     """Stage 1's losses, forward intermediates and box terms, with every
     (gt, query) pair scored in one block: ``(losses, fwd, aux)`` as
@@ -421,7 +411,7 @@ def stage1_forward_full_block(params, decoder, scene, lambda_1):
     cap = _caption_forward(decoder, fwd["tokens"], targets)
     lm, exp_rows, exp_sums = _lm_parts(cap["logits"], targets)
     gt = np.array([b.validate().as_array() for b in scene.hands + scene.objects]).reshape(-1, 4)
-    cost, g_giou = array_box_cost(gt[:, None], fwd["box_params"][None])
+    cost, g_giou = _box_cost(gt[:, None], fwd["box_params"][None])
     n_h = len(scene.hands)
     sigma_h = _match(cost[:n_h, :2])
     sigma_o = _match(cost[n_h:, 2:])

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import streamcache
@@ -334,6 +335,21 @@ def test_scene_at_the_box_and_caption_bounds_loads(tmp_path, capsys):
     path.write_text(json.dumps(dict(doc, gt_boxes=_scene_boxes(2))))
     assert main(["gradcheck", "--scene", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["pass"] is True
+
+
+def test_gradcheck_nan_gradient_exits_4(monkeypatch, capsys):
+    value_and_grads = streamcache.cli.stage1_value_and_grads
+
+    def nan_w1(*args, **kwargs):  # w1 holds about a fifth of the sampled coordinates
+        losses, grads = value_and_grads(*args, **kwargs)
+        grads["w1"] = np.full_like(grads["w1"], np.nan)
+        return losses, grads
+
+    monkeypatch.setattr(streamcache.cli, "stage1_value_and_grads", nan_w1)
+    assert main(["gradcheck", "--seed", "0"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: gradient check gave a non-finite error: nan")
 
 
 def test_gradcheck_zero_eps_usage_error(capsys):

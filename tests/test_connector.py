@@ -172,29 +172,23 @@ SHARED_PAIRS = [((0.375, 0.5, 0.25, 0.25), (0.5, 0.5, 0.5, 0.25)),
                 ((0.25, 0.5, 0.25, 0.25), (0.5, 0.5, 0.25, 0.25))]
 
 
-def test_giou_and_grad_is_the_array_form_bit_for_bit(rng, monkeypatch):
+def test_giou_and_grad_is_the_array_form_bit_for_bit(rng):
     def check(pred, gt):
-        with monkeypatch.context() as patch:  # every block pair by pair
-            patch.setattr(connector, "GIOU_SCALAR_MAX_PAIRS", math.inf)
-            value, grad = giou_and_grad(pred, gt)
-        # the array form, and whichever form the block's size picks
-        for ref_value, ref_grad in (connector._giou_and_grad_array(pred, gt),
-                                    giou_and_grad(pred, gt)):
-            assert value.shape == ref_value.shape and grad.shape == ref_grad.shape
-            assert np.array_equal(value, ref_value) and np.array_equal(grad, ref_grad)
-            # array_equal takes -0.0 for 0.0; the bytes do not
-            assert value.tobytes() == ref_value.tobytes()
-            assert grad.tobytes() == ref_grad.tobytes()
-        # stage 1's scalar pass: each pair's whole cost, L1 included, and its
-        # gradient from _pair_cost, against the array expression
+        value, grad = giou_and_grad(pred, gt)
         shape = np.broadcast(pred, gt).shape
+        assert value.shape == shape[:-1] and grad.shape == shape
         pred_rows = np.broadcast_to(pred, shape).reshape(-1, 4).tolist()
         gt_rows = np.broadcast_to(gt, shape).reshape(-1, 4).tolist()
-        out = np.array([connector._pair_cost(g, p) for g, p in zip(gt_rows, pred_rows)])
-        out = out.reshape(shape[:-1] + (5,))
-        ref_cost, ref_grad = naive_reference.array_box_cost(gt, pred)
-        assert out[..., 0].tobytes() == ref_cost.tobytes()
-        assert out[..., 1:].tobytes() == ref_grad.tobytes()
+        # stage 1's scalar pass: each pair's GIoU and gradient from _giou_pair,
+        # and its whole cost, L1 included, from _pair_cost, against the arrays
+        for scalar, (ref_value, ref_grad) in (
+                ([connector._giou_pair(p, g) for p, g in zip(pred_rows, gt_rows)], (value, grad)),
+                ([connector._pair_cost(g, p) for g, p in zip(gt_rows, pred_rows)],
+                 _box_cost(gt, pred))):
+            out = np.array(scalar).reshape(shape[:-1] + (5,))
+            # array_equal takes -0.0 for 0.0; the bytes do not
+            assert out[..., 0].tobytes() == ref_value.tobytes()
+            assert out[..., 1:].tobytes() == ref_grad.tobytes()
 
     def boxes(n):
         return np.column_stack([rng.uniform(0, 1, (n, 2)), rng.uniform(1e-6, 1, (n, 2))])
@@ -209,7 +203,7 @@ def test_giou_and_grad_is_the_array_form_bit_for_bit(rng, monkeypatch):
             pred[rng.integers(n_pred)] = gt[rng.integers(n_gt)]
         check(pred[None], gt[:, None])
     # a scene file's largest block, MAX_SCENE_BOXES objects against as many
-    # object queries and the 2 hand queries, runs as arrays
+    # object queries and the 2 hand queries, which stage 1 scores as arrays
     n_gt = connector.MAX_SCENE_BOXES
     assert n_gt * (n_gt + 2) > connector.GIOU_SCALAR_MAX_PAIRS
     check(boxes(n_gt + 2)[None], boxes(n_gt)[:, None])
@@ -651,14 +645,25 @@ def test_grad_check_rejects_bad_eps_and_nonfinite():
     def quad(p):
         return float((p["x"] ** 2).sum()), {"x": 2 * p["x"]}
 
-    with pytest.raises(ValueError):
-        grad_check(probe, quad, eps=0.0)
+    for eps in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="eps must be finite and > 0"):
+            grad_check(probe, quad, eps=eps)
 
     def bad(p):
         return float("nan"), {"x": np.zeros(3)}
 
     with pytest.raises(ValueError):
         grad_check(probe, bad, eps=1e-5)
+
+    # a NaN gradient on one coordinate makes the whole error NaN, whichever
+    # coordinate it is and whatever the others read
+    for c in range(3):
+        def nan_grad(p):
+            grad = 2 * p["x"]
+            grad[c] = math.nan
+            return float((p["x"] ** 2).sum()), {"x": grad}
+
+        assert math.isnan(grad_check(probe, nan_grad, eps=1e-5))
 
 
 def test_grad_check_rejects_max_coords_below_one():

@@ -641,6 +641,21 @@ def test_run_strategy_refuses_before_building_an_engine(monkeypatch):
     assert built == []
 
 
+def test_run_strategy_takes_a_kind_or_its_value():
+    # a kind's value selects that kind's loop, and any other string is refused
+    cfg = small_cfg()
+    stream = generate_stream(cfg, 30.0)
+    with pytest.raises(ValueError):
+        run_strategy("x", stream, cfg)
+    by_value = run_strategy("a1", stream, cfg)
+    by_kind = run_strategy(StrategyKind.PROGRESSIVE_VISUAL, stream, cfg)
+    assert by_value.kind is StrategyKind.PROGRESSIVE_VISUAL
+    for column in streamcache.harness.TraceRows.__slots__:
+        if column != "wall_ns":
+            assert getattr(by_value.rows, column) == getattr(by_kind.rows, column), column
+    assert by_value.engine_total_flops == by_kind.engine_total_flops
+
+
 def test_run_strategy_refuses_a1_past_the_live_bound_at_once():
     # 1,200 frames of 64 tokens: the engine itself would refuse only at
     # 65,476 live tokens, after minutes of appends
