@@ -10,13 +10,14 @@ objectness score. All trainable weights live in one params dict keyed by
 language-modeling loss (through a frozen caption readout) with a matched
 GIoU + L1 box loss; gradients are written out by hand and checked against
 central differences. A ``Scene`` builds, once and read-only, its validated
-box array, those boxes' rows as Python floats and its caption ids. A step
-scores only the pairs the matcher reads, each hand box against the 2 hand
-queries and each object box against the object queries. Up to
-``GIOU_SCALAR_MAX_PAIRS`` pairs get their whole cost, L1 + (1 - GIoU), and
-GIoU gradient in one scalar pass over Python floats (``_pair_cost``), as the
-matcher reads its costs. That pass is stage 1's alone: larger blocks and every
-other caller run ``giou_and_grad``'s elementwise arrays, with the same bits.
+box array and its caption ids. A step scores only the pairs the matcher
+reads, the hand boxes against the 2 hand queries and the object boxes against
+the object queries. ``_pair_block`` scores each such block, and
+``hungarian_match``'s too, into lists of each pair's whole cost, L1 +
+(1 - GIoU), and GIoU gradient: a block of up to ``GIOU_SCALAR_MAX_PAIRS``
+pairs in one scalar pass over Python floats (``_pair_cost``), a larger one
+with ``giou_and_grad``'s elementwise arrays, with the same bits. The matcher
+reads those lists as they are.
 Box assignments come from ``_match``: one shortest-augmenting-path
 solve in plain Python (``_assign``), whose dual potentials bound which
 tie-break candidates need a solve of their own.
@@ -25,7 +26,6 @@ tie-break candidates need a solve of their own.
 from __future__ import annotations
 
 import base64
-import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -215,9 +215,10 @@ def _pair_cost(g: Sequence[float], p: Sequence[float]) -> List[float]:
     return out
 
 
-# stage 1 scores blocks of up to this many pairs with the scalar _pair_cost and
-# larger ones (up to 32 x 32) with _box_cost's arrays; on a 2-vCPU x86-64 host
-# their costs cross near 30 pairs (16: 48 against 81 us, 49: 135 against 91 us)
+# _pair_block scores a block of up to this many pairs, stage 1's or
+# hungarian_match's, with the scalar _pair_cost and a larger one with _box_cost's
+# arrays; on a 2-vCPU x86-64 host their costs cross near 30 pairs (16: 48
+# against 81 us, 49: 135 against 91 us)
 GIOU_SCALAR_MAX_PAIRS = 30
 
 
@@ -225,7 +226,7 @@ def giou_and_grad(pred_params: np.ndarray, gt_params: np.ndarray
                   ) -> Tuple[np.ndarray, np.ndarray]:
     """GIoU of broadcast (..., 4) center-format boxes of positive size, plus
     its gradient w.r.t. the predicted (cx, cy, w, h), as elementwise arrays.
-    Stage 1's scalar ``_giou_pair`` evaluates each expression in the same
+    The scalar ``_giou_pair`` evaluates each expression in the same
     order (a negation is its exact product with -1.0), so it gives the same bits."""
     a_lo, a_hi = _corner_pairs(np.asarray(pred_params, dtype=np.float64))
     b_lo, b_hi = _corner_pairs(np.asarray(gt_params, dtype=np.float64))
@@ -268,6 +269,17 @@ def _box_cost(gt: np.ndarray, pred: np.ndarray) -> Tuple[np.ndarray, np.ndarray]
     GIoU gradient w.r.t. ``pred``."""
     value, grad = giou_and_grad(pred, gt)
     return np.abs(gt - pred).sum(-1) + (1.0 - value), grad
+
+
+def _pair_block(gt: np.ndarray, pred: np.ndarray) -> List[List[List[float]]]:
+    """Each (n, 4) ``gt`` box's [L1 + (1 - GIoU), d_cx, d_cy, d_w, d_h]
+    against each (m, 4) ``pred`` box, the gradient w.r.t. the prediction, as
+    Python floats: n lists of m. The scalar and the array form give the same bits."""
+    if gt.shape[0] * pred.shape[0] <= GIOU_SCALAR_MAX_PAIRS:
+        preds = pred.tolist()
+        return [[_pair_cost(g, p) for p in preds] for g in gt.tolist()]
+    cost, grad = _box_cost(gt[:, None], pred[None])
+    return np.concatenate([cost[..., None], grad], -1).tolist()
 
 
 def _assign(cost: List[List[float]], m: int
@@ -325,9 +337,9 @@ def _assign(cost: List[List[float]], m: int
     return col_of, u, v
 
 
-def _match(cost: np.ndarray) -> List[int]:
-    """Lexicographically smallest row -> column assignment whose ``cost`` sum
-    lies within ``_MATCH_TIE_TOL`` of the optimum.
+def _match(rows: List[List[float]]) -> List[int]:
+    """Lexicographically smallest row -> column assignment whose cost sum, over
+    the cost ``rows``, lies within ``_MATCH_TIE_TOL`` of the optimum.
 
     ``_assign`` solves once; the walk then goes row by row, trying each
     smaller unused column in turn. With ``r = cost - u - v`` the reduced
@@ -340,10 +352,9 @@ def _match(cost: np.ndarray) -> List[int]:
     candidates, so the minima are taken only when it does not. The
     acceptance test stays in raw costs, and a fit becomes the new reference.
     """
-    rows = cost.tolist()
     if not math.isfinite(sum(map(sum, rows))):  # a NaN or an infinity survives the sum
         raise ValueError("assignment costs must be finite")
-    m = cost.shape[1]
+    m = len(rows[0]) if rows else 0
     ref, u, v = _assign(rows, m)
     acc, r = 0.0, None
     for i in range(len(ref)):
@@ -372,12 +383,14 @@ def _match(cost: np.ndarray) -> List[int]:
     return ref
 
 
-def _matched_loss(cost: np.ndarray, assignment: Sequence[int], scores: np.ndarray) -> float:
-    """Assigned ``cost`` entries plus -log(1 - score) per unassigned column."""
+def _matched_loss(rows: List[List[float]], assignment: Sequence[int],
+                  scores: np.ndarray) -> float:
+    """Assigned entries of the cost ``rows`` plus -log(1 - score) per
+    unassigned column, one column per score."""
     total = 0.0  # pair by pair: np.sum's pairwise order would move the last bits
     for i, j in enumerate(assignment):
-        total += float(cost[i, j])
-    for j in range(cost.shape[1]):
+        total += rows[i][j]
+    for j in range(len(scores)):
         if j not in assignment:
             total += -math.log(max(1.0 - scores[j], 1e-12))
     return total
@@ -392,7 +405,8 @@ def hungarian_match(pred: Sequence[BBox], gt: Sequence[BBox]) -> List[int]:
     n_gt, n_pred = len(gt), len(pred)
     if n_gt > n_pred:
         raise ValueError(f"more ground-truth boxes ({n_gt}) than predictions ({n_pred})")
-    return _match(_box_cost(_box_array(gt)[:, None], _box_array(pred)[None])[0])
+    block = _pair_block(_box_array(gt), _box_array(pred))
+    return _match([[c[0] for c in row] for row in block])
 
 
 def loss_lm(logits: np.ndarray, targets: Sequence[int]) -> float:
@@ -492,10 +506,9 @@ class Scene:
     Building a scene validates its boxes, so a degenerate or non-finite one
     raises ``ValueError`` here, and stores read-only what every training step
     reads of them: ``boxes``, the (hands + objects, 4) center-format array,
-    hands first; ``box_rows``, those rows as Python floats for the scalar pair
-    pass; and ``caption_ids``, the caption as int64. ``hands``, ``objects`` and
-    ``caption`` are kept as tuples, and ``dataclasses.replace`` builds all
-    three anew.
+    hands first, and ``caption_ids``, the caption as int64. ``hands``,
+    ``objects`` and ``caption`` are kept as tuples, and ``dataclasses.replace``
+    builds all three anew.
     """
 
     grid: PatchGrid
@@ -503,7 +516,6 @@ class Scene:
     objects: Tuple[BBox, ...]
     caption: Tuple[int, ...]
     boxes: np.ndarray = field(init=False, repr=False, compare=False)
-    box_rows: Tuple[Tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
     caption_ids: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -512,8 +524,7 @@ class Scene:
         caption_ids = np.array(caption, dtype=np.int64)
         boxes.flags.writeable = caption_ids.flags.writeable = False
         for name, value in (("hands", hands), ("objects", objects), ("caption", caption),
-                            ("boxes", boxes), ("box_rows", tuple(map(tuple, boxes.tolist()))),
-                            ("caption_ids", caption_ids)):
+                            ("boxes", boxes), ("caption_ids", caption_ids)):
             object.__setattr__(self, name, value)  # a frozen dataclass sets fields this way
 
 
@@ -562,6 +573,11 @@ def _derive_caption(hands: Sequence[BBox], objects: Sequence[BBox],
 def make_scene(seed: int, side: int = 16, dim: int = 48, n_hands: int = 2,
                n_objects: int = 2, noise: float = 0.05,
                vocab_size: int = 64) -> Scene:
+    """A seeded synthetic scene; ``ValueError`` for ``n_hands`` outside 0-2 or
+    a negative ``n_objects``, before anything is drawn."""
+    if not 0 <= n_hands <= 2 or n_objects < 0:
+        raise ValueError(f"need 0 <= n_hands <= 2 and n_objects >= 0, "
+                         f"got {n_hands} and {n_objects}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5E]))
     hands = [_random_box(rng) for _ in range(n_hands)]
     objects = [_random_box(rng) for _ in range(n_objects)]
@@ -640,17 +656,6 @@ def stage1_losses(params: Dict[str, np.ndarray], decoder: CaptionDecoder,
     return value
 
 
-@functools.lru_cache(maxsize=64)
-def _block_rows(n_h: int, n_o: int, k: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """The (gt row, query row) pairs the matcher reads, as two index tuples:
-    each hand row against the 2 hand queries, then each object row against
-    the ``k`` object queries."""
-    gt_rows = [i for i in range(n_h) for _ in range(2)] + \
-        [i for i in range(n_h, n_h + n_o) for _ in range(k)]
-    pred_rows = [0, 1] * n_h + list(range(2, 2 + k)) * n_o
-    return tuple(gt_rows), tuple(pred_rows)
-
-
 def _stage1_forward(params, decoder, scene, lambda_1):
     k = params["q_o"].shape[0]
     n_h, n_o = len(scene.hands), len(scene.objects)
@@ -663,28 +668,21 @@ def _stage1_forward(params, decoder, scene, lambda_1):
     cap = _caption_forward(decoder, fwd["tokens"], targets)
     lm, exp_rows, exp_sums = _lm_parts(cap["logits"], targets)
 
-    # only the pairs the matcher reads, hand rows first
-    gt_rows, pred_rows = _block_rows(n_h, n_o, k)
-    if len(gt_rows) > GIOU_SCALAR_MAX_PAIRS:
-        cost, g_giou = _box_cost(scene.boxes[list(gt_rows)],
-                                 fwd["box_params"][list(pred_rows)])
-    else:  # each pair's whole cost and gradient in one scalar pass
-        gt, pred = scene.box_rows, fwd["box_params"].tolist()
-        out = np.array([_pair_cost(gt[i], pred[j]) for i, j in zip(gt_rows, pred_rows)])
-        out = out.reshape(-1, 5)
-        cost, g_giou = out[:, 0], out[:, 1:]
-    cost_h, cost_o = cost[:2 * n_h].reshape(n_h, 2), cost[2 * n_h:].reshape(n_o, k)
-    sigma_h, sigma_o = _match(cost_h), _match(cost_o)
-    ho = _matched_loss(cost_h, sigma_h, fwd["obj"][:2])
-    ho += _matched_loss(cost_o, sigma_o, fwd["obj"][2:])
-    total = loss_total(lm, ho, lambda_1)
-    losses = {"total": total, "lm": lm, "ho": ho}
-    matched = np.array(sigma_h + [2 + j for j in sigma_o], dtype=np.intp)
-    picked = [2 * i + j for i, j in enumerate(sigma_h)] + \
-        [2 * n_h + k * i + j for i, j in enumerate(sigma_o)]
+    # only the pairs the matcher reads: the hand boxes against the 2 hand
+    # queries, then the object boxes against the k object queries
+    ho, matched, g_giou = 0.0, [], []
+    for gt, lo, hi in ((scene.boxes[:n_h], 0, 2), (scene.boxes[n_h:], 2, 2 + k)):
+        block = _pair_block(gt, fwd["box_params"][lo:hi])
+        rows = [[c[0] for c in row] for row in block]
+        sigma = _match(rows)
+        ho += _matched_loss(rows, sigma, fwd["obj"][lo:hi])
+        matched += [lo + j for j in sigma]
+        g_giou += [row[j][1:] for row, j in zip(block, sigma)]
+    losses = {"total": loss_total(lm, ho, lambda_1), "lm": lm, "ho": ho}
     return losses, fwd, {"cap": cap, "exp_rows": exp_rows, "exp_sums": exp_sums,
-                         "targets": targets, "gt": scene.boxes, "matched": matched,
-                         "g_giou": g_giou[picked]}
+                         "targets": targets, "gt": scene.boxes,
+                         "matched": np.array(matched, dtype=np.intp),
+                         "g_giou": np.array(g_giou, dtype=np.float64).reshape(-1, 4)}
 
 
 def stage1_value_and_grads(params: Dict[str, np.ndarray], decoder: CaptionDecoder,

@@ -142,8 +142,13 @@ def admit(kind: StrategyKind, cfg: SimConfig, n_frames: int,
     """The most tokens strategy ``kind`` can hold at once over ``n_frames``
     frames, and at least 1: a1 keeps every token; b and a2 hold up to
     ``N_S + 1`` frames and ``N_L + 1`` verbalized groups between an entry and
-    its exit, on top of the prompt. Raises ``ValueError`` above ``MAX_LIVE_TOKENS``
-    (a1: its visual tokens) or a largest block above ``MAX_BLOCK_CELLS`` cells."""
+    its exit, on top of the prompt. Raises ``ValueError`` for a ``kind`` that
+    is neither a ``StrategyKind`` nor one's value, a negative ``prompt_tokens``,
+    above ``MAX_LIVE_TOKENS`` (a1: its visual tokens) or a largest block above
+    ``MAX_BLOCK_CELLS`` cells."""
+    kind = StrategyKind(kind)
+    if prompt_tokens < 0:
+        raise ValueError(f"prompt_tokens must be >= 0, got {prompt_tokens}")
     frames = f"tokens_per_frame {cfg.tokens_per_frame} over {n_frames} frames"
     if kind is StrategyKind.PROGRESSIVE_VISUAL:
         visual = n_frames * cfg.tokens_per_frame
@@ -455,12 +460,15 @@ def fit_growth(live_tokens) -> GrowthFit:
     Log-log regression of live tokens against frame index over the last
     three quarters of the run (the first quarter is cache-warmup transient);
     a flat tail short-circuits to "bounded" (both caches capped means the
-    derivative heads to zero regardless of the fill-up phase).
+    derivative heads to zero regardless of the fill-up phase). Raises
+    ``ValueError`` for fewer than 100 frames or a non-finite value.
     """
     series = np.asarray(live_tokens, dtype=np.float64)
     n = series.size
     if n < 100:
         raise ValueError(f"need at least 100 frames to fit growth, got {n}")
+    if not np.isfinite(series).all():
+        raise ValueError("live-token series must be finite")
     start = n // 4
     # math.log: numpy picks its log loop per CPU, and the loops differ in last bits
     x = np.array(list(map(math.log, range(start + 1, n + 1))))

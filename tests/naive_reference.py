@@ -413,10 +413,11 @@ def stage1_forward_full_block(params, decoder, scene, lambda_1):
     gt = np.array([b.validate().as_array() for b in scene.hands + scene.objects]).reshape(-1, 4)
     cost, g_giou = _box_cost(gt[:, None], fwd["box_params"][None])
     n_h = len(scene.hands)
-    sigma_h = _match(cost[:n_h, :2])
-    sigma_o = _match(cost[n_h:, 2:])
-    ho = _matched_loss(cost[:n_h, :2], sigma_h, fwd["obj"][:2])
-    ho += _matched_loss(cost[n_h:, 2:], sigma_o, fwd["obj"][2:])
+    cost_h, cost_o = cost[:n_h, :2].tolist(), cost[n_h:, 2:].tolist()
+    sigma_h = _match(cost_h)
+    sigma_o = _match(cost_o)
+    ho = _matched_loss(cost_h, sigma_h, fwd["obj"][:2])
+    ho += _matched_loss(cost_o, sigma_o, fwd["obj"][2:])
     losses = {"total": loss_total(lm, ho, lambda_1), "lm": lm, "ho": ho}
     matched = np.array(sigma_h + [2 + j for j in sigma_o], dtype=np.intp)
     return losses, fwd, {"cap": cap, "exp_rows": exp_rows, "exp_sums": exp_sums,

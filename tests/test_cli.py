@@ -10,7 +10,7 @@ import pytest
 
 import streamcache
 import streamcache.connector
-from streamcache import SimConfig, load_scene, make_scene
+from streamcache import Scene, SimConfig, load_scene, make_scene
 from streamcache.cli import main
 from streamcache.connector import MAX_SCENE_BOXES, MAX_SCENE_CAPTION, MAX_SCENE_FLOATS
 
@@ -202,7 +202,9 @@ def test_gradcheck_scene_file(tmp_path, capsys):
 
 
 def test_gradcheck_scene_with_three_hands_exits_2(tmp_path, capsys):
-    scene = make_scene(seed=11, side=4, dim=24, n_hands=3)
+    # make_scene refuses a third hand, so one of its objects becomes one
+    scene = make_scene(seed=11, side=4, dim=24, n_hands=2, n_objects=3)
+    scene = Scene(scene.grid, scene.hands + scene.objects[:1], scene.objects[1:], scene.caption)
     path = tmp_path / "scene.json"
     save_scene(scene, str(path))
     assert main(["gradcheck", "--scene", str(path)]) == 2
