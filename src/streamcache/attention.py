@@ -59,6 +59,8 @@ class AttentionWeights:
 
 def init_weights(d: int, heads: int, layers: int, vocab_size: int, seed: int) -> AttentionWeights:
     """Deterministic uniform[-1/sqrt(d), 1/sqrt(d)] weights from ``seed``."""
+    if heads < 1:
+        raise ValueError(f"heads must be >= 1, got {heads}")
     if d % heads != 0:
         raise ValueError(f"d={d} not divisible by heads={heads}")
     if layers < 1 or vocab_size < 1:

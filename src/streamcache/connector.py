@@ -13,11 +13,12 @@ central differences. A ``Scene`` builds, once and read-only, its validated
 box array and its caption ids. A step scores only the pairs the matcher
 reads, the hand boxes against the 2 hand queries and the object boxes against
 the object queries. ``_pair_block`` scores each such block, and
-``hungarian_match``'s too, into lists of each pair's whole cost, L1 +
-(1 - GIoU), and GIoU gradient: a block of up to ``GIOU_SCALAR_MAX_PAIRS``
-pairs in one scalar pass over Python floats (``_pair_cost``), a larger one
-with ``giou_and_grad``'s elementwise arrays, with the same bits. The matcher
-reads those lists as they are.
+``hungarian_match``'s too, into lists of each pair's cost, L1 + (1 - GIoU):
+a block of up to ``GIOU_SCALAR_MAX_PAIRS`` pairs in one scalar pass over
+Python floats (``_pair_cost``), a larger one with ``giou_batch``'s
+elementwise arrays, with the same bits. The matcher reads those lists as
+they are. Scoring computes values only: the backward takes the GIoU gradient
+of each matched pair alone, from ``_giou_pair``, the one gradient body.
 Box assignments come from ``_match``: one shortest-augmenting-path
 solve in plain Python (``_assign``), whose dual potentials bound which
 tie-break candidates need a solve of their own.
@@ -29,7 +30,7 @@ import base64
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -78,7 +79,10 @@ PARAM_KEYS = ("q_v", "q_h", "q_o", "w_k", "w_v", "w_z", "w1", "b1", "w2", "b2")
 
 def init_connector(feat_dim: int, d: int, m: int, k: int, d_mlp: int,
                    seed: int) -> Dict[str, np.ndarray]:
-    """Seeded trainable parameter set for the connector."""
+    """Seeded trainable parameter set for the connector; ``ValueError`` for a
+    ``feat_dim``, ``d`` or ``d_mlp`` below 1, a negative ``m`` or no object query."""
+    if min(feat_dim, d, d_mlp) < 1:
+        raise ValueError(f"need feat_dim, d and d_mlp >= 1, got {feat_dim}, {d} and {d_mlp}")
     if m < 0 or k < 1:
         raise ValueError("need m >= 0 and k >= 1")
     rng = np.random.default_rng(seed)
@@ -154,15 +158,30 @@ def _corner_pairs(params: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def giou_batch(a_params: np.ndarray, b_params: np.ndarray) -> np.ndarray:
-    """Generalized IoU for paired (n, 4) center-format box arrays."""
-    return giou_and_grad(a_params, b_params)[0]
+    """Generalized IoU of broadcast (..., 4) center-format box arrays, in
+    (-1, 1]; ``ValueError`` for a row with a non-finite value or a
+    non-positive ``w`` or ``h``, as ``giou`` raises."""
+    a, b = np.asarray(a_params, dtype=np.float64), np.asarray(b_params, dtype=np.float64)
+    for boxes in (a, b):
+        if not np.isfinite(boxes).all():
+            raise ValueError("non-finite box in giou_batch")
+        if not (boxes[..., 2:] > 0).all():
+            raise ValueError("degenerate box in giou_batch: every w and h must be > 0")
+    a_lo, a_hi = _corner_pairs(a)
+    b_lo, b_hi = _corner_pairs(b)
+    inter_wh = np.minimum(a_hi, b_hi) - np.maximum(a_lo, b_lo)
+    hull_wh = np.maximum(a_hi, b_hi) - np.minimum(a_lo, b_lo)
+    inter = np.where((inter_wh > 0).all(-1), inter_wh.prod(-1), 0.0)
+    union = (a_hi - a_lo).prod(-1) + (b_hi - b_lo).prod(-1) - inter
+    c_area = hull_wh.prod(-1)
+    return inter / union - (c_area - union) / c_area
 
 
 def giou(a: BBox, b: BBox) -> float:
     """Generalized IoU of two boxes, in (-1, 1]."""
     a.validate()
     b.validate()
-    return float(giou_batch(a.as_array()[None, :], b.as_array()[None, :])[0])
+    return float(_giou_pair((a.cx, a.cy, a.w, a.h), (b.cx, b.cy, b.w, b.h)))
 
 
 def _axis_grad(lo_beyond: bool, hi_beyond: bool, size: float, overlap: float, hull: float,
@@ -184,9 +203,11 @@ def _axis_grad(lo_beyond: bool, hi_beyond: bool, size: float, overlap: float, hu
     return d_lo + d_hi, 0.5 * (d_hi - d_lo)
 
 
-def _giou_pair(a: List[float], b: List[float]) -> List[float]:
-    """GIoU of one center-format pair and its gradient w.r.t. ``a``, as
-    [value, d_cx, d_cy, d_w, d_h] over Python floats."""
+def _giou_pair(a: Sequence[float], b: Sequence[float],
+               grad: bool = False) -> Union[float, List[float]]:
+    """GIoU of one center-format pair over Python floats, with the same bits
+    as ``giou_batch``; with ``grad``, [value, d_cx, d_cy, d_w, d_h], its
+    gradient w.r.t. ``a`` appended."""
     (acx, acy, aw, ah), (bcx, bcy, bw, bh) = a, b
     ahw, ahh, bhw, bhh = aw / 2, ah / 2, bw / 2, bh / 2
     alx, aly, aux, auy = acx - ahw, acy - ahh, acx + ahw, acy + ahh
@@ -200,58 +221,29 @@ def _giou_pair(a: List[float], b: List[float]) -> List[float]:
     inter = ix * iy if has_inter else 0.0
     union = sx * sy + (bux - blx) * (buy - bly) - inter
     c_area = hx * hy
+    value = inter / union - (c_area - union) / c_area
+    if not grad:
+        return value
     d_cx, d_w = _axis_grad(alx < blx, aux > bux, sy, iy, hy, has_inter, inter, union, c_area)
     d_cy, d_h = _axis_grad(aly < bly, auy > buy, sx, ix, hx, has_inter, inter, union, c_area)
-    return [inter / union - (c_area - union) / c_area, d_cx, d_cy, d_w, d_h]
+    return [value, d_cx, d_cy, d_w, d_h]
 
 
-def _pair_cost(g: Sequence[float], p: Sequence[float]) -> List[float]:
-    """One gt/prediction pair's [L1 + (1 - GIoU), d_cx, d_cy, d_w, d_h], the
-    gradient w.r.t. the prediction, over Python floats. L1 adds left to right,
-    the order of numpy's sum over a 4-wide row, so it has the array form's bits."""
-    out = _giou_pair(p, g)
-    out[0] = (((abs(g[0] - p[0]) + abs(g[1] - p[1])) + abs(g[2] - p[2]))
-              + abs(g[3] - p[3])) + (1.0 - out[0])
-    return out
+def _pair_cost(g: Sequence[float], p: Sequence[float]) -> float:
+    """One gt/prediction pair's L1 + (1 - GIoU) over Python floats. L1 adds
+    left to right, the order of numpy's sum over a 4-wide row, so it has
+    ``_box_cost``'s bits."""
+    return (((abs(g[0] - p[0]) + abs(g[1] - p[1])) + abs(g[2] - p[2]))
+            + abs(g[3] - p[3])) + (1.0 - _giou_pair(p, g))
 
 
 # _pair_block scores a block of up to this many pairs, stage 1's or
 # hungarian_match's, with the scalar _pair_cost and a larger one with _box_cost's
-# arrays; on a 2-vCPU x86-64 host their costs cross near 30 pairs (16: 48
-# against 81 us, 49: 135 against 91 us)
+# arrays. Values only, on a 2-vCPU x86-64 host, their costs cross between 30
+# and 49 pairs: best of 7 x 2,000 calls, 16 pairs 19 against 47 us, 30: 33
+# against 47 us, 36: 38 against 49 us, 49: 56 against 53 us, where another run
+# read 36 pairs 75 against 69 us. No workload scores blocks in that range, so 30 stays.
 GIOU_SCALAR_MAX_PAIRS = 30
-
-
-def giou_and_grad(pred_params: np.ndarray, gt_params: np.ndarray
-                  ) -> Tuple[np.ndarray, np.ndarray]:
-    """GIoU of broadcast (..., 4) center-format boxes of positive size, plus
-    its gradient w.r.t. the predicted (cx, cy, w, h), as elementwise arrays.
-    The scalar ``_giou_pair`` evaluates each expression in the same
-    order (a negation is its exact product with -1.0), so it gives the same bits."""
-    a_lo, a_hi = _corner_pairs(np.asarray(pred_params, dtype=np.float64))
-    b_lo, b_hi = _corner_pairs(np.asarray(gt_params, dtype=np.float64))
-    size = a_hi - a_lo
-    inter_wh = np.minimum(a_hi, b_hi) - np.maximum(a_lo, b_lo)
-    hull_wh = np.maximum(a_hi, b_hi) - np.minimum(a_lo, b_lo)
-    has_inter = (inter_wh > 0).all(-1, keepdims=True)
-    inter = np.where(has_inter, inter_wh.prod(-1, keepdims=True), 0.0)
-    union = size.prod(-1, keepdims=True) + (b_hi - b_lo).prod(-1, keepdims=True) - inter
-    c_area = hull_wh.prod(-1, keepdims=True)
-    value = (inter / union - (c_area - union) / c_area)[..., 0]
-
-    # a corner coordinate moves each area by the other axis's extent; it moves
-    # the overlap only inside the gt box's span and the hull only beyond it
-    def d_corner(sign: float, beyond: np.ndarray) -> np.ndarray:
-        d_area = sign * size[..., ::-1]
-        d_inter = np.where(has_inter & ~beyond, sign * inter_wh[..., ::-1], 0.0)
-        d_c = np.where(beyond, sign * hull_wh[..., ::-1], 0.0)
-        d_union = d_area - d_inter
-        d_iou = (d_inter * union - inter * d_union) / (union * union)
-        return d_iou + (d_union * c_area - union * d_c) / (c_area * c_area)
-
-    d_lo, d_hi = d_corner(-1.0, a_lo < b_lo), d_corner(1.0, a_hi > b_hi)
-    # map corner grads back to center parametrization
-    return value, np.concatenate([d_lo + d_hi, 0.5 * (d_hi - d_lo)], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -264,22 +256,19 @@ def _box_array(boxes: Sequence[BBox]) -> np.ndarray:
                     dtype=np.float64).reshape(-1, 4)
 
 
-def _box_cost(gt: np.ndarray, pred: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """L1 + (1 - GIoU) pair costs of broadcast (..., 4) box arrays, and the
-    GIoU gradient w.r.t. ``pred``."""
-    value, grad = giou_and_grad(pred, gt)
-    return np.abs(gt - pred).sum(-1) + (1.0 - value), grad
+def _box_cost(gt: np.ndarray, pred: np.ndarray) -> np.ndarray:
+    """L1 + (1 - GIoU) pair costs of broadcast (..., 4) box arrays."""
+    return np.abs(gt - pred).sum(-1) + (1.0 - giou_batch(pred, gt))
 
 
-def _pair_block(gt: np.ndarray, pred: np.ndarray) -> List[List[List[float]]]:
-    """Each (n, 4) ``gt`` box's [L1 + (1 - GIoU), d_cx, d_cy, d_w, d_h]
-    against each (m, 4) ``pred`` box, the gradient w.r.t. the prediction, as
-    Python floats: n lists of m. The scalar and the array form give the same bits."""
+def _pair_block(gt: np.ndarray, pred: np.ndarray) -> List[List[float]]:
+    """Each (n, 4) ``gt`` box's L1 + (1 - GIoU) cost against each (m, 4)
+    ``pred`` box as Python floats: n lists of m. The scalar and the array
+    form give the same bits."""
     if gt.shape[0] * pred.shape[0] <= GIOU_SCALAR_MAX_PAIRS:
         preds = pred.tolist()
         return [[_pair_cost(g, p) for p in preds] for g in gt.tolist()]
-    cost, grad = _box_cost(gt[:, None], pred[None])
-    return np.concatenate([cost[..., None], grad], -1).tolist()
+    return _box_cost(gt[:, None], pred[None]).tolist()
 
 
 def _assign(cost: List[List[float]], m: int
@@ -405,8 +394,7 @@ def hungarian_match(pred: Sequence[BBox], gt: Sequence[BBox]) -> List[int]:
     n_gt, n_pred = len(gt), len(pred)
     if n_gt > n_pred:
         raise ValueError(f"more ground-truth boxes ({n_gt}) than predictions ({n_pred})")
-    block = _pair_block(_box_array(gt), _box_array(pred))
-    return _match([[c[0] for c in row] for row in block])
+    return _match(_pair_block(_box_array(gt), _box_array(pred)))
 
 
 def loss_lm(logits: np.ndarray, targets: Sequence[int]) -> float:
@@ -573,11 +561,15 @@ def _derive_caption(hands: Sequence[BBox], objects: Sequence[BBox],
 def make_scene(seed: int, side: int = 16, dim: int = 48, n_hands: int = 2,
                n_objects: int = 2, noise: float = 0.05,
                vocab_size: int = 64) -> Scene:
-    """A seeded synthetic scene; ``ValueError`` for ``n_hands`` outside 0-2 or
-    a negative ``n_objects``, before anything is drawn."""
+    """A seeded synthetic scene; ``ValueError`` for ``n_hands`` outside 0-2, a
+    negative ``n_objects``, a ``side`` or ``dim`` below 1 or a ``vocab_size``
+    below 2, before anything is drawn."""
     if not 0 <= n_hands <= 2 or n_objects < 0:
         raise ValueError(f"need 0 <= n_hands <= 2 and n_objects >= 0, "
                          f"got {n_hands} and {n_objects}")
+    if side < 1 or dim < 1 or vocab_size < 2:
+        raise ValueError(f"need side and dim >= 1 and vocab_size >= 2, "
+                         f"got {side}, {dim} and {vocab_size}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5E]))
     hands = [_random_box(rng) for _ in range(n_hands)]
     objects = [_random_box(rng) for _ in range(n_objects)]
@@ -670,19 +662,16 @@ def _stage1_forward(params, decoder, scene, lambda_1):
 
     # only the pairs the matcher reads: the hand boxes against the 2 hand
     # queries, then the object boxes against the k object queries
-    ho, matched, g_giou = 0.0, [], []
+    ho, matched = 0.0, []
     for gt, lo, hi in ((scene.boxes[:n_h], 0, 2), (scene.boxes[n_h:], 2, 2 + k)):
-        block = _pair_block(gt, fwd["box_params"][lo:hi])
-        rows = [[c[0] for c in row] for row in block]
+        rows = _pair_block(gt, fwd["box_params"][lo:hi])
         sigma = _match(rows)
         ho += _matched_loss(rows, sigma, fwd["obj"][lo:hi])
         matched += [lo + j for j in sigma]
-        g_giou += [row[j][1:] for row, j in zip(block, sigma)]
     losses = {"total": loss_total(lm, ho, lambda_1), "lm": lm, "ho": ho}
     return losses, fwd, {"cap": cap, "exp_rows": exp_rows, "exp_sums": exp_sums,
                          "targets": targets, "gt": scene.boxes,
-                         "matched": np.array(matched, dtype=np.intp),
-                         "g_giou": np.array(g_giou, dtype=np.float64).reshape(-1, 4)}
+                         "matched": np.array(matched, dtype=np.intp)}
 
 
 def stage1_value_and_grads(params: Dict[str, np.ndarray], decoder: CaptionDecoder,
@@ -715,10 +704,12 @@ def stage1_value_and_grads(params: Dict[str, np.ndarray], decoder: CaptionDecode
         d_tokens = np.zeros((0, d))
 
     # box path: matched GIoU + L1, unmatched no-object penalty (scaled by lambda)
-    box_params = fwd["box_params"]
-    matched = aux["matched"]
+    box_params, matched, gt = fwd["box_params"], aux["matched"], aux["gt"]
+    pred = box_params[matched]
+    g_giou = np.array([_giou_pair(p, g, grad=True)[1:]
+                       for p, g in zip(pred.tolist(), gt.tolist())]).reshape(-1, 4)
     d_box = np.zeros_like(box_params)
-    d_box[matched] += lambda_1 * (-aux["g_giou"] + np.sign(box_params[matched] - aux["gt"]))
+    d_box[matched] += lambda_1 * (-g_giou + np.sign(pred - gt))
     unmatched = np.ones(box_params.shape[0], dtype=bool)
     unmatched[matched] = False
     d_raw = np.zeros((box_params.shape[0], 5))

@@ -335,9 +335,12 @@ def run_strategy(kind: StrategyKind, stream: SyntheticStream, cfg: SimConfig, *,
     none, as it would replay ``b``'s appends exactly and nothing reads its
     outputs, so it draws no feature: its visual tokens share one placeholder
     embedding. A stream ``admit`` refuses raises before anything is built, as
-    does a ``kind`` that is neither a ``StrategyKind`` nor one's value.
+    do a ``kind`` that is neither a ``StrategyKind`` nor one's value and a
+    ``live_token_cap`` below 1.
     """
     kind = StrategyKind(kind)
+    if live_token_cap is not None and live_token_cap < 1:
+        raise ValueError(f"live_token_cap must be >= 1, got {live_token_cap}")
     validate_config(cfg)
     capacity = admit(kind, cfg, len(stream.times), prompt_tokens)
     factory = TokenFactory()

@@ -20,9 +20,12 @@ first form: each epoch's gradient sum starts from zero arrays and adds every
 scene's in scene order. ``masked_sigmoid`` is the connector's sigmoid in its
 first form: a boolean mask splits the input, and each side is written through
 it. ``stage1_forward_full_block`` is the stage-1 forward in its first form:
-it scores every (gt, query) pair in one block, slices each group's block out
-of it and picks the matched pairs' GIoU gradients by row and column, all
-with the connector's array box cost, ``_box_cost``.
+it scores every (gt, query) pair in one block with the connector's array box
+cost, ``_box_cost``, slices each group's block out of it and picks the
+matched pairs' GIoU gradients by row and column from ``giou_and_grad``.
+``giou_and_grad`` is the GIoU gradient in its array form: every pair's value
+and gradient as elementwise arrays, against which the connector's scalar
+``_giou_pair`` must agree bit for bit.
 """
 
 from __future__ import annotations
@@ -40,8 +43,8 @@ from streamcache import (AttentionWeights, OraclePredictor, Scene, SimConfig, St
                          SyntheticStream, Token, append_flop_cost, validate_config)
 from streamcache.attention import REL_BIAS_CLIP
 from streamcache.connector import (CaptionDecoder, TrainingDivergence, TrainResult,
-                                   _box_cost, _caption_forward, _forward, _lm_parts, _match,
-                                   _matched_loss, loss_total, stage1_losses,
+                                   _box_cost, _caption_forward, _corner_pairs, _forward,
+                                   _lm_parts, _match, _matched_loss, loss_total, stage1_losses,
                                    stage1_value_and_grads)
 from streamcache.harness import ENGINE_LAYERS, FEATURE_NOISE
 
@@ -397,10 +400,44 @@ def masked_sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def giou_and_grad(pred_params: np.ndarray, gt_params: np.ndarray
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+    """GIoU of broadcast (..., 4) center-format boxes of positive size, plus
+    its gradient w.r.t. the predicted (cx, cy, w, h), as elementwise arrays.
+    The connector's scalar ``_giou_pair`` evaluates each expression in the
+    same order (a negation is its exact product with -1.0), so it gives the
+    same bits."""
+    a_lo, a_hi = _corner_pairs(np.asarray(pred_params, dtype=np.float64))
+    b_lo, b_hi = _corner_pairs(np.asarray(gt_params, dtype=np.float64))
+    size = a_hi - a_lo
+    inter_wh = np.minimum(a_hi, b_hi) - np.maximum(a_lo, b_lo)
+    hull_wh = np.maximum(a_hi, b_hi) - np.minimum(a_lo, b_lo)
+    has_inter = (inter_wh > 0).all(-1, keepdims=True)
+    inter = np.where(has_inter, inter_wh.prod(-1, keepdims=True), 0.0)
+    union = size.prod(-1, keepdims=True) + (b_hi - b_lo).prod(-1, keepdims=True) - inter
+    c_area = hull_wh.prod(-1, keepdims=True)
+    value = (inter / union - (c_area - union) / c_area)[..., 0]
+
+    # a corner coordinate moves each area by the other axis's extent; it moves
+    # the overlap only inside the gt box's span and the hull only beyond it
+    def d_corner(sign: float, beyond: np.ndarray) -> np.ndarray:
+        d_area = sign * size[..., ::-1]
+        d_inter = np.where(has_inter & ~beyond, sign * inter_wh[..., ::-1], 0.0)
+        d_c = np.where(beyond, sign * hull_wh[..., ::-1], 0.0)
+        d_union = d_area - d_inter
+        d_iou = (d_inter * union - inter * d_union) / (union * union)
+        return d_iou + (d_union * c_area - union * d_c) / (c_area * c_area)
+
+    d_lo, d_hi = d_corner(-1.0, a_lo < b_lo), d_corner(1.0, a_hi > b_hi)
+    # map corner grads back to center parametrization
+    return value, np.concatenate([d_lo + d_hi, 0.5 * (d_hi - d_lo)], axis=-1)
+
+
 def stage1_forward_full_block(params, decoder, scene, lambda_1):
     """Stage 1's losses, forward intermediates and box terms, with every
     (gt, query) pair scored in one block: ``(losses, fwd, aux)`` as
-    ``connector._stage1_forward`` returns them."""
+    ``connector._stage1_forward`` returns them, with ``aux["g_giou"]`` added,
+    each matched pair's GIoU gradient from the block's ``giou_and_grad``."""
     k = params["q_o"].shape[0]
     if len(scene.hands) > 2 or len(scene.objects) > k:
         raise ValueError("scene has more ground-truth boxes than queries")
@@ -411,7 +448,8 @@ def stage1_forward_full_block(params, decoder, scene, lambda_1):
     cap = _caption_forward(decoder, fwd["tokens"], targets)
     lm, exp_rows, exp_sums = _lm_parts(cap["logits"], targets)
     gt = np.array([b.validate().as_array() for b in scene.hands + scene.objects]).reshape(-1, 4)
-    cost, g_giou = _box_cost(gt[:, None], fwd["box_params"][None])
+    cost = _box_cost(gt[:, None], fwd["box_params"][None])
+    g_giou = giou_and_grad(fwd["box_params"][None], gt[:, None])[1]
     n_h = len(scene.hands)
     cost_h, cost_o = cost[:n_h, :2].tolist(), cost[n_h:, 2:].tolist()
     sigma_h = _match(cost_h)

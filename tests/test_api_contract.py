@@ -10,11 +10,12 @@ import math
 
 import pytest
 
-from streamcache import (SimConfig, fit_growth, generate_stream, init_connector, make_scene,
-                         run_strategy)
+from streamcache import (AttentionEngine, SimConfig, fit_growth, generate_stream, giou_batch,
+                         init_connector, init_weights, make_scene, run_strategy)
 from streamcache.harness import admit
 
 STREAM = generate_stream(SimConfig(), 4.0)
+BOX = [[0.5, 0.5, 0.2, 0.3]]
 
 CONTRACT = [
     # (label, callable, args, kwargs, exception, message fragment)
@@ -34,6 +35,32 @@ CONTRACT = [
      "n_objects"),
     ("init-connector-no-object-query", init_connector, (8, 4, 2, 0, 8, 0), {}, ValueError,
      "k >= 1"),
+    ("giou-batch-zero-width", giou_batch, ([[0.5, 0.5, 0.0, 0.3]], BOX), {}, ValueError,
+     "degenerate"),
+    ("giou-batch-negative-height", giou_batch, (BOX, [[0.5, 0.5, 0.2, -0.1]]), {}, ValueError,
+     "degenerate"),
+    ("giou-batch-nan", giou_batch, ([[math.nan, 0.5, 0.2, 0.3]], BOX), {}, ValueError,
+     "non-finite"),
+    ("giou-batch-inf", giou_batch, (BOX, [[0.5, 0.5, math.inf, 0.3]]), {}, ValueError,
+     "non-finite"),
+    ("make-scene-zero-side", make_scene, (0,), {"side": 0}, ValueError, "side and dim"),
+    ("make-scene-zero-dim", make_scene, (0,), {"dim": 0}, ValueError, "side and dim"),
+    ("make-scene-one-word-vocab", make_scene, (0,), {"vocab_size": 1}, ValueError,
+     "vocab_size >= 2"),
+    ("init-connector-zero-feat-dim", init_connector, (0, 4, 2, 1, 8, 0), {}, ValueError,
+     "feat_dim, d and d_mlp >= 1"),
+    ("init-connector-zero-d", init_connector, (8, 0, 2, 1, 8, 0), {}, ValueError,
+     "feat_dim, d and d_mlp >= 1"),
+    ("init-connector-zero-d-mlp", init_connector, (8, 4, 2, 1, 0, 0), {}, ValueError,
+     "feat_dim, d and d_mlp >= 1"),
+    ("run-strategy-zero-cap", run_strategy, ("b", STREAM, SimConfig()),
+     {"live_token_cap": 0}, ValueError, "live_token_cap must be >= 1"),
+    ("run-strategy-negative-cap", run_strategy, ("a1", STREAM, SimConfig()),
+     {"live_token_cap": -1}, ValueError, "live_token_cap must be >= 1"),
+    ("init-weights-zero-heads", init_weights, (8, 0, 1, 16, 0), {}, ValueError,
+     "heads must be >= 1"),
+    ("attention-engine-zero-heads", AttentionEngine, (8, 0, 1, 16, 0), {}, ValueError,
+     "heads must be >= 1"),
 ]
 
 

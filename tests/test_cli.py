@@ -226,6 +226,20 @@ def _seeded_scene_doc():
                          {"cx": 0.6, "cy": 0.4, "w": 0.3, "h": 0.2}]}
 
 
+@pytest.mark.parametrize("seed, line", [
+    (0, '{"eps": 0.0001, "max_rel_error": 1.57910533858752e-06, "pass": true}'),
+    (3, '{"eps": 0.0001, "max_rel_error": 1.0638495799020282e-05, "pass": true}')])
+def test_gradcheck_large_object_block_stdout_is_pinned(tmp_path, capsys, seed, line):
+    # 2 hands and 6 objects at k = 6: the 36-pair object block is above
+    # GIOU_SCALAR_MAX_PAIRS, so this line pins the array branch's bits
+    doc = dict(_seeded_scene_doc(), gt_boxes=_scene_boxes(8))
+    assert 6 * 6 > streamcache.connector.GIOU_SCALAR_MAX_PAIRS
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(doc))
+    assert main(["gradcheck", "--scene", str(path), "--seed", str(seed)]) == 0
+    assert capsys.readouterr().out == line + "\n"
+
+
 def test_gradcheck_scene_with_infinite_box_exits_2(tmp_path, capsys):
     doc = _seeded_scene_doc()
     doc["gt_boxes"][1]["w"] = float("inf")

@@ -15,10 +15,10 @@ from streamcache import (BBox, PatchGrid, Scene, TrainingDivergence, giou, giou_
                          hungarian_match, init_caption_decoder, init_connector, load_scene,
                          loss_lm, loss_total, make_scene, stage1_losses,
                          stage1_value_and_grads, train_toy)
-from streamcache.connector import _assign, _box_cost, _forward, _match, giou_and_grad
+from streamcache.connector import _assign, _box_cost, _forward, _giou_pair, _match
 
 import naive_reference
-from naive_reference import lexicographic_match, save_scene
+from naive_reference import giou_and_grad, lexicographic_match, save_scene
 
 FEAT_DIM, QDIM, MLP = 24, 16, 24
 
@@ -179,16 +179,19 @@ def test_giou_and_grad_is_the_array_form_bit_for_bit(rng):
         assert value.shape == shape[:-1] and grad.shape == shape
         pred_rows = np.broadcast_to(pred, shape).reshape(-1, 4).tolist()
         gt_rows = np.broadcast_to(gt, shape).reshape(-1, 4).tolist()
-        # stage 1's scalar pass: each pair's GIoU and gradient from _giou_pair,
-        # and its whole cost, L1 included, from _pair_cost, against the arrays
-        for scalar, (ref_value, ref_grad) in (
-                ([connector._giou_pair(p, g) for p, g in zip(pred_rows, gt_rows)], (value, grad)),
-                ([connector._pair_cost(g, p) for g, p in zip(gt_rows, pred_rows)],
-                 _box_cost(gt, pred))):
-            out = np.array(scalar).reshape(shape[:-1] + (5,))
-            # array_equal takes -0.0 for 0.0; the bytes do not
-            assert out[..., 0].tobytes() == ref_value.tobytes()
-            assert out[..., 1:].tobytes() == ref_grad.tobytes()
+        # the connector's one GIoU gradient, _giou_pair, against the reference
+        # arrays; its value-only return, the whole cost from _pair_cost and
+        # the array value of giou_batch and _box_cost against the same arrays
+        out = np.array([_giou_pair(p, g, grad=True) for p, g in zip(pred_rows, gt_rows)])
+        out = out.reshape(shape[:-1] + (5,))
+        # array_equal takes -0.0 for 0.0; the bytes do not
+        assert out[..., 0].tobytes() == value.tobytes()
+        assert out[..., 1:].tobytes() == grad.tobytes()
+        scalar = np.array([_giou_pair(p, g) for p, g in zip(pred_rows, gt_rows)])
+        assert scalar.reshape(shape[:-1]).tobytes() == value.tobytes()
+        assert giou_batch(pred, gt).tobytes() == value.tobytes()
+        cost = np.array([connector._pair_cost(g, p) for g, p in zip(gt_rows, pred_rows)])
+        assert cost.reshape(shape[:-1]).tobytes() == _box_cost(gt, pred).tobytes()
 
     def boxes(n):
         return np.column_stack([rng.uniform(0, 1, (n, 2)), rng.uniform(1e-6, 1, (n, 2))])
@@ -228,25 +231,21 @@ def test_giou_grad_matches_finite_differences(rng):
     pairs += SMOOTH_PAIRS + SHARED_PAIRS
     pred = np.array([p for p, _ in pairs])
     gt = np.array([g for _, g in pairs])
-    values, grads = giou_and_grad(pred, gt)
-    assert values.shape == (len(pairs),) and grads.shape == (len(pairs), 4)
+    # the connector's one gradient body, pair by pair
+    out = np.array([_giou_pair(p, g, grad=True) for p, g in zip(pred.tolist(), gt.tolist())])
+    values, grads = out[:, 0], out[:, 1:]
     np.testing.assert_array_equal(values, giou_batch(pred, gt))
     # identical boxes: no pull on the center, and the shrinking slope in w and h
     np.testing.assert_allclose(grads[len(pairs) - 2], [0.0, 0.0, 1 / 0.2, 1 / 0.2])
     eps = 1e-6
-    for i in range(len(pairs)):
-        value, grad = giou_and_grad(pred[i], gt[i])
-        assert value.tobytes() == values[i].tobytes()
-        assert grad.tobytes() == grads[i].tobytes()
-        if i >= len(pairs) - len(SHARED_PAIRS):
-            continue
+    for i in range(len(pairs) - len(SHARED_PAIRS)):
         for c in range(4):
             plus, minus = pred[i].copy(), pred[i].copy()
             plus[c] += eps
             minus[c] -= eps
             fd = (giou_batch(plus[None], gt[i][None])[0]
                   - giou_batch(minus[None], gt[i][None])[0]) / (2 * eps)
-            assert grad[c] == pytest.approx(fd, abs=1e-6)
+            assert grads[i, c] == pytest.approx(fd, abs=1e-6)
 
 
 # -- matching ---------------------------------------------------------------
@@ -329,7 +328,7 @@ def test_match_equals_tie_oracles_on_planted_ties():
         n_pred = int(rng.integers(1, 6))
         pred, gt = draw(n_pred), draw(int(rng.integers(0, min(n_pred, 4) + 1)))
         check(_box_cost(connector._box_array(gt)[:, None],
-                        connector._box_array(pred)[None])[0], (pred, gt))
+                        connector._box_array(pred)[None]), (pred, gt))
     assert off_first_solve[0] > 0 and off_first_solve[1] > 0, off_first_solve
     assert brute_checked > 1500, brute_checked
 
@@ -342,7 +341,7 @@ def test_match_near_duplicate_columns_24x24():
     pool = np.array([random_box(rng).as_array() for _ in range(4)])
     pred = pool[rng.integers(0, 4, size=24)] + rng.uniform(-1e-10, 1e-10, size=(24, 4))
     gt = np.array([random_box(rng).as_array() for _ in range(24)])
-    cost = _box_cost(gt[:, None], pred[None])[0]
+    cost = _box_cost(gt[:, None], pred[None])
     got = _match(cost.tolist())
     assert got == lexicographic_match(cost)
     assert got != _assign(cost.tolist(), 24)[0]  # the walk moved off the first solve
@@ -471,7 +470,7 @@ def test_stage1_box_loss_equals_public_wrappers():
         for pred, gt, group_scores in ((boxes[:2], scene.hands, scores[:2]),
                                        (boxes[2:], scene.objects, scores[2:])):
             cost = _box_cost(connector._box_array(gt)[:, None],
-                             connector._box_array(pred)[None])[0]
+                             connector._box_array(pred)[None])
             want += connector._matched_loss(cost.tolist(), hungarian_match(pred, gt),
                                             group_scores)
         got = stage1_losses(params, decoder, scene, lambda_1=2.0)["ho"]
@@ -513,7 +512,7 @@ def test_stage1_matches_the_full_block_bit_for_bit(monkeypatch, label, params, d
     monkeypatch.setattr(connector, "_assign", counting)
     losses, grads = stage1_value_and_grads(params, decoder, scene, 2.0)
     value = stage1_losses(params, decoder, scene, 2.0)
-    aux = connector._stage1_forward(params, decoder, scene, 2.0)[2]
+    _, fwd, aux = connector._stage1_forward(params, decoder, scene, 2.0)
     if label == "identical-objects":  # the tie-break walk re-solves a tail in each call
         assert solves == [2, 2, 1] * 3
     ref = naive_reference.stage1_forward_full_block
@@ -523,8 +522,13 @@ def test_stage1_matches_the_full_block_bit_for_bit(monkeypatch, label, params, d
     for key in ("total", "lm", "ho"):
         assert losses[key].hex() == ref_losses[key].hex() == value[key].hex(), key
     assert aux["matched"].tobytes() == ref_aux["matched"].tobytes()
-    assert aux["g_giou"].shape == ref_aux["g_giou"].shape
-    assert aux["g_giou"].tobytes() == ref_aux["g_giou"].tobytes()
+    # the backward's GIoU gradient of each matched pair, from _giou_pair,
+    # against the full block's array gradients picked by row and column
+    pred = fwd["box_params"][aux["matched"]].tolist()
+    g_giou = np.array([_giou_pair(p, g, grad=True)[1:]
+                       for p, g in zip(pred, scene.boxes.tolist())]).reshape(-1, 4)
+    assert g_giou.shape == ref_aux["g_giou"].shape
+    assert g_giou.tobytes() == ref_aux["g_giou"].tobytes()
     assert grads.keys() == ref_grads.keys() == set(connector.PARAM_KEYS)
     for name in grads:
         assert grads[name].shape == ref_grads[name].shape, name
@@ -560,7 +564,7 @@ def test_stage1_solves_one_assignment_per_group(monkeypatch):
     params = small_setup(k=2)
     boxes, _ = predicted_boxes(params, scene)
     for pred, gt in ((boxes[:2], scene.hands), (boxes[2:], scene.objects)):
-        cost = _box_cost(connector._box_array(gt)[:, None], connector._box_array(pred)[None])[0]
+        cost = _box_cost(connector._box_array(gt)[:, None], connector._box_array(pred)[None])
         totals = sorted(sum(cost[i, j] for i, j in enumerate(perm))
                         for perm in itertools.permutations(range(len(pred)), len(gt)))
         assert totals[1] - totals[0] > 1e-6  # the optimum is unique
