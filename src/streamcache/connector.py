@@ -614,6 +614,8 @@ def load_scene(path: str, vocab_size: int = 64) -> Scene:
         if not all(0.0 <= v <= 1.0 for v in (box.cx, box.cy, box.w, box.h)):
             raise ValueError(f"scene box fields are normalized to [0, 1], got {box}")
         (hands if entry.get("kind") == "hand" else objects).append(box)
+    if len(hands) > 2:
+        raise ValueError(f"scene has {len(hands)} hand boxes; the connector has 2 hand queries")
     caption = doc.get("caption", [])
     if not isinstance(caption, list):
         raise ValueError(f"scene 'caption' must be a list of token ids, got {caption!r}")

@@ -62,19 +62,22 @@ from .attention import MAX_BLOCK_CELLS, AttentionEngine, block_flop_cost, recomp
 from .cache import EventLog, InterleavedCache
 from .config import SimConfig, validate_config
 from .types import RecordView, Token, TokenFactory
-from .verbalize import EmbeddingTable, PredictionLog, Verbalizer, should_verbalize
+from .verbalize import (LONG_DESCRIPTION_SHARE, MAX_DESCRIPTION_TOKENS, EmbeddingTable,
+                        PredictionLog, Verbalizer, should_verbalize)
 
 ENGINE_HEADS = 4
 ENGINE_LAYERS = 2
 DEFAULT_PROMPT_TOKENS = 4
 FEATURE_NOISE = 0.1  # standard deviation of a frame feature around its class prototype
-MAX_DESCRIPTION_TOKENS = 6  # text tokens in the longest step description
+MIN_GROWTH_FRAMES = 100  # the shortest series fit_growth classifies
 # admission bounds, checked before any work or allocation: a stream of
 # MAX_FRAMES frames holds 2.5 MiB of per-frame times and step ids, and an
 # engine holding MAX_LIVE_TOKENS tokens 128 MiB of K/V at d = 64 (it scales with d)
 MAX_FRAMES = 2 ** 16  # 4.5 hours at 4 fps
 FEATURE_BLOCK_FRAMES = 256  # frames per feature draw: 128 KiB of features at d = 64
-MAX_LIVE_TOKENS = 2 ** 16  # the most tokens a strategy can hold, or bench's sweep stop
+# the most tokens a strategy can hold; bench's sweep stop too, which caps its
+# points, as bench prints the closed form and builds no engine
+MAX_LIVE_TOKENS = 2 ** 16
 
 
 class StrategyKind(Enum):
@@ -182,9 +185,8 @@ def generate_stream(cfg: SimConfig, duration_s: float, n_classes: int = 20) -> S
     n_frames = frame_count(cfg, duration_s)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x57]))
     prototypes = rng.standard_normal((n_classes, cfg.d))
-    # description lengths of 5 or 6 tokens, 70% long: mean 5.7 per class
     class_token_counts = (MAX_DESCRIPTION_TOKENS - 1
-                          + (rng.random(n_classes) < 0.7).astype(np.int64))
+                          + (rng.random(n_classes) < LONG_DESCRIPTION_SHARE).astype(np.int64))
 
     step_ids: List[int] = []  # each step's class id
     ends: List[float] = []  # and the time it ends
@@ -464,12 +466,13 @@ def fit_growth(live_tokens) -> GrowthFit:
     three quarters of the run (the first quarter is cache-warmup transient);
     a flat tail short-circuits to "bounded" (both caches capped means the
     derivative heads to zero regardless of the fill-up phase). Raises
-    ``ValueError`` for fewer than 100 frames or a non-finite value.
+    ``ValueError`` for fewer than ``MIN_GROWTH_FRAMES`` frames or a non-finite
+    value.
     """
     series = np.asarray(live_tokens, dtype=np.float64)
     n = series.size
-    if n < 100:
-        raise ValueError(f"need at least 100 frames to fit growth, got {n}")
+    if n < MIN_GROWTH_FRAMES:
+        raise ValueError(f"need at least {MIN_GROWTH_FRAMES} frames to fit growth, got {n}")
     if not np.isfinite(series).all():
         raise ValueError("live-token series must be finite")
     start = n // 4

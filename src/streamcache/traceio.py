@@ -22,7 +22,7 @@ import numpy as np
 
 from .cache import EVENT_TYPES
 from .config import SimConfig
-from .harness import StrategyKind, StrategyTrace, fit_growth, spike_ratio
+from .harness import MIN_GROWTH_FRAMES, StrategyKind, StrategyTrace, fit_growth, spike_ratio
 from .verbalize import budget_report
 
 TRACE_COLUMNS = ["frame", "t_s", "strategy", "live_tokens", "append_flops",
@@ -158,7 +158,7 @@ def summarize(traces: List[StrategyTrace]) -> dict:
             "verbalization_events": sum(rows.verbalization_event),
             "truncated_at": trace.truncated_at,
         }
-        if len(rows) >= 100:
+        if len(rows) >= MIN_GROWTH_FRAMES:
             entry["growth"] = fit_growth(rows.live_token_count).to_dict()
         summary["strategies"][trace.kind.value] = entry
     if traces:

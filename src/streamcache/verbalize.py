@@ -18,9 +18,12 @@ import numpy as np
 from .config import SimConfig
 from .types import Token, TokenFactory
 
-# Average text tokens per verbalized step; measured step descriptions run
-# just under six tokens, so the default budget math uses 5.7.
-DEFAULT_TOKENS_PER_STEP = 5.7
+# A step description runs MAX_DESCRIPTION_TOKENS - 1 or MAX_DESCRIPTION_TOKENS
+# text tokens, the long form for LONG_DESCRIPTION_SHARE of the step classes, so
+# the default budget math uses their mean: 5 + 0.7, which is 5.7 in float64.
+MAX_DESCRIPTION_TOKENS = 6
+LONG_DESCRIPTION_SHARE = 0.7
+DEFAULT_TOKENS_PER_STEP = (MAX_DESCRIPTION_TOKENS - 1) + LONG_DESCRIPTION_SHARE
 
 
 class PredictionLog:

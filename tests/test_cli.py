@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import resource
@@ -138,21 +139,43 @@ def test_bench_affine_fit(tmp_path, cfg_path, capsys):
     assert out_csv.read_text().startswith("live_tokens,append_flops")
 
 
-def test_bench_sizes_its_slab_to_the_sweep_stop(monkeypatch, cfg_path, capsys):
-    # the sweep fills the engine to exactly its stop, so the slab never grows
-    sizes = []
+_BENCH_SMALL = {"d": 16, "vocab_size": 32}
 
-    class SizeWatchingEngine(streamcache.cli.AttentionEngine):
-        def append_tokens(self, tokens):
-            out = super().append_tokens(tokens)
-            sizes.append(self.nbytes)
-            return out
 
-    monkeypatch.setattr(streamcache.cli, "AttentionEngine", SizeWatchingEngine)
-    assert main(["bench", cfg_path, "--sweep", "8:200:8"]) == 0
-    d = json.loads(Path(cfg_path).read_text())["d"]
-    assert len(sizes) == 200
-    assert set(sizes) == {(2 * 2 * d * 8 + 8) * 200}  # two engine layers
+# bench's stdout and --out CSV, recorded when each point was counted by
+# filling an attention engine one append at a time; a long output is held by
+# its sha256
+@pytest.mark.parametrize("doc, sweep, stdout, csv", [
+    ({}, "8:512:8",
+     "sha256:1f8aac37c22ef99bb4a4c0d841613a9d49ea39349de33941fd2afac4d62b8bc1",
+     "sha256:91f09ac675995635a042a637c617e6f44e8bf06fe6f3c7223ba3dce03208b155"),
+    (_BENCH_SMALL, "1:8:1",
+     '{"fit": {"intercept": 2560.0, "r2": 1.0, "slope": 64.0}, "points": ['
+     + ", ".join(f'{{"append_flops": {f}, "live_tokens": {n}}}'
+                 for n, f in [(1, 2624), (2, 2688), (3, 2752), (4, 2816),
+                              (5, 2880), (6, 2944), (7, 3008), (8, 3072)]) + "]}\n",
+     "live_tokens,append_flops\n1,2624\n2,2688\n3,2752\n4,2816\n5,2880\n6,2944\n"
+     "7,3008\n8,3072\n"),
+    (_BENCH_SMALL, "16:16:1",
+     '{"fit": null, "points": [{"append_flops": 3584, "live_tokens": 16}]}\n',
+     "live_tokens,append_flops\n16,3584\n"),
+    ({}, "1:8192:1024",
+     "sha256:b4a16102a74d1e407b34dd81e15029b86a0b841c8c8570f072888e7ec48bad00",
+     "live_tokens,append_flops\n1,41216\n1025,303360\n2049,565504\n3073,827648\n"
+     "4097,1089792\n5121,1351936\n6145,1614080\n7169,1876224\n"),
+], ids=["default-8:512:8", "d16-1:8:1", "d16-16:16:1", "default-1:8192:1024"])
+def test_bench_output_bytes_are_pinned(tmp_path, capsys, doc, sweep, stdout, csv):
+    def check(text, expected):
+        if expected.startswith("sha256:"):
+            assert "sha256:" + hashlib.sha256(text.encode()).hexdigest() == expected
+        else:
+            assert text == expected
+
+    path, out_csv = tmp_path / "config.json", tmp_path / "bench.csv"
+    path.write_text(json.dumps(doc))
+    assert main(["bench", str(path), "--sweep", sweep, "--out", str(out_csv)]) == 0
+    check(capsys.readouterr().out, stdout)
+    check(out_csv.read_text(), csv)
 
 
 def test_bench_single_point_refuses_fit(cfg_path, capsys):
@@ -337,6 +360,20 @@ def test_oversized_scene_is_refused_before_any_patch_is_drawn(tmp_path, capsys, 
     assert main(["gradcheck", "--scene", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "above MAX_SCENE_" in captured.err
+
+
+def test_scene_with_three_hands_is_refused_before_any_patch_is_drawn(tmp_path, monkeypatch):
+    # the connector has 2 hand queries: load_scene refuses a third hand box
+    # as make_scene refuses n_hands = 3
+    def draw(*args, **kwargs):
+        raise AssertionError("patches drawn for a scene with 3 hand boxes")
+
+    monkeypatch.setattr(streamcache.connector, "synth_patches", draw)
+    doc = dict(_seeded_scene_doc(), gt_boxes=[dict(b, kind="hand") for b in _scene_boxes(3)])
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="scene has 3 hand boxes; the connector has 2 hand"):
+        load_scene(str(path))
 
 
 def test_scene_at_the_box_and_caption_bounds_loads(tmp_path, capsys):
@@ -758,6 +795,26 @@ def test_work_past_admission_bounds_exits_2(tmp_path):
         assert (code, stdout) == (2, ""), argv
         assert stderr.startswith("error:") and message in stderr, (argv, stderr)
     assert not out.exists()
+
+
+def test_bench_at_the_stop_bound_builds_no_engine(tmp_path):
+    # at d = 1024 an engine filled to the 65,536 stop would hold a 2 GiB K/V
+    # slab; bench prints the closed form, so it runs under the same address
+    # space cap as the runaway cases
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"d": 1024}))
+    argv = ["bench", str(path), "--sweep", "1:65536:65535"]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(streamcache.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _RUNAWAY_SCRIPT, json.dumps([argv])],
+                          capture_output=True, text=True, timeout=15, env=env,
+                          preexec_fn=_cap_address_space)
+    assert proc.returncode == 0, proc.stderr
+    [(code, stdout, stderr)] = json.loads(proc.stdout)
+    assert (code, stderr) == (0, "")
+    points = json.loads(stdout)["points"]
+    assert [p["live_tokens"] for p in points] == [1, 65536]
+    assert points[-1]["append_flops"] == 276_955_136  # append_flop_cost(65536, 1024, 2, 128)
 
 
 def test_budget_that_overflows_exits_2_before_writing(tmp_path, capsys):
