@@ -19,8 +19,9 @@ import numpy as np
 from . import __version__
 from .attention import append_flop_cost
 from .config import DEFAULT_LAMBDA_1, ConfigError, SimConfig, load_config
-from .connector import (grad_check, init_caption_decoder, init_connector,
-                        load_scene, make_scene, stage1_losses, stage1_value_and_grads)
+from .connector import (GRAD_CHECK_TOL, TrainingDivergence, grad_check, init_caption_decoder,
+                        init_connector, load_scene, make_scene, stage1_losses,
+                        stage1_value_and_grads)
 from .harness import (ENGINE_HEADS, ENGINE_LAYERS, MAX_LIVE_TOKENS, StrategyAbort,
                       StrategyKind, admit, affine_fit, fit_growth, frame_count,
                       generate_stream, run_strategy)
@@ -196,12 +197,17 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     def value(p):
         return stage1_losses(p, decoder, scene, lambda_1=DEFAULT_LAMBDA_1)["total"]
 
-    err = grad_check(params, value_and_grad, eps=args.eps,
-                     rng=np.random.default_rng(args.seed), value_fn=value)
+    try:
+        # an overflow ends as TrainingDivergence or a non-finite error, not a warning
+        with np.errstate(all="ignore"):
+            err = grad_check(params, value_and_grad, eps=args.eps,
+                             rng=np.random.default_rng(args.seed), value_fn=value)
+    except TrainingDivergence as exc:
+        return _fail(f"gradient check diverged, TrainingDivergence: {exc}", EXIT_VERIFY)
     if not math.isfinite(err):
         return _fail(f"gradient check gave a non-finite error: {err}", EXIT_VERIFY)
-    _print_json({"max_rel_error": err, "eps": args.eps, "pass": bool(err <= 1e-4)})
-    return EXIT_OK if err <= 1e-4 else EXIT_VERIFY
+    _print_json({"max_rel_error": err, "eps": args.eps, "pass": bool(err <= GRAD_CHECK_TOL)})
+    return EXIT_OK if err <= GRAD_CHECK_TOL else EXIT_VERIFY
 
 
 def cmd_report(args: argparse.Namespace) -> int:

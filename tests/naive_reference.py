@@ -20,8 +20,8 @@ first form: each epoch's gradient sum starts from zero arrays and adds every
 scene's in scene order. ``masked_sigmoid`` is the connector's sigmoid in its
 first form: a boolean mask splits the input, and each side is written through
 it. ``stage1_forward_full_block`` is the stage-1 forward in its first form:
-it scores every (gt, query) pair in one block with the connector's array box
-cost, ``_box_cost``, slices each group's block out of it and picks the
+it scores every (gt, query) pair in one block with the array box cost,
+``_box_cost``, slices each group's block out of it and picks the
 matched pairs' GIoU gradients by row and column from ``giou_and_grad``.
 ``giou_and_grad`` is the GIoU gradient in its array form: every pair's value
 and gradient as elementwise arrays, against which the connector's scalar
@@ -40,10 +40,10 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from streamcache import (AttentionWeights, OraclePredictor, Scene, SimConfig, StrategyKind,
-                         SyntheticStream, Token, append_flop_cost, validate_config)
+                         SyntheticStream, Token, append_flop_cost, giou_batch, validate_config)
 from streamcache.attention import REL_BIAS_CLIP
-from streamcache.connector import (CaptionDecoder, TrainingDivergence, TrainResult,
-                                   _box_cost, _caption_forward, _corner_pairs, _forward,
+from streamcache.connector import (GRAD_CHECK_TOL, CaptionDecoder, TrainingDivergence, TrainResult,
+                                   _caption_forward, _corner_pairs, _forward,
                                    _lm_parts, _match, _matched_loss, loss_total, stage1_losses,
                                    stage1_value_and_grads)
 from streamcache.harness import ENGINE_LAYERS, FEATURE_NOISE
@@ -328,7 +328,10 @@ def grad_check(params: Dict[str, np.ndarray],
                eps: float, max_coords: int = 400,
                rng: Optional[np.random.Generator] = None) -> float:
     """Max relative error between analytic and central-difference gradients,
-    over every coordinate or a seeded sample of ``max_coords`` of them."""
+    over every coordinate or a seeded sample of ``max_coords`` of them; a
+    coordinate that errs by more than ``GRAD_CHECK_TOL`` also takes the
+    second-order one-sided differences at +-eps and +-2 eps, and keeps the
+    smallest of its errors."""
     value, grads = value_and_grad_fn(params)
     coords = [(name, idx) for name in sorted(params)
               for idx in np.ndindex(params[name].shape)]
@@ -347,6 +350,19 @@ def grad_check(params: Dict[str, np.ndarray],
         numeric = (up - down) / (2 * eps)
         analytic = grads[name][idx]
         rel = abs(numeric - analytic) / max(abs(numeric), abs(analytic), 1e-8)
+        if rel > GRAD_CHECK_TOL:
+            params[name][idx] = original + 2 * eps
+            up2 = value_and_grad_fn(params)[0]
+            params[name][idx] = original - 2 * eps
+            down2 = value_and_grad_fn(params)[0]
+            params[name][idx] = original
+            errors = [rel]
+            for one_sided in ((-3 * value + 4 * up - up2) / (2 * eps),
+                              (3 * value - 4 * down + down2) / (2 * eps)):
+                err = abs(one_sided - analytic) / max(abs(one_sided), abs(analytic), 1e-8)
+                if not math.isnan(err):
+                    errors.append(err)
+            rel = min(errors)
         worst = max(worst, rel)
     return worst
 
@@ -431,6 +447,11 @@ def giou_and_grad(pred_params: np.ndarray, gt_params: np.ndarray
     d_lo, d_hi = d_corner(-1.0, a_lo < b_lo), d_corner(1.0, a_hi > b_hi)
     # map corner grads back to center parametrization
     return value, np.concatenate([d_lo + d_hi, 0.5 * (d_hi - d_lo)], axis=-1)
+
+
+def _box_cost(gt: np.ndarray, pred: np.ndarray) -> np.ndarray:
+    """L1 + (1 - GIoU) pair costs of broadcast (..., 4) box arrays."""
+    return np.abs(gt - pred).sum(-1) + (1.0 - giou_batch(pred, gt))
 
 
 def stage1_forward_full_block(params, decoder, scene, lambda_1):

@@ -1,3 +1,4 @@
+import base64
 import hashlib
 import json
 import os
@@ -253,10 +254,8 @@ def _seeded_scene_doc():
     (0, '{"eps": 0.0001, "max_rel_error": 1.57910533858752e-06, "pass": true}'),
     (3, '{"eps": 0.0001, "max_rel_error": 1.0638495799020282e-05, "pass": true}')])
 def test_gradcheck_large_object_block_stdout_is_pinned(tmp_path, capsys, seed, line):
-    # 2 hands and 6 objects at k = 6: the 36-pair object block is above
-    # GIOU_SCALAR_MAX_PAIRS, so this line pins the array branch's bits
+    # 2 hands and 6 objects at k = 6: a 36-pair object block
     doc = dict(_seeded_scene_doc(), gt_boxes=_scene_boxes(8))
-    assert 6 * 6 > streamcache.connector.GIOU_SCALAR_MAX_PAIRS
     path = tmp_path / "scene.json"
     path.write_text(json.dumps(doc))
     assert main(["gradcheck", "--scene", str(path), "--seed", str(seed)]) == 0
@@ -403,6 +402,25 @@ def test_gradcheck_nan_gradient_exits_4(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: gradient check gave a non-finite error: nan")
+
+
+@pytest.mark.parametrize("case", ["eps-1.7e308", "eps-1e308", "patches-1.5e308"])
+def test_gradcheck_non_finite_loss_exits_4(tmp_path, capsys, case):
+    # the perturbed or the evaluation point's activations overflow; at 1e308
+    # the +-eps points stay finite, and the one-sided retry's 2 eps does not
+    if case.startswith("eps"):
+        argv = ["gradcheck", "--eps", case[4:]]
+    else:
+        doc = dict(_seeded_scene_doc(), patches=base64.b64encode(
+            np.full(4 * 4 * 24, 1.5e308).astype("<f8").tobytes()).decode())
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(doc))
+        argv = ["gradcheck", "--scene", str(path)]
+    assert main(argv) == 4  # and, under the suite's warnings-as-errors, no warning
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: gradient check diverged, TrainingDivergence: "
+                            "non-finite connector activations\n")
 
 
 def test_gradcheck_zero_eps_usage_error(capsys):

@@ -164,7 +164,8 @@ def test_trace_files_keep_the_exit_code_contract(kind, row, edit):
         assert stdout == "" and stderr.startswith("error: "), (kind, row, edit, stderr)
 
 
-FLOATS = ["0", "-1", "0.25", "1", "5e-324", "1e-300", "1e308", "1e400", "nan", "-inf", "x"]
+FLOATS = ["0", "-1", "0.25", "1", "5e-324", "1e-300", "1e308", "1.7e308", "1e400", "nan", "-inf",
+          "x"]
 INTS = ["0", "-1", "1", "7", str(2 ** 63), str(10 ** 30), "1.5", "1e3", "x"]
 # every value here is refused, or runs in well under a second
 SIMULATE = st.tuples(st.just("simulate"), st.sampled_from(["all", "a1", "a2", "b", "c"]),

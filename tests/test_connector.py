@@ -15,10 +15,10 @@ from streamcache import (BBox, PatchGrid, Scene, TrainingDivergence, giou, giou_
                          hungarian_match, init_caption_decoder, init_connector, load_scene,
                          loss_lm, loss_total, make_scene, stage1_losses,
                          stage1_value_and_grads, train_toy)
-from streamcache.connector import _assign, _box_cost, _forward, _giou_pair, _match
+from streamcache.connector import _assign, _forward, _giou_pair, _match
 
 import naive_reference
-from naive_reference import giou_and_grad, lexicographic_match, save_scene
+from naive_reference import _box_cost, giou_and_grad, lexicographic_match, save_scene
 
 FEAT_DIM, QDIM, MLP = 24, 16, 24
 
@@ -181,7 +181,8 @@ def test_giou_and_grad_is_the_array_form_bit_for_bit(rng):
         gt_rows = np.broadcast_to(gt, shape).reshape(-1, 4).tolist()
         # the connector's one GIoU gradient, _giou_pair, against the reference
         # arrays; its value-only return, the whole cost from _pair_cost and
-        # the array value of giou_batch and _box_cost against the same arrays
+        # the array value of giou_batch and the reference's _box_cost against
+        # the same arrays
         out = np.array([_giou_pair(p, g, grad=True) for p, g in zip(pred_rows, gt_rows)])
         out = out.reshape(shape[:-1] + (5,))
         # array_equal takes -0.0 for 0.0; the bytes do not
@@ -196,7 +197,7 @@ def test_giou_and_grad_is_the_array_form_bit_for_bit(rng):
     def boxes(n):
         return np.column_stack([rng.uniform(0, 1, (n, 2)), rng.uniform(1e-6, 1, (n, 2))])
 
-    for n in range(1, connector.GIOU_SCALAR_MAX_PAIRS + 1):  # every scalar block size
+    for n in range(1, 65):  # every block size up to 64 pairs
         check(boxes(n), boxes(n))
     # stage-1 blocks, (n_gt, 1, 4) x (1, n_pred, 4); a third repeat a gt box
     for trial in range(600):
@@ -206,9 +207,8 @@ def test_giou_and_grad_is_the_array_form_bit_for_bit(rng):
             pred[rng.integers(n_pred)] = gt[rng.integers(n_gt)]
         check(pred[None], gt[:, None])
     # a scene file's largest block, MAX_SCENE_BOXES objects against as many
-    # object queries and the 2 hand queries, which stage 1 scores as arrays
+    # object queries and the 2 hand queries
     n_gt = connector.MAX_SCENE_BOXES
-    assert n_gt * (n_gt + 2) > connector.GIOU_SCALAR_MAX_PAIRS
     check(boxes(n_gt + 2)[None], boxes(n_gt)[:, None])
     pred, gt = boxes(200), boxes(200)
     check(pred, gt)
@@ -485,7 +485,7 @@ def _stage1_scenes():
                init_caption_decoder(32, 64, seed=seed + 2), make_scene(seed, side=16, dim=48))
     decoder = init_caption_decoder(QDIM, 64, seed=9)
     shapes = [("no-gt", 0, 0, 2), ("hands-only", 2, 0, 2),
-              ("objects-only", 0, 5, 5),  # 25 pairs: scalar, where the full block's 35 are not
+              ("objects-only", 0, 5, 5),  # 25 pairs; the reference's full block has 35
               ("three-objects", 2, 3, 3),
               ("max-scene-boxes", 2, connector.MAX_SCENE_BOXES - 2,
                connector.MAX_SCENE_BOXES - 2)]
@@ -687,22 +687,31 @@ def test_grad_check_rejects_max_coords_below_one():
 
 def _checked_coords(check, params, **kwargs):
     """(name, flat index) of every coordinate ``check`` perturbs, in order,
-    and the error it returns. The analytic gradient is off by a factor that
-    grows with the flat index, so the error depends on which coordinates are
-    checked."""
+    those of them it retried one-sided, and the error it returns. The
+    analytic gradient is off by a factor that grows with the flat index, so
+    the error depends on which coordinates are checked, and every coordinate
+    but a flat index 0 fails its central difference and is retried."""
     base = {name: x.copy() for name, x in params.items()}
     seen = []
 
     def cubic(p):
         for name in sorted(p):
-            seen.extend((name, int(i)) for i in np.flatnonzero(p[name] != base[name]))
+            seen.extend((name, int(i), round(float((p[name] - base[name]).flat[i]) / 1e-4))
+                        for i in np.flatnonzero(p[name] != base[name]))
         grads = {name: 3 * x ** 2 * (1 + 0.01 * np.arange(x.size).reshape(x.shape))
                  for name, x in p.items()}
         return float(sum((x ** 3).sum() for x in p.values())), grads
 
     err = check(params, cubic, eps=1e-4, **kwargs)
-    assert seen[::2] == seen[1::2]  # each coordinate moves up, then down
-    return seen[::2], err
+    coords, retried = [], []
+    for coord, moves in itertools.groupby(seen, key=lambda move: move[:2]):
+        steps = [step for _, _, step in moves]
+        # each coordinate moves up, then down, by eps; a retried one then by 2 eps
+        assert steps in ([1, -1], [1, -1, 2, -2]), (coord, steps)
+        coords.append(coord)
+        if len(steps) == 4:
+            retried.append(coord)
+    return coords, retried, err
 
 
 @pytest.mark.parametrize("shapes", [
@@ -726,6 +735,7 @@ def test_grad_check_matches_list_reference(shapes, max_coords, seed):
     assert got == want
     total = sum(math.prod(shape) for shape in shapes.values())
     assert len(got[0]) == min(total, max_coords)
+    assert got[1] == [(name, i) for name, i in got[0] if i > 0]
     if total <= max_coords:  # every coordinate, in sorted-name row-major order
         assert got[0] == [(name, i) for name in sorted(shapes)
                           for i in range(math.prod(shapes[name]))]
@@ -773,6 +783,81 @@ def test_grad_check_zero_visual_queries():
 
     assert grad_check(params, vag, eps=1e-4, max_coords=400,
                       rng=np.random.default_rng(3)) <= 1e-4
+
+
+def _kink_check(seed=5):
+    """``cmd_gradcheck``'s connector and losses at ``seed`` on its seeded
+    4 x 4 x 24 scene's patches, with the first object's gt box moved so that
+    its left edge lies 1e-6 right of the first object query's predicted left
+    edge: GIoU has a kink there, within eps of the evaluation point. Its
+    ``w``, ``h`` and ``cy`` differ from the prediction's, so no L1 term sits
+    at a kink, and the second object lies 0.05 away in x and y."""
+    scene = make_scene(seed, side=4, dim=24)
+    params = init_connector(feat_dim=24, d=16, m=4, k=2, d_mlp=24, seed=seed)
+    decoder = init_caption_decoder(16, 64, seed)
+    cx, cy, w, h = _forward(scene.grid.patches, params)["box_params"][2].tolist()
+    kink = BBox(cx - w / 2 + 1e-6 + 0.4 * w, cy + 0.03, 0.8 * w, 1.2 * h)
+    other = BBox(kink.cx + 0.05, kink.cy + 0.05, kink.w, kink.h)
+    scene = dataclasses.replace(scene, objects=[kink, other])
+
+    def vag(p):
+        losses, grads = stage1_value_and_grads(p, decoder, scene, lambda_1=2.0)
+        return losses["total"], grads
+
+    def value(p):
+        return stage1_losses(p, decoder, scene, lambda_1=2.0)["total"]
+
+    return params, vag, value
+
+
+def _retried(params, vag, value):
+    """``grad_check``'s error on the kink check, and the (name, index) of
+    each coordinate that it retried one-sided."""
+    base = {name: x.copy() for name, x in params.items()}
+    moves = []
+
+    def recording(p):
+        moves.extend((name, tuple(int(k) for k in idx)) for name in sorted(p)
+                     for idx in np.argwhere(p[name] != base[name]))
+        return value(p)
+
+    err = grad_check(params, vag, eps=1e-4, rng=np.random.default_rng(5), value_fn=recording)
+    return err, sorted({c for c in moves if moves.count(c) == 4})
+
+
+def test_grad_check_retries_a_kink_one_sided():
+    params, vag, value = _kink_check()
+    err, retried = _retried(params, vag, value)
+    assert err <= connector.GRAD_CHECK_TOL and retried
+    # the central difference alone straddles the kink at some retried coordinate
+    _, grads = vag(params)
+    central = []
+    for name, idx in retried:
+        original = params[name][idx]
+        params[name][idx] = original + 1e-4
+        up = value(params)
+        params[name][idx] = original - 1e-4
+        down = value(params)
+        params[name][idx] = original
+        numeric, analytic = (up - down) / 2e-4, grads[name][idx]
+        central.append(abs(numeric - analytic) / max(abs(numeric), abs(analytic), 1e-8))
+    assert max(central) > 0.5
+
+
+def test_grad_check_retry_still_fails_a_wrong_gradient():
+    params, vag, value = _kink_check()
+    _, grads = vag(params)
+    # the retried coordinate with the largest gradient, its gradient 1% off or NaN
+    name, idx = max(_retried(params, vag, value)[1], key=lambda c: abs(grads[c[0]][c[1]]))
+    for factor in (1.01, math.nan):
+        def planted(p):
+            total, wrong = vag(p)
+            wrong[name][idx] *= factor
+            return total, wrong
+
+        err = grad_check(params, planted, eps=1e-4, rng=np.random.default_rng(5),
+                         value_fn=value)
+        assert math.isnan(err) if math.isnan(factor) else err > connector.GRAD_CHECK_TOL
 
 
 # -- scenes and training ----------------------------------------------------
