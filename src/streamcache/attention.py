@@ -1,10 +1,12 @@
 """Toy causal multi-head attention decoder with a slab key/value store.
 
-The engine appends a block of tokens at a time (one token is the common case):
-the block's keys and values are written, in one assignment, into the next free
-slots of one ``(2, layers, heads, capacity, d/heads)`` slab (keys, then values),
-each query attends over every live slot and the block tokens up to itself, and
-an exact multiply-add count is charged. The slab is allocated once, at the
+The engine appends a block of tokens at a time: the block's keys and values
+are written, in one assignment, into the next free slots of one
+``(2, layers, heads, capacity, d/heads)`` slab (keys, then values), each query
+attends over every live slot and the block tokens up to itself, and an exact
+multiply-add count is charged. One token, the common case, takes a one-token
+path that skips the block's bookkeeping; both paths run the same layer body,
+so a token gives the same bits either way. The slab is allocated once, at the
 ``capacity`` a caller passes (the harness passes its strategy's most live
 tokens), and doubles only when a block does not fit. Tokens can later be
 evicted from the middle of the sequence: the token in the last live slot moves
@@ -143,7 +145,9 @@ class AttentionEngine:
         self._pos = np.zeros(capacity, dtype=np.int64)
         self._ids: List[int] = []  # token id by slot
         self._slot: Dict[int, int] = {}
-        self._newest_id: Optional[int] = None  # the live token with the largest position
+        # the live token with the largest position, and that position
+        self._newest_id: Optional[int] = None
+        self._newest_pos: Optional[int] = None
         self.flop_counter = 0
 
     @property
@@ -160,80 +164,130 @@ class AttentionEngine:
     def append_token(self, token: Token) -> Tuple[np.ndarray, np.ndarray]:
         """Run one token through the stack; returns (output vector, logits).
 
-        The one-token case of ``append_tokens``.
+        The one-token path, which ``append_tokens`` takes for a block of one:
+        the same checks, messages and order, the cell bound included, then one
+        slab row written and one query through the layer body that blocks run
+        too, so its outputs are the one-token block's to the bit.
         """
-        x, logits = self.append_tokens([token])
+        d, n = self.d, len(self._ids)
+        _check_cells(n, 1)
+        self._check(token, self._newest_pos if n else None)
+        tid, pos = token.id, token.entry_position
+        x = np.empty((1, d))
+        x[0] = token.embedding
+
+        self._grow(n + 1)
+        proj = x @ self._w_in
+        self._kv[:, :, :, n] = proj[0, d:].reshape(2, self.layers, self.heads, d // self.heads)
+        self._pos[n] = pos
+        # the block path's gather for one query: its (1, n + 1) deltas
+        bias = self._bias.take(pos + 1 - self._pos[None, :n + 1], axis=2, mode="clip")
+        x, logits = self._attend(x, proj, bias)
+        self.flop_counter += append_flop_cost(n + 1, d, self.layers, self.vocab_size)
+        self._slot[tid] = n
+        self._ids.append(tid)
+        self._newest_id, self._newest_pos = tid, pos
         return x[0], logits[0]
 
     def append_tokens(self, tokens: Sequence[Token]) -> Tuple[np.ndarray, np.ndarray]:
         """Run a block of k tokens through the stack in one causal pass;
         returns the (k, d) outputs and (k, vocab) logits.
 
-        Every token's key/value pair is written into the next free slots, then
-        each query attends over all live slots and the block tokens up to
-        itself. Outputs and the flop charge equal k single appends. The whole
-        block is checked before any state changes, and a block whose
+        A block of one goes to ``append_token``. A longer block's key/value
+        pairs are written into the next free slots, then each query attends
+        over all live slots and the block tokens up to itself, through the
+        same layer body. Outputs and the flop charge equal k single appends.
+        The whole block is checked before any state changes, and a block whose
         ``k * (live + k)`` attention cells exceed ``MAX_BLOCK_CELLS`` raises
         ``ValueError`` before anything is allocated.
         """
         tokens = list(tokens)
         if not tokens:
             raise ValueError("empty token block")
+        if len(tokens) == 1:
+            x, logits = self.append_token(tokens[0])
+            return x[None], logits[None]
         d, h = self.d, self.heads
         dh = d // h
         n, k = len(self._ids), len(tokens)
-        if k * (n + k) > MAX_BLOCK_CELLS:
-            raise ValueError(f"a block of {k} tokens over {n} live tokens spans "
-                             f"{k * (n + k)} attention cells, above MAX_BLOCK_CELLS = "
-                             f"{MAX_BLOCK_CELLS}")
-        newest = int(self._pos[self._slot[self._newest_id]]) if n else None
+        _check_cells(n, k)
+        newest = self._newest_pos if n else None
         block_ids = set()
         positions = []
         x = np.empty((k, d))
         for i, tok in enumerate(tokens):
-            if tok.id in self._slot or tok.id in block_ids:
-                raise ValueError(f"token {tok.id} already in attention store")
+            self._check(tok, newest, block_ids)
             block_ids.add(tok.id)
-            pos = tok.entry_position
-            if pos is None:
-                raise ValueError(f"token {tok.id} has no entry position")
-            if newest is not None and pos <= newest:
-                raise ValueError(f"token {tok.id} position {pos} not beyond stored positions")
-            newest = pos
-            positions.append(pos)
-            if np.shape(tok.embedding) != (d,):
-                raise ValueError(f"embedding shape {np.shape(tok.embedding)} != ({d},)")
+            newest = tok.entry_position
+            positions.append(newest)
             x[i] = tok.embedding
 
-        cap = self._pos.shape[0]
-        if n + k > cap:
-            # double the slab; np.zeros leaves the free slots unpaged until written
-            while n + k > cap:
-                cap *= 2
-            kv_old, p_old = self._kv, self._pos
-            self._kv = np.zeros(kv_old.shape[:3] + (cap, dh))
-            self._pos = np.zeros(cap, dtype=np.int64)
-            self._kv[:, :, :, :n] = kv_old[:, :, :, :n]
-            self._pos[:n] = p_old[:n]
+        self._grow(n + k)
         n_ctx = n + k
         proj = x @ self._w_in
-        kv = self._kv
-        kv[:, :, :, n:n_ctx] = (proj[:, d:].reshape(k, 2, self.layers, h, dh)
-                                .transpose(1, 2, 3, 0, 4))
+        self._kv[:, :, :, n:n_ctx] = (proj[:, d:].reshape(k, 2, self.layers, h, dh)
+                                      .transpose(1, 2, 3, 0, 4))
         self._pos[n:n_ctx] = positions
         # one (k, n_ctx) gather of 1 + delta from each query to each slot: the
         # clip sends deltas past REL_BIAS_CLIP to its slot, and the negative
         # deltas to later block tokens to the -inf slot 0
         bias = self._bias.take(self._pos[n:n_ctx, None] + 1 - self._pos[:n_ctx],
                                axis=2, mode="clip")
+        x, logits = self._attend(x, proj, bias)
+        self.flop_counter += block_flop_cost(n, k, d, self.layers, self.vocab_size)
+        for slot, tok in enumerate(tokens, n):
+            self._slot[tok.id] = slot
+            self._ids.append(tok.id)
+        self._newest_id, self._newest_pos = tokens[-1].id, newest
+        return x, logits
 
-        keys_t = kv[0, :, :, :n_ctx].swapaxes(2, 3)  # (layers, h, dh, n_ctx)
-        values = kv[1, :, :, :n_ctx]
+    def _check(self, tok: Token, newest: Optional[int], block_ids=()) -> None:
+        """Refuse ``tok`` if its id is live or in ``block_ids``, its entry
+        position is missing, not an int or not beyond ``newest`` (None: any),
+        or its embedding is not a ``(d,)`` vector."""
+        if tok.id in self._slot or tok.id in block_ids:
+            raise ValueError(f"token {tok.id} already in attention store")
+        pos = tok.entry_position
+        if pos is None:
+            raise ValueError(f"token {tok.id} has no entry position")
+        if not isinstance(pos, (int, np.integer)):
+            raise ValueError(f"token {tok.id} entry position {pos!r} is not an int")
+        if newest is not None and pos <= newest:
+            raise ValueError(f"token {tok.id} position {pos} not beyond stored positions")
+        if np.shape(tok.embedding) != (self.d,):
+            raise ValueError(f"embedding shape {np.shape(tok.embedding)} != ({self.d},)")
+
+    def _grow(self, size: int) -> None:
+        """Double the slab until it holds ``size`` slots; np.zeros leaves the
+        free slots unpaged until written."""
+        cap = self._pos.shape[0]
+        if size <= cap:
+            return
+        while size > cap:
+            cap *= 2
+        n = len(self._ids)
+        kv_old, p_old = self._kv, self._pos
+        self._kv = np.zeros(kv_old.shape[:3] + (cap, kv_old.shape[4]))
+        self._pos = np.zeros(cap, dtype=np.int64)
+        self._kv[:, :, :, :n] = kv_old[:, :, :, :n]
+        self._pos[:n] = p_old[:n]
+
+    def _attend(self, x: np.ndarray, proj: np.ndarray,
+                bias: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The layer body both appends share: the (k, d) queries ``x``, whose
+        keys and values fill the last k of the ``n_ctx`` live slots, attend
+        through every layer; ``proj`` holds ``x @ _w_in`` and ``bias`` the
+        (layers, heads, k, n_ctx) gathered bias. Returns the outputs, updated
+        in place, and their logits."""
+        k, d, h = x.shape[0], self.d, self.heads
+        n_ctx = bias.shape[3]
+        keys_t = self._kv[0, :, :, :n_ctx].swapaxes(2, 3)  # (layers, h, dh, n_ctx)
+        values = self._kv[1, :, :, :n_ctx]
         q = proj[:, :d]
         for layer in range(self.layers):
             if layer:
                 q = x @ self._w_q[layer]
-            scores = np.matmul(q.reshape(k, h, dh).transpose(1, 0, 2),
+            scores = np.matmul(q.reshape(k, h, d // h).transpose(1, 0, 2),
                                keys_t[layer])  # (h, k, n_ctx)
             scores += bias[layer]
             scores -= np.maximum.reduce(scores, axis=2, keepdims=True)
@@ -242,14 +296,7 @@ class AttentionEngine:
             mixed = np.matmul(probs, values[layer])
             mixed /= np.add.reduce(probs, axis=2, keepdims=True)
             x += mixed.transpose(1, 0, 2).reshape(k, d) @ self._w_o[layer]
-
-        logits = x @ self.weights.w_lm
-        self.flop_counter += block_flop_cost(n, k, d, self.layers, self.vocab_size)
-        for slot, tok in enumerate(tokens, n):
-            self._slot[tok.id] = slot
-            self._ids.append(tok.id)
-        self._newest_id = tokens[-1].id
-        return x, logits
+        return x, x @ self.weights.w_lm
 
     def evict(self, token_ids: Sequence[int]) -> None:
         """Drop the given tokens' key/value rows: the token in the last live
@@ -260,7 +307,7 @@ class AttentionEngine:
         unknown = [tid for tid in ids if tid not in self._slot]
         if unknown:
             raise KeyError(f"unknown token ids: {unknown}")
-        unique = set(ids)
+        unique = ids if len(ids) == 1 else set(ids)  # one id, the common case, needs no set
         if len(unique) < len(ids):
             repeated = sorted({tid for tid in ids if ids.count(tid) > 1})
             raise ValueError(f"repeated token ids: {repeated}")
@@ -273,7 +320,17 @@ class AttentionEngine:
                 self._ids[hole] = moved
                 self._slot[moved] = hole
         if self._ids and self._newest_id not in self._slot:
-            self._newest_id = self._ids[int(self._pos[:len(self._ids)].argmax())]
+            newest = int(self._pos[:len(self._ids)].argmax())
+            self._newest_id, self._newest_pos = self._ids[newest], int(self._pos[newest])
+
+
+def _check_cells(n: int, k: int) -> None:
+    """Refuse a block of ``k`` tokens over ``n`` live ones whose attention
+    cells exceed ``MAX_BLOCK_CELLS``."""
+    if k * (n + k) > MAX_BLOCK_CELLS:
+        raise ValueError(f"a block of {k} tokens over {n} live tokens spans "
+                         f"{k * (n + k)} attention cells, above MAX_BLOCK_CELLS = "
+                         f"{MAX_BLOCK_CELLS}")
 
 
 def full_recompute(weights: AttentionWeights, tokens: Sequence[Token]) -> np.ndarray:

@@ -641,7 +641,8 @@ def _stage1_forward(params, decoder, scene, lambda_1):
     if n_h > 2 or n_o > k:
         raise ValueError("scene has more ground-truth boxes than queries")
     fwd = _forward(scene.grid.patches, params)
-    if not (np.isfinite(fwd["out"]).all() and np.isfinite(fwd["box_params"]).all()):
+    if not (np.isfinite(fwd["out"]).all() and np.isfinite(fwd["tokens"]).all()
+            and np.isfinite(fwd["box_params"]).all()):
         raise TrainingDivergence("non-finite connector activations")
     targets = scene.caption_ids
     cap = _caption_forward(decoder, fwd["tokens"], targets)

@@ -37,12 +37,13 @@ verbalized group's flops are booked:
 
 Each strategy enters a prompt, a frame's visual tokens or a verbalized group
 into its cache token by token and charges the block ``block_flop_cost`` at the
-cache's live size before it; ``a1`` and ``b`` also append the whole block to
-their engine in one causal pass. Each engine's slab is allocated once, at
-the bound ``admit`` returns, so it never grows or copies. A frame's ``wall_ns``
-runs from before its visual tokens enter the cache until its row is appended.
-Strategies never share mutable state; each run builds its own
-factory, cache, and engine.
+cache's live size before it; ``a1`` and ``b`` also hand the whole block to
+their engine's ``append_tokens``, which runs a block of one (a frame, at one
+token per frame) through the engine's one-token path and a longer block in
+one causal pass. Each engine's slab is allocated once, at the bound ``admit``
+returns, so it never grows or copies. A frame's ``wall_ns`` runs from before
+its visual tokens enter the cache until its row is appended. Strategies never
+share mutable state; each run builds its own factory, cache, and engine.
 """
 
 from __future__ import annotations
@@ -366,16 +367,12 @@ def run_strategy(kind: StrategyKind, stream: SyntheticStream, cfg: SimConfig, *,
 
     def enter(tokens: Sequence[Token], t: float) -> int:
         """Enter one block into the cache token by token, then append it to
-        the engine, if any, in one causal pass; returns its flop charge."""
+        the engine, if any; returns its flop charge."""
         n_live = len(cache)
         for tok in tokens:
             cache.entry(tok, t)
         if engine is not None and tokens:
-            if len(tokens) == 1:
-                # keeps single appends on append_token, the call perfbench's tracer spans
-                engine.append_token(tokens[0])
-            else:
-                engine.append_tokens(tokens)
+            engine.append_tokens(tokens)
         flops = block_flop_cost(n_live, len(tokens), cfg.d, ENGINE_LAYERS, cfg.vocab_size)
         trace.engine_total_flops += flops
         return flops

@@ -10,6 +10,8 @@ from streamcache import (AttentionEngine, TokenFactory,
                          recompute_flop_cost)
 from streamcache.attention import REL_BIAS_CLIP
 
+from naive_reference import last_rows
+
 D, H, L, V = 32, 4, 2, 64
 
 
@@ -439,6 +441,8 @@ def _bad_blocks(factory, rng, live):
     repeated = at(newest + 1)
     wrong_shape = at(newest + 1, newest + 2)
     wrong_shape[-1].embedding = rng.standard_normal(D + 1)
+    float_position = at(newest + 1, newest + 2)
+    float_position[-1].entry_position = newest + 2.5
     return {
         "empty": ([], "empty"),
         "repeated id": (repeated + repeated, "already"),
@@ -446,11 +450,12 @@ def _bad_blocks(factory, rng, live):
         "non-increasing": (at(newest + 5, newest + 5), "not beyond"),
         "not beyond survivors": (at(newest, newest + 1), "not beyond"),
         "embedding shape": (wrong_shape, "embedding shape"),
+        "float position": (float_position, "is not an int"),
     }
 
 
 @pytest.mark.parametrize("case", ["empty", "repeated id", "live id", "non-increasing",
-                                  "not beyond survivors", "embedding shape"])
+                                  "not beyond survivors", "embedding shape", "float position"])
 def test_bad_block_raises_and_changes_nothing(rng, case):
     factory = TokenFactory()
     live = [positioned(factory, rng, p) for p in (0, 10, 20, 30, 40)]
@@ -503,6 +508,114 @@ def test_block_above_cell_bound_allocates_nothing(rng):
         tracemalloc.stop()
     assert peak < 2 ** 20
     assert len(eng.live_ids()) == 1
+
+
+# -- the one-token path -----------------------------------------------------
+
+def _state(eng):
+    n = len(eng._ids)
+    return (eng.live_ids(), list(eng._ids), eng._pos[:n].tobytes(), eng._kv[:, :, :, :n].tobytes(),
+            eng.flop_counter, eng.nbytes)
+
+
+@pytest.mark.parametrize("case", ["live id", "no position", "float position",
+                                  "not beyond survivors", "embedding shape", "cell bound"])
+def test_bad_token_raises_the_block_message_and_changes_nothing(rng, monkeypatch, case):
+    # live tokens at 0, 20 and 30 after the newest (40) and then 10 were
+    # evicted; each bad token fails append_token with the message that
+    # append_tokens gives for it as a block of one, and neither call changes
+    # any state
+    factory = TokenFactory()
+    live = [positioned(factory, rng, p) for p in (0, 10, 20, 30, 40)]
+    eng, ref = fresh_engine(), fresh_engine()
+    for e in (eng, ref):
+        e.append_tokens(live)
+        e.evict([live[-1].id])
+        e.evict([live[1].id])
+    live = [live[0], live[2], live[3]]
+    bad = positioned(factory, rng, 31)
+    if case == "live id":
+        bad = live[1]
+    elif case == "no position":
+        bad.entry_position = None
+    elif case == "float position":
+        bad.entry_position = 31.5  # the int64 slab would store 31
+    elif case == "not beyond survivors":
+        bad.entry_position = 30
+    elif case == "embedding shape":
+        bad.embedding = rng.standard_normal(D + 1)
+    else:
+        monkeypatch.setattr(streamcache.attention, "MAX_BLOCK_CELLS", len(live))
+    before = _state(eng)
+    with pytest.raises(ValueError) as single:
+        eng.append_token(bad)
+    assert _state(eng) == before
+    with pytest.raises(ValueError) as block:
+        eng.append_tokens([bad])
+    assert _state(eng) == before
+    assert str(single.value) == str(block.value)
+    monkeypatch.undo()
+    tail = positioned(factory, rng, 35)  # beyond the survivors, not beyond the evicted 40
+    np.testing.assert_array_equal(eng.append_token(tail)[0], ref.append_token(tail)[0])
+    assert eng.live_ids() == ref.live_ids() == tuple(t.id for t in live + [tail])
+
+
+def test_one_token_path_grows_from_one_slot_and_matches_oracle_and_blocks():
+    # from capacity 1 the slab doubles inside the one-token path; between
+    # appends, one-id and multi-id evictions (the newest token among them)
+    # reorder the slots, and position gaps put deltas on both sides of
+    # REL_BIAS_CLIP. Every append is within C1's bound of the naive oracle
+    # and bit-equal to a twin engine fed one-token blocks
+    rng = np.random.default_rng(32)
+    factory = TokenFactory()
+    eng = AttentionEngine(D, H, L, V, 11, capacity=1)
+    twin = AttentionEngine(D, H, L, V, 11, capacity=1)
+    live, pos, worst, clipped = [], 0, 0.0, 0
+    for step in range(160):
+        if len(live) > 6 and step % 5 == 0:
+            k = 1 if step % 10 else int(rng.integers(2, 5))
+            picks = set(rng.choice(len(live) - 1, size=k - 1, replace=False).tolist())
+            if step % 3:
+                picks.add(len(live) - 1)  # the newest token
+            else:
+                picks.add(int(rng.integers(0, len(live) - 1)))
+            victims = [live[i].id for i in picks]
+            eng.evict(victims)
+            twin.evict(victims)
+            live = [t for i, t in enumerate(live) if i not in picks]
+        pos += int(rng.integers(1, 4)) if rng.random() < 0.8 else REL_BIAS_CLIP + 1
+        tok = positioned(factory, rng, pos)
+        out, logits = eng.append_token(tok)
+        block_out, block_logits = twin.append_tokens([tok])
+        live.append(tok)
+        assert out.shape == (D,) and logits.shape == (V,)
+        np.testing.assert_array_equal(block_out, out[None])
+        np.testing.assert_array_equal(block_logits, logits[None])
+        worst = max(worst, float(np.max(np.abs(out - last_rows(eng.weights, live, 1)[0]))))
+        clipped += live[-1].entry_position - live[0].entry_position > REL_BIAS_CLIP
+        assert eng.live_ids() == twin.live_ids() == tuple(t.id for t in live)
+        assert eng.flop_counter == twin.flop_counter
+    assert worst <= 1e-6
+    assert 0 < clipped < 160 and eng.nbytes == twin.nbytes >= (2 * L * D * 8 + 8) * 64
+
+
+def test_evict_one_unknown_id_changes_nothing(rng):
+    toks = stream_tokens(6, rng)
+    eng, ref = fresh_engine(), fresh_engine()
+    for e in (eng, ref):
+        e.append_tokens(toks[:-1])
+        e.evict([toks[1].id])
+    before = _state(eng)
+    with pytest.raises(KeyError) as one:
+        eng.evict([999])
+    assert _state(eng) == before
+    with pytest.raises(KeyError) as many:
+        eng.evict([999, 998])
+    assert one.value.args == ("unknown token ids: [999]",)
+    assert many.value.args == ("unknown token ids: [999, 998]",)
+    assert _state(eng) == before
+    np.testing.assert_array_equal(eng.append_token(toks[-1])[0],
+                                  ref.append_token(toks[-1])[0])
 
 
 def test_full_recompute_requires_entry_positions(rng):

@@ -963,6 +963,23 @@ def test_train_toy_divergence_detected():
         train_toy(params, decoder, [scene], epochs=1, lr=0.1)
 
 
+@pytest.mark.parametrize("fn", [stage1_losses, stage1_value_and_grads])
+def test_non_finite_language_path_is_divergence(fn):
+    # an infinite w_z entry leaves the attention outputs and boxes finite but
+    # the compressed tokens not: the caption loss would be NaN, not an error
+    params = init_connector(FEAT_DIM, QDIM, 4, 2, MLP, seed=7)
+    params["w_z"][0, 0] = np.inf
+    scene = make_scene(7, side=4, dim=FEAT_DIM)
+    decoder = init_caption_decoder(QDIM, 64, seed=9)
+    with np.errstate(all="ignore"):
+        fwd = _forward(scene.grid.patches, params)
+    assert np.isfinite(fwd["out"]).all() and np.isfinite(fwd["box_params"]).all()
+    assert not np.isfinite(fwd["tokens"]).all()
+    with pytest.raises(TrainingDivergence, match="non-finite connector activations"):
+        with np.errstate(all="ignore"):
+            fn(params, decoder, scene, 2.0)
+
+
 def test_train_toy_requires_scenes():
     params = small_setup()
     decoder = init_caption_decoder(QDIM, 64, seed=9)

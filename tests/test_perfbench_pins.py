@@ -85,3 +85,21 @@ def test_tracer_wraps_every_trace_point_and_restores_it():
     # the strategy workloads count frames as len(stream.frames)
     stream = generate_stream(SimConfig(), 60.0)
     assert len(stream.frames) == len(stream.times) == 240
+
+
+def test_tracer_counts_one_engine_append_per_frame():
+    # b's frames each append one token, which the engine routes to the
+    # append_token the tracer spans; the prompt and the verbalized groups
+    # are blocks, so --trace 1's attention.append_calls counts frames
+    with load("perfbench_tracing", "tracing.py") as tracing:
+        cfg = SimConfig()
+        stream = generate_stream(cfg, 60.0)
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            trace = run_strategy(StrategyKind.INTERLEAVED, stream, cfg)
+        finally:
+            tracer.uninstall()
+        spans = tracer.aggregate()["spans"]
+    assert cfg.tokens_per_frame == 1 and any(trace.rows.verbalization_event)
+    assert spans["attention.append"]["calls"] == len(stream.times) == 240
