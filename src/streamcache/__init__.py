@@ -21,5 +21,5 @@ from .harness import (GrowthFit, OraclePredictor, StrategyAbort, StrategyKind,
                       StrategyTrace, SyntheticStream, fit_growth, generate_stream,
                       run_strategy, spike_ratio)
 from .types import BBox, Token, TokenFactory, TokenKind
-from .verbalize import (EmbeddingTable, PredictionLog, TokenBudgetReport, Verbalizer,
-                        budget_report, should_verbalize, step_text_vocab_ids)
+from .verbalize import (EmbeddingTable, TokenBudgetReport, Verbalizer, budget_report,
+                        should_verbalize, step_text_vocab_ids)

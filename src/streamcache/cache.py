@@ -42,9 +42,6 @@ class CacheEvent:
     token_ids: List[int]
     kind: str
 
-    def to_dict(self) -> dict:
-        return {"t": self.t, "op": self.op, "token_ids": self.token_ids, "kind": self.kind}
-
 
 # each event type's (op, kind), by its code in the log: an entry per token kind, then the exits
 EVENT_TYPES = (tuple(("entry", kind.value) for kind in TokenKind)

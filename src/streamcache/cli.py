@@ -12,6 +12,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 from typing import List, Optional
 
 import numpy as np
@@ -220,7 +221,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             report = budget_report(cfg, args.horizon_s, args.tokens_per_step)
         except (ValueError, OverflowError) as exc:  # bad arguments, or overflowed numbers
             return _fail(str(exc), EXIT_CONFIG)
-        _print_json(report.to_dict())
+        _print_json(asdict(report))
         return EXIT_OK
     try:
         per_strategy = read_trace_csv(args.scaling)
@@ -244,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run caching strategies over a synthetic stream")
     p.add_argument("config")
-    p.add_argument("--strategy", choices=["all", "a1", "a2", "b"], default="all")
+    p.add_argument("--strategy", choices=["all"] + [kind.value for kind in StrategyKind],
+                   default="all")
     p.add_argument("--duration-s", type=_finite_float, default=1200.0)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--noise-p", type=_finite_float, default=0.0)

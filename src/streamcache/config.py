@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, fields, asdict
+from dataclasses import dataclass, fields
 
 
 MAX_D = 1024
@@ -40,9 +40,6 @@ class SimConfig:
     vocab_size: int = 128
     seed: int = 7
     lambda_1: float = DEFAULT_LAMBDA_1
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def validate_config(cfg: SimConfig) -> SimConfig:

@@ -51,6 +51,7 @@ from __future__ import annotations
 import math
 import time
 from array import array
+from collections import deque
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
@@ -64,7 +65,7 @@ from .cache import EventLog, InterleavedCache
 from .config import SimConfig, validate_config
 from .types import RecordView, Token, TokenFactory
 from .verbalize import (LONG_DESCRIPTION_SHARE, MAX_DESCRIPTION_TOKENS, EmbeddingTable,
-                        PredictionLog, Verbalizer, should_verbalize)
+                        Verbalizer, should_verbalize)
 
 ENGINE_HEADS = 4
 ENGINE_LAYERS = 2
@@ -350,7 +351,7 @@ def run_strategy(kind: StrategyKind, stream: SyntheticStream, cfg: SimConfig, *,
     table = EmbeddingTable(cfg.vocab_size, cfg.d, cfg.seed)
     verbalizer = Verbalizer(factory, table)
     predictor = OraclePredictor(stream, noise_p, cfg.seed)
-    log = PredictionLog(cfg.tau)
+    log = deque(maxlen=cfg.tau)  # the last tau predictions
     if kind is StrategyKind.VERBALIZED_SEPARATE:
         engine = None
         placeholder = np.zeros(cfg.d)
@@ -410,7 +411,7 @@ def run_strategy(kind: StrategyKind, stream: SyntheticStream, cfg: SimConfig, *,
             else:
                 text_flops = group_flops
             evict([tok for grp in cache.exit_long(t) for tok in grp])
-        log.add(pred)
+        log.append(pred)
 
         live = len(cache)
         add_row(t, live, append_flops, recompute_flops, text_flops, pred, pred == step_id,

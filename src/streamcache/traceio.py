@@ -14,6 +14,7 @@ import json
 import math
 import os
 import re
+from dataclasses import asdict
 from datetime import datetime, timezone
 from itertools import chain
 from typing import Dict, List
@@ -130,8 +131,9 @@ def read_trace_csv(path: str) -> Dict[str, Dict[str, np.ndarray]]:
 
 def write_events_jsonl(path: str, trace: StrategyTrace) -> None:
     """One fixed-format line per cache event, in the bytes
-    ``json.dumps(event.to_dict(), sort_keys=True)`` would write: ``t`` is a
-    float, and ``op`` and ``kind`` are plain identifiers that need no escape."""
+    ``json.dumps(dataclasses.asdict(event), sort_keys=True)`` would write:
+    ``t`` is a float, and ``op`` and ``kind`` are plain identifiers that need
+    no escape."""
     log = trace.cache_events
     heads = [f'{{"kind": "{kind}", "op": "{op}", "t": ' for op, kind in EVENT_TYPES]
     ids = log.token_ids
@@ -165,8 +167,8 @@ def summarize(traces: List[StrategyTrace]) -> dict:
         cfg = traces[0].cfg
         horizon = len(traces[0].rows) / cfg.fps if traces[0].rows else 0.0
         if horizon > 0:
-            summary["budget"] = budget_report(cfg, horizon).to_dict()
-        summary["config"] = cfg.to_dict()
+            summary["budget"] = asdict(budget_report(cfg, horizon))
+        summary["config"] = asdict(cfg)
     return summary
 
 
@@ -176,7 +178,7 @@ def write_manifest(path: str, cfg: SimConfig, artifacts: List[str],
     missing = [a for a in artifacts if not os.path.exists(a)]
     if missing:
         raise FileNotFoundError(f"manifest lists missing artifacts: {missing}")
-    manifest = {"config": cfg.to_dict(), "seed": cfg.seed, "artifacts": list(artifacts),
+    manifest = {"config": asdict(cfg), "seed": cfg.seed, "artifacts": list(artifacts),
                 "tool_version": tool_version,
                 "created_at": datetime.now(timezone.utc).isoformat()}
     with open(path, "w", encoding="utf-8") as fh:

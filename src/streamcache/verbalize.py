@@ -1,17 +1,16 @@
 """Online verbalization: turn step predictions into compact text tokens.
 
 A predicted step becomes one marker token plus a handful of text tokens,
-unless the same step id was already verbalized within the last ``tau``
-predictions. ``budget_report`` does the token-count arithmetic comparing an
-all-visual context against the verbalized one.
+unless the same step id is among the last ``tau`` predictions, which a run
+keeps in a ``deque(maxlen=tau)``. ``budget_report`` does the token-count
+arithmetic comparing an all-visual context against the verbalized one.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import asdict, dataclass
-from typing import List
+from typing import Deque, List
 
 import numpy as np
 
@@ -26,23 +25,9 @@ LONG_DESCRIPTION_SHARE = 0.7
 DEFAULT_TOKENS_PER_STEP = (MAX_DESCRIPTION_TOKENS - 1) + LONG_DESCRIPTION_SHARE
 
 
-class PredictionLog:
-    """Ring buffer of the last ``tau`` predicted step ids."""
-
-    def __init__(self, tau: int) -> None:
-        if tau < 0:
-            raise ValueError(f"tau must be >= 0, got {tau}")
-        self._recent: deque = deque(maxlen=tau)  # maxlen 0 keeps nothing
-
-    def __contains__(self, step_id: int) -> bool:
-        return step_id in self._recent
-
-    def add(self, step_id: int) -> None:
-        self._recent.append(step_id)
-
-
-def should_verbalize(log: PredictionLog, step_id: int) -> bool:
-    """True iff ``step_id`` is absent from the last ``tau`` predictions."""
+def should_verbalize(log: Deque[int], step_id: int) -> bool:
+    """True iff ``step_id`` is absent from ``log``, a ``deque(maxlen=tau)`` of
+    the last ``tau`` predicted step ids (maxlen 0 keeps nothing)."""
     return step_id not in log
 
 
@@ -60,9 +45,6 @@ class EmbeddingTable:
         self._prompt_rng_seed = seed
         self.d = d
         self.vocab_size = vocab_size
-
-    def vocab_embedding(self, vocab_id: int) -> np.ndarray:
-        return self.vocab[vocab_id % self.vocab_size]
 
     def prompt_embedding(self, index: int) -> np.ndarray:
         rng = np.random.default_rng(np.random.SeedSequence([self._prompt_rng_seed, 0xB, index]))
@@ -89,7 +71,7 @@ class Verbalizer:
             raise ValueError(f"step {step_id}: nothing to verbalize")
         tokens = [self.factory.marker(step_id, self.table.marker.copy())]
         for vid in step_text_vocab_ids(step_id, n_text, self.table.vocab_size):
-            tokens.append(self.factory.text(step_id, self.table.vocab_embedding(vid).copy()))
+            tokens.append(self.factory.text(step_id, self.table.vocab[vid].copy()))
         return tokens
 
 
@@ -104,9 +86,6 @@ class TokenBudgetReport:
     verbalized_total: float
     reduction_ratio: float  # visual / verbalized text
     reduction_ratio_with_markers: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def budget_report(cfg: SimConfig, horizon_s: float,
@@ -137,7 +116,7 @@ def budget_report(cfg: SimConfig, horizon_s: float,
         reduction_ratio=visual / text,
         reduction_ratio_with_markers=visual / (text + markers),
     )
-    for name, value in report.to_dict().items():
+    for name, value in asdict(report).items():
         if not math.isfinite(value):  # overflowed, e.g. a tiny mean_step_s
             raise ValueError(f"horizon_s {horizon_s:g} at mean_step_s {cfg.mean_step_s:g}, "
                              f"fps {cfg.fps:g} and tokens_per_frame {cfg.tokens_per_frame} "

@@ -12,6 +12,7 @@ loops to ``(n, 4)`` arrays: a ``train_toy`` curve on the benchmark's
 queries.
 """
 
+import dataclasses
 import hashlib
 import json
 
@@ -92,7 +93,7 @@ def artifact_digests(out_dir) -> dict:
 def test_simulate_artifacts_match_pins(tmp_path, capsys, name):
     cfg, duration_s, noise_p = CONFIGS[name]
     cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps(cfg.to_dict()))
+    cfg_path.write_text(json.dumps(dataclasses.asdict(cfg)))
     out_dir = tmp_path / "run"
     assert main(["simulate", str(cfg_path), "--duration-s", duration_s,
                  "--noise-p", noise_p, "--out-dir", str(out_dir)]) == 0

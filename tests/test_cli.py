@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import hashlib
 import json
 import os
@@ -24,7 +25,7 @@ def cfg_path(tmp_path):
     path = tmp_path / "config.json"
     cfg = SimConfig(N_S=8, N_L=2, tau=4, mean_step_s=8.0, step_s_jitter=2.0,
                     d=16, vocab_size=32, seed=3)
-    path.write_text(json.dumps(cfg.to_dict()))
+    path.write_text(json.dumps(dataclasses.asdict(cfg)))
     return str(path)
 
 

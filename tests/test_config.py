@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -25,7 +26,6 @@ def test_defaults_validate(cfg):
     ("vocab_size", 10000000000000000000, "vocab_size"),
 ])
 def test_invalid_field_named_in_error(cfg, field, value, needle):
-    import dataclasses
     bad = dataclasses.replace(cfg, **{field: value})
     with pytest.raises(ConfigError, match=needle):
         validate_config(bad)
@@ -33,7 +33,7 @@ def test_invalid_field_named_in_error(cfg, field, value, needle):
 
 def test_json_round_trip(tmp_path, cfg):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg.to_dict()))
+    path.write_text(json.dumps(dataclasses.asdict(cfg)))
     assert load_config(str(path)) == cfg
 
 

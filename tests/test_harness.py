@@ -483,7 +483,7 @@ def test_separate_strategy_charge_replays_from_event_log(prompt_tokens, tokens_p
     stream = generate_stream(cfg, 120.0)
     a2, b = (run_strategy(kind, stream, cfg, noise_p=0.25, prompt_tokens=prompt_tokens)
              for kind in (StrategyKind.VERBALIZED_SEPARATE, StrategyKind.INTERLEAVED))
-    assert [e.to_dict() for e in a2.cache_events] == [e.to_dict() for e in b.cache_events]
+    assert list(a2.cache_events) == list(b.cache_events)
 
     kind_of = {}
     live = collections.Counter()

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -60,7 +61,7 @@ def test_writers_match_csv_and_json_modules(tmp_path, short_run):
                              r.append_flops, r.extra_recompute_flops,
                              r.live_token_count * cfg.d * 8, r.predicted_step_id,
                              int(r.correct), int(r.verbalization_event)])
-        expected_jsonl = "".join(json.dumps(e.to_dict(), sort_keys=True) + "\n"
+        expected_jsonl = "".join(json.dumps(asdict(e), sort_keys=True) + "\n"
                                  for e in trace.cache_events)
         csv_path, jsonl_path = tmp_path / "t.csv", tmp_path / "e.jsonl"
         write_trace_csv(str(csv_path), trace)
@@ -157,6 +158,7 @@ def test_manifest_lists_existing_artifacts(tmp_path, short_run):
     assert stored["seed"] == cfg.seed
     assert stored["artifacts"] == [str(csv_path)]
     assert stored["tool_version"] == "0.1.0"
+    assert stored["config"] == asdict(cfg)
     with pytest.raises(FileNotFoundError):
         write_manifest(str(tmp_path / "m2.json"), cfg,
                        [str(tmp_path / "missing.csv")], "0.1.0")

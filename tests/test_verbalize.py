@@ -1,14 +1,14 @@
 import dataclasses
 import itertools
+from collections import deque
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamcache import (EmbeddingTable, PredictionLog, SimConfig, TokenFactory,
-                         TokenKind, Verbalizer, budget_report, generate_stream,
-                         should_verbalize)
+from streamcache import (EmbeddingTable, SimConfig, TokenFactory, TokenKind, Verbalizer,
+                         budget_report, generate_stream, should_verbalize)
 
 
 def make_verbalizer(cfg):
@@ -18,43 +18,43 @@ def make_verbalizer(cfg):
 # -- dedup window -----------------------------------------------------------
 
 def test_empty_log_always_verbalizes():
-    log = PredictionLog(tau=4)
+    log = deque(maxlen=4)
     assert should_verbalize(log, 3)
 
 
 def test_id_inside_window_blocked():
-    log = PredictionLog(tau=4)
-    log.add(3)
+    log = deque(maxlen=4)
+    log.append(3)
     for _ in range(3):  # id now at distance tau - 1
-        log.add(9)
+        log.append(9)
     assert not should_verbalize(log, 3)
 
 
 def test_id_just_outside_window_allowed():
-    log = PredictionLog(tau=4)
-    log.add(3)
+    log = deque(maxlen=4)
+    log.append(3)
     for _ in range(4):  # id pushed out, distance tau + 1
-        log.add(9)
+        log.append(9)
     assert should_verbalize(log, 3)
 
 
 def test_tau_zero_always_verbalizes():
-    log = PredictionLog(tau=0)
-    log.add(3)
+    log = deque(maxlen=0)
+    log.append(3)
     assert should_verbalize(log, 3)
 
 
 @given(st.lists(st.integers(0, 4), min_size=1, max_size=200), st.integers(0, 6))
 @settings(max_examples=200, deadline=None)
 def test_no_two_events_within_tau(preds, tau):
-    log = PredictionLog(tau)
+    log = deque(maxlen=tau)
     events = {}
     for n, pred in enumerate(preds):
         if should_verbalize(log, pred):
             if pred in events:
                 assert n - events[pred] > tau
             events[pred] = n
-        log.add(pred)
+        log.append(pred)
 
 
 # -- verbalize --------------------------------------------------------------
@@ -102,7 +102,7 @@ def test_budget_report_hour_horizon(cfg):
     assert report.verbalized_text_tokens == pytest.approx(641.25)
     assert report.reduction_ratio == pytest.approx(22.46, abs=0.05)
     assert report.reduction_ratio_with_markers == pytest.approx(14400 / 753.75)
-    assert report.to_dict()["visual_tokens"] == 14400
+    assert dataclasses.asdict(report)["visual_tokens"] == 14400
 
 
 def test_budget_report_128s_window(cfg):
