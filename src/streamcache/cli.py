@@ -186,9 +186,8 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
             return _fail(f"cannot load scene {args.scene}: {exc}", EXIT_CONFIG)
     else:
         scene = make_scene(args.seed, side=4, dim=24)
-    dim = scene.grid.dim
-    params = init_connector(feat_dim=dim, d=16, m=4, k=len(scene.objects) or 2,
-                            d_mlp=24, seed=args.seed)
+    params = init_connector(feat_dim=scene.patches.shape[1], d=16, m=4,
+                            k=len(scene.objects) or 2, d_mlp=24, seed=args.seed)
     decoder = init_caption_decoder(16, 64, args.seed)
 
     def value_and_grad(p):

@@ -26,7 +26,8 @@ class SimConfig:
     ``lambda_1`` is the connector's box-loss weight. ``simulate`` records it
     in ``summary.json`` and ``manifest.json`` and reads nothing from it: no
     strategy trains the connector, and ``gradcheck`` and ``train_toy`` use
-    ``DEFAULT_LAMBDA_1``, this field's default.
+    ``DEFAULT_LAMBDA_1``, this field's default. Building a config with an
+    invalid field raises ``ConfigError``, naming the first such field.
     """
 
     fps: float = 4.0
@@ -41,40 +42,36 @@ class SimConfig:
     seed: int = 7
     lambda_1: float = DEFAULT_LAMBDA_1
 
-
-def validate_config(cfg: SimConfig) -> SimConfig:
-    """Return ``cfg`` unchanged if every invariant holds, else raise
-    ``ConfigError`` naming the offending field."""
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{f.name} must be finite, got {value}")
-    if cfg.fps <= 0:
-        raise ConfigError(f"fps must be > 0, got {cfg.fps}")
-    if cfg.tokens_per_frame < 1:
-        raise ConfigError(f"tokens_per_frame must be >= 1, got {cfg.tokens_per_frame}")
-    if not 1 <= cfg.d <= MAX_D:
-        raise ConfigError(f"d must be in [1, {MAX_D}], got {cfg.d}")
-    if cfg.N_S < 1:
-        raise ConfigError(f"N_S must be >= 1, got {cfg.N_S}")
-    if cfg.N_L < 0:
-        raise ConfigError(f"N_L must be >= 0, got {cfg.N_L}")
-    if not 0 <= cfg.tau <= sys.maxsize:  # sys.maxsize: the longest deque
-        raise ConfigError(f"tau must be in [0, {sys.maxsize}], got {cfg.tau}")
-    if cfg.mean_step_s <= 0:
-        raise ConfigError(f"mean_step_s must be > 0, got {cfg.mean_step_s}")
-    if cfg.step_s_jitter < 0:
-        raise ConfigError(f"step_s_jitter must be >= 0, got {cfg.step_s_jitter}")
-    if not 2 <= cfg.vocab_size <= MAX_TABLE // cfg.d:
-        raise ConfigError(f"vocab_size must be in [2, {MAX_TABLE // cfg.d}] at d={cfg.d}, "
-                          f"got {cfg.vocab_size}")
-    if cfg.lambda_1 < 0:
-        raise ConfigError(f"lambda_1 must be >= 0, got {cfg.lambda_1}")
-    if not isinstance(cfg.seed, int):
-        raise ConfigError(f"seed must be an integer, got {cfg.seed!r}")
-    if cfg.seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
-    return cfg
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
+        if self.fps <= 0:
+            raise ConfigError(f"fps must be > 0, got {self.fps}")
+        if self.tokens_per_frame < 1:
+            raise ConfigError(f"tokens_per_frame must be >= 1, got {self.tokens_per_frame}")
+        if not 1 <= self.d <= MAX_D:
+            raise ConfigError(f"d must be in [1, {MAX_D}], got {self.d}")
+        if self.N_S < 1:
+            raise ConfigError(f"N_S must be >= 1, got {self.N_S}")
+        if self.N_L < 0:
+            raise ConfigError(f"N_L must be >= 0, got {self.N_L}")
+        if not 0 <= self.tau <= sys.maxsize:  # sys.maxsize: the longest deque
+            raise ConfigError(f"tau must be in [0, {sys.maxsize}], got {self.tau}")
+        if self.mean_step_s <= 0:
+            raise ConfigError(f"mean_step_s must be > 0, got {self.mean_step_s}")
+        if self.step_s_jitter < 0:
+            raise ConfigError(f"step_s_jitter must be >= 0, got {self.step_s_jitter}")
+        if not 2 <= self.vocab_size <= MAX_TABLE // self.d:
+            raise ConfigError(f"vocab_size must be in [2, {MAX_TABLE // self.d}] at d={self.d}, "
+                              f"got {self.vocab_size}")
+        if self.lambda_1 < 0:
+            raise ConfigError(f"lambda_1 must be >= 0, got {self.lambda_1}")
+        if not isinstance(self.seed, int):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 _FIELD_NAMES = {f.name for f in fields(SimConfig)}
@@ -83,7 +80,7 @@ _INT_FIELDS = {f.name for f in fields(SimConfig) if f.type == "int"}
 
 
 def config_from_dict(data: dict) -> SimConfig:
-    """Build a validated config from a plain dict.
+    """Build a config from a plain dict.
 
     Unknown keys are an error; missing keys fall back to defaults.
     """
@@ -106,7 +103,7 @@ def config_from_dict(data: dict) -> SimConfig:
             except OverflowError:  # an integer beyond the float range
                 raise ConfigError(f"{name} must fit in a float, got an integer beyond "
                                   f"{sys.float_info.max:g}") from None
-    return validate_config(SimConfig(**kwargs))
+    return SimConfig(**kwargs)
 
 
 def load_config(path: str) -> SimConfig:

@@ -10,9 +10,9 @@ objectness score. All trainable weights live in one params dict keyed by
 language-modeling loss (through a frozen caption readout) with a matched
 GIoU + L1 box loss; gradients are written out by hand and checked against
 central differences, and one-sided ones where a GIoU kink defeats those. A
-``Scene`` builds, once and read-only, its validated box array and its caption
-ids. A step scores only the pairs the matcher reads, the hand boxes against
-the 2 hand queries and the object boxes against the object queries.
+``Scene`` checks its patches when built and keeps, read-only, its box array
+and its caption ids. A step scores only the pairs the matcher reads, the hand
+boxes against the 2 hand queries and the object boxes against the object queries.
 ``_pair_block`` scores each such block, and ``hungarian_match``'s too, into
 lists of each pair's cost, L1 + (1 - GIoU), from one scalar pass over Python
 floats per pair (``_pair_cost``). The matcher reads those lists as they are.
@@ -55,26 +55,6 @@ class TrainingDivergence(RuntimeError):
 # ---------------------------------------------------------------------------
 # data containers
 # ---------------------------------------------------------------------------
-
-@dataclass
-class PatchGrid:
-    """Square grid of patch feature vectors, flattened row-major to (side^2, dim)."""
-
-    patches: np.ndarray
-    side: int = 16
-
-    def validate(self) -> "PatchGrid":
-        if self.patches.ndim != 2 or self.patches.shape[0] != self.side * self.side:
-            raise ValueError(
-                f"expected {self.side * self.side} patches, got shape {self.patches.shape}")
-        if not np.all(np.isfinite(self.patches)):
-            raise ValueError("patch features must be finite")
-        return self
-
-    @property
-    def dim(self) -> int:
-        return self.patches.shape[1]
-
 
 PARAM_KEYS = ("q_v", "q_h", "q_o", "w_k", "w_v", "w_z", "w1", "b1", "w2", "b2")
 
@@ -181,8 +161,6 @@ def giou_batch(a_params: np.ndarray, b_params: np.ndarray) -> np.ndarray:
 
 def giou(a: BBox, b: BBox) -> float:
     """Generalized IoU of two boxes, in (-1, 1]."""
-    a.validate()
-    b.validate()
     return float(_giou_pair((a.cx, a.cy, a.w, a.h), (b.cx, b.cy, b.w, b.h)))
 
 
@@ -244,9 +222,8 @@ def _pair_cost(g: Sequence[float], p: Sequence[float]) -> float:
 # ---------------------------------------------------------------------------
 
 def _box_array(boxes: Sequence[BBox]) -> np.ndarray:
-    """Validated (n, 4) center-format array of ``boxes``."""
-    return np.array([(b.cx, b.cy, b.w, b.h) for b in map(BBox.validate, boxes)],
-                    dtype=np.float64).reshape(-1, 4)
+    """(n, 4) center-format array of ``boxes``, valid as every ``BBox`` is."""
+    return np.array([(b.cx, b.cy, b.w, b.h) for b in boxes], dtype=np.float64).reshape(-1, 4)
 
 
 def _pair_block(gt: np.ndarray, pred: np.ndarray) -> List[List[float]]:
@@ -474,17 +451,20 @@ def _caption_forward(decoder: CaptionDecoder, tokens: np.ndarray,
 
 @dataclass(frozen=True)
 class Scene:
-    """A patch grid with its ground-truth hand and object boxes and caption.
+    """A square grid of patch features, ``(side * side, dim)`` row-major,
+    with its ground-truth hand and object boxes and caption.
 
-    Building a scene validates its boxes, so a degenerate or non-finite one
-    raises ``ValueError`` here, and stores read-only what every training step
-    reads of them: ``boxes``, the (hands + objects, 4) center-format array,
-    hands first, and ``caption_ids``, the caption as int64. ``hands``,
-    ``objects`` and ``caption`` are kept as tuples, and ``dataclasses.replace``
-    builds all three anew.
+    Building a scene raises ``ValueError`` for patches of another shape or
+    with a non-finite value. It stores read-only what every training step
+    reads of its boxes, valid as every ``BBox`` is: ``boxes``, the
+    (hands + objects, 4) center-format array, hands first, and
+    ``caption_ids``, the caption as int64. ``hands``, ``objects`` and
+    ``caption`` are kept as tuples, and ``dataclasses.replace`` builds all
+    three anew.
     """
 
-    grid: PatchGrid
+    patches: np.ndarray
+    side: int
     hands: Tuple[BBox, ...]
     objects: Tuple[BBox, ...]
     caption: Tuple[int, ...]
@@ -492,6 +472,11 @@ class Scene:
     caption_ids: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if self.patches.ndim != 2 or self.patches.shape[0] != self.side * self.side:
+            raise ValueError(
+                f"expected {self.side * self.side} patches, got shape {self.patches.shape}")
+        if not np.all(np.isfinite(self.patches)):
+            raise ValueError("patch features must be finite")
         hands, objects, caption = tuple(self.hands), tuple(self.objects), tuple(self.caption)
         boxes = _box_array(hands + objects)
         caption_ids = np.array(caption, dtype=np.int64)
@@ -560,7 +545,7 @@ def make_scene(seed: int, side: int = 16, dim: int = 48, n_hands: int = 2,
     objects = [_random_box(rng) for _ in range(n_objects)]
     patches = synth_patches(seed, side, dim, hands, objects, noise)
     caption = [1 + int(x) for x in rng.integers(0, vocab_size - 1, size=5)]
-    return Scene(PatchGrid(patches, side).validate(), hands, objects, caption)
+    return Scene(patches, side, hands, objects, caption)
 
 
 def _scene_number(value, field: str, kind: type = float):
@@ -595,7 +580,6 @@ def load_scene(path: str, vocab_size: int = 64) -> Scene:
     hands, objects = [], []
     for entry in entries:
         box = BBox(*(_scene_number(entry[f], f"box '{f}'") for f in ("cx", "cy", "w", "h")))
-        box.validate()
         if not all(0.0 <= v <= 1.0 for v in (box.cx, box.cy, box.w, box.h)):
             raise ValueError(f"scene box fields are normalized to [0, 1], got {box}")
         (hands if entry.get("kind") == "hand" else objects).append(box)
@@ -622,7 +606,7 @@ def load_scene(path: str, vocab_size: int = 64) -> Scene:
         raise ValueError(f"scene caption ids must lie in [0, {vocab_size})")
     if not caption:
         caption = _derive_caption(hands, objects, vocab_size)
-    return Scene(PatchGrid(patches, side).validate(), hands, objects, caption)
+    return Scene(patches, side, hands, objects, caption)
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +624,7 @@ def _stage1_forward(params, decoder, scene, lambda_1):
     n_h, n_o = len(scene.hands), len(scene.objects)
     if n_h > 2 or n_o > k:
         raise ValueError("scene has more ground-truth boxes than queries")
-    fwd = _forward(scene.grid.patches, params)
+    fwd = _forward(scene.patches, params)
     if not (np.isfinite(fwd["out"]).all() and np.isfinite(fwd["tokens"]).all()
             and np.isfinite(fwd["box_params"]).all()):
         raise TrainingDivergence("non-finite connector activations")
@@ -674,7 +658,7 @@ def stage1_value_and_grads(params: Dict[str, np.ndarray], decoder: CaptionDecode
     m, d = fwd["m"], fwd["d"]
     cap, targets = aux["cap"], aux["targets"]
     n_t = targets.size
-    patches = scene.grid.patches
+    patches = scene.patches
 
     # language path: cross-entropy -> frozen readout -> compressed tokens
     dlogits = aux["exp_rows"] / aux["exp_sums"][:, None]  # the softmax rows

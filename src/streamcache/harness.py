@@ -62,7 +62,7 @@ import numpy as np
 
 from .attention import MAX_BLOCK_CELLS, AttentionEngine, block_flop_cost, recompute_flop_cost
 from .cache import EventLog, InterleavedCache
-from .config import SimConfig, validate_config
+from .config import SimConfig
 from .types import RecordView, Token, TokenFactory
 from .verbalize import (LONG_DESCRIPTION_SHARE, MAX_DESCRIPTION_TOKENS, EmbeddingTable,
                         Verbalizer, should_verbalize)
@@ -148,10 +148,13 @@ def admit(kind: StrategyKind, cfg: SimConfig, n_frames: int,
     frames, and at least 1: a1 keeps every token; b and a2 hold up to
     ``N_S + 1`` frames and ``N_L + 1`` verbalized groups between an entry and
     its exit, on top of the prompt. Raises ``ValueError`` for a ``kind`` that
-    is neither a ``StrategyKind`` nor one's value, a negative ``prompt_tokens``,
-    above ``MAX_LIVE_TOKENS`` (a1: its visual tokens) or a largest block above
-    ``MAX_BLOCK_CELLS`` cells."""
+    is neither a ``StrategyKind`` nor one's value, a ``d`` that the engine's
+    ``ENGINE_HEADS`` heads do not divide (a2 charges the engine b would run),
+    a negative ``prompt_tokens``, above ``MAX_LIVE_TOKENS`` (a1: its visual
+    tokens) or a largest block above ``MAX_BLOCK_CELLS`` cells."""
     kind = StrategyKind(kind)
+    if cfg.d % ENGINE_HEADS:
+        raise ValueError(f"d={cfg.d} not divisible by heads={ENGINE_HEADS}")
     if prompt_tokens < 0:
         raise ValueError(f"prompt_tokens must be >= 0, got {prompt_tokens}")
     frames = f"tokens_per_frame {cfg.tokens_per_frame} over {n_frames} frames"
@@ -183,7 +186,6 @@ def generate_stream(cfg: SimConfig, duration_s: float, n_classes: int = 20) -> S
     """Deterministic stream: step durations are clamped normals around
     ``mean_step_s`` and adjacent steps always change class. Only the steps are
     drawn here; each walk of the stream draws its frames' noise."""
-    validate_config(cfg)
     n_frames = frame_count(cfg, duration_s)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x57]))
     prototypes = rng.standard_normal((n_classes, cfg.d))
@@ -345,7 +347,6 @@ def run_strategy(kind: StrategyKind, stream: SyntheticStream, cfg: SimConfig, *,
     kind = StrategyKind(kind)
     if live_token_cap is not None and live_token_cap < 1:
         raise ValueError(f"live_token_cap must be >= 1, got {live_token_cap}")
-    validate_config(cfg)
     capacity = admit(kind, cfg, len(stream.times), prompt_tokens)
     factory = TokenFactory()
     table = EmbeddingTable(cfg.vocab_size, cfg.d, cfg.seed)

@@ -1,10 +1,12 @@
 """Shared domain vocabulary: tokens, boxes, and the lazy record view.
 
-Everything here but ``RecordView`` is a plain value type. Instances are safe
-to share across threads; the single sanctioned mutation is the one-time
-assignment of a token's ``entry_position`` when it enters a cache.
-``harness.TraceRows`` and ``cache.EventLog`` are the record views; a stream
-has none, and its frames are read through ``SyntheticStream.walk``.
+Everything here but ``RecordView`` is a plain value type, and building a
+``Token`` or ``BBox`` with an invalid field raises ``ValueError``, so none
+holds one. Instances are safe to share across threads; the single sanctioned
+mutation is the one-time assignment of a token's ``entry_position`` when it
+enters a cache. ``harness.TraceRows`` and ``cache.EventLog`` are the record
+views; a stream has none, and its frames are read through
+``SyntheticStream.walk``.
 """
 
 from __future__ import annotations
@@ -55,7 +57,9 @@ class Token:
 
     ``entry_position`` is assigned exactly once, at cache entry, and is never
     reassigned afterwards: cached attention keys/values are keyed on it, so it
-    must survive eviction of other tokens.
+    must survive eviction of other tokens. A visual token needs a
+    ``frame_index``, a text or marker token a ``step_id``, and every token a
+    1-d embedding.
     """
 
     id: int
@@ -65,14 +69,13 @@ class Token:
     step_id: Optional[int] = None
     entry_position: Optional[int] = None
 
-    def validate(self) -> "Token":
+    def __post_init__(self) -> None:
         if self.kind is TokenKind.VISUAL_FRAME and self.frame_index is None:
             raise ValueError(f"token {self.id}: visual frame token requires frame_index")
         if self.kind in (TokenKind.TEXT, TokenKind.LONG_TERM_MARKER) and self.step_id is None:
             raise ValueError(f"token {self.id}: {self.kind.value} token requires step_id")
         if self.embedding.ndim != 1:
             raise ValueError(f"token {self.id}: embedding must be a 1-d vector")
-        return self
 
 
 class TokenFactory:
@@ -86,35 +89,34 @@ class TokenFactory:
         self._ids = count()
 
     def visual(self, frame_index: int, embedding: np.ndarray) -> Token:
-        return Token(next(self._ids), TokenKind.VISUAL_FRAME, embedding,
-                     frame_index=frame_index).validate()
+        return Token(next(self._ids), TokenKind.VISUAL_FRAME, embedding, frame_index=frame_index)
 
     def text(self, step_id: int, embedding: np.ndarray) -> Token:
-        return Token(next(self._ids), TokenKind.TEXT, embedding, step_id=step_id).validate()
+        return Token(next(self._ids), TokenKind.TEXT, embedding, step_id=step_id)
 
     def marker(self, step_id: int, embedding: np.ndarray) -> Token:
-        return Token(next(self._ids), TokenKind.LONG_TERM_MARKER, embedding,
-                     step_id=step_id).validate()
+        return Token(next(self._ids), TokenKind.LONG_TERM_MARKER, embedding, step_id=step_id)
 
     def prompt(self, embedding: np.ndarray) -> Token:
-        return Token(next(self._ids), TokenKind.PROMPT, embedding).validate()
+        return Token(next(self._ids), TokenKind.PROMPT, embedding)
 
 
 @dataclass(frozen=True)
 class BBox:
-    """Axis-aligned box in normalized center format (cx, cy, w, h)."""
+    """Axis-aligned box in normalized center format (cx, cy, w, h); building
+    one with a non-finite field or a ``w`` or ``h`` not above 0 raises
+    ``ValueError``."""
 
     cx: float
     cy: float
     w: float
     h: float
 
-    def validate(self) -> "BBox":
+    def __post_init__(self) -> None:
         if not all(math.isfinite(v) for v in (self.cx, self.cy, self.w, self.h)):
             raise ValueError(f"non-finite box: {self}")
         if self.w <= 0 or self.h <= 0:
             raise ValueError(f"degenerate box: w={self.w}, h={self.h}")
-        return self
 
     def as_array(self) -> np.ndarray:
         return np.array([self.cx, self.cy, self.w, self.h], dtype=np.float64)

@@ -40,7 +40,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from streamcache import (AttentionWeights, OraclePredictor, Scene, SimConfig, StrategyKind,
-                         SyntheticStream, Token, append_flop_cost, giou_batch, validate_config)
+                         SyntheticStream, Token, append_flop_cost, giou_batch)
 from streamcache.attention import REL_BIAS_CLIP
 from streamcache.connector import (GRAD_CHECK_TOL, CaptionDecoder, TrainingDivergence, TrainResult,
                                    _caption_forward, _corner_pairs, _forward,
@@ -216,7 +216,6 @@ class NaiveStream:
 def generate_stream(cfg: SimConfig, duration_s: float, n_classes: int = 20) -> NaiveStream:
     """Deterministic stream: step durations are clamped normals around
     ``mean_step_s`` and adjacent steps always change class."""
-    validate_config(cfg)
     if not (math.isfinite(duration_s) and duration_s > 0):
         raise ValueError(f"duration_s must be finite and > 0, got {duration_s}")
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x57]))
@@ -371,8 +370,8 @@ def save_scene(scene: Scene, path: str) -> None:
     """Write ``scene`` as a scene file: base64 patches, boxes and caption."""
     boxes = [dict(vars(b), kind="hand") for b in scene.hands]
     boxes += [dict(vars(b), kind="object") for b in scene.objects]
-    doc = {"patches": base64.b64encode(scene.grid.patches.astype("<f8").tobytes()).decode(),
-           "side": scene.grid.side, "dim": scene.grid.dim, "gt_boxes": boxes,
+    doc = {"patches": base64.b64encode(scene.patches.astype("<f8").tobytes()).decode(),
+           "side": scene.side, "dim": scene.patches.shape[1], "gt_boxes": boxes,
            "caption": scene.caption}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
@@ -462,13 +461,13 @@ def stage1_forward_full_block(params, decoder, scene, lambda_1):
     k = params["q_o"].shape[0]
     if len(scene.hands) > 2 or len(scene.objects) > k:
         raise ValueError("scene has more ground-truth boxes than queries")
-    fwd = _forward(scene.grid.patches, params)
+    fwd = _forward(scene.patches, params)
     if not (np.all(np.isfinite(fwd["out"])) and np.all(np.isfinite(fwd["box_params"]))):
         raise TrainingDivergence("non-finite connector activations")
     targets = np.asarray(scene.caption, dtype=np.int64)
     cap = _caption_forward(decoder, fwd["tokens"], targets)
     lm, exp_rows, exp_sums = _lm_parts(cap["logits"], targets)
-    gt = np.array([b.validate().as_array() for b in scene.hands + scene.objects]).reshape(-1, 4)
+    gt = np.array([b.as_array() for b in scene.hands + scene.objects]).reshape(-1, 4)
     cost = _box_cost(gt[:, None], fwd["box_params"][None])
     g_giou = giou_and_grad(fwd["box_params"][None], gt[:, None])[1]
     n_h = len(scene.hands)

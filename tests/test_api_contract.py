@@ -8,14 +8,21 @@ message. A refused call raises before it builds or draws anything.
 
 import math
 
+import numpy as np
 import pytest
 
-from streamcache import (AttentionEngine, SimConfig, fit_growth, generate_stream, giou_batch,
-                         init_connector, init_weights, make_scene, run_strategy)
+from streamcache import (AttentionEngine, BBox, ConfigError, Scene, SimConfig, Token, TokenKind,
+                         fit_growth, generate_stream, giou_batch, init_connector, init_weights,
+                         make_scene, run_strategy)
 from streamcache.harness import admit
 
 STREAM = generate_stream(SimConfig(), 4.0)
 BOX = [[0.5, 0.5, 0.2, 0.3]]
+# d=6 passes SimConfig but no 4-head engine splits it, and a2 charges b's engine
+D6 = SimConfig(d=6, vocab_size=32)
+D6_STREAM = generate_stream(D6, 30.0)
+NAN_PATCHES = np.zeros((4, 3))
+NAN_PATCHES[1, 2] = math.nan
 
 CONTRACT = [
     # (label, callable, args, kwargs, exception, message fragment)
@@ -61,6 +68,21 @@ CONTRACT = [
      "heads must be >= 1"),
     ("attention-engine-zero-heads", AttentionEngine, (8, 0, 1, 16, 0), {}, ValueError,
      "heads must be >= 1"),
+    # value types refuse a bad field when built
+    ("sim-config-negative-fps", SimConfig, (), {"fps": -4.0}, ConfigError,
+     "fps must be > 0, got -4.0"),
+    ("token-visual-no-frame-index", Token, (0, TokenKind.VISUAL_FRAME, np.zeros(3)), {},
+     ValueError, "visual frame token requires frame_index"),
+    ("bbox-zero-width", BBox, (0.5, 0.5, 0.0, 0.1), {}, ValueError, "degenerate box"),
+    ("bbox-nan-height", BBox, (0.5, 0.5, 0.1, math.nan), {}, ValueError, "non-finite box"),
+    ("scene-nan-patches", Scene, (NAN_PATCHES, 2, [], [BBox(0.5, 0.5, 0.2, 0.3)], [1]), {},
+     ValueError, "patch features must be finite"),
+    ("scene-wrong-grid-shape", Scene, (np.zeros((5, 3)), 2, [], [], [1]), {}, ValueError,
+     r"expected 4 patches, got shape \(5, 3\)"),
+    ("admit-a2-d-not-divisible", admit, ("a2", D6, 120), {}, ValueError,
+     "d=6 not divisible by heads=4"),
+    ("run-strategy-a2-d-not-divisible", run_strategy, ("a2", D6_STREAM, D6), {}, ValueError,
+     "d=6 not divisible by heads=4"),
 ]
 
 

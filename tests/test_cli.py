@@ -229,7 +229,8 @@ def test_gradcheck_scene_file(tmp_path, capsys):
 def test_gradcheck_scene_with_three_hands_exits_2(tmp_path, capsys):
     # make_scene refuses a third hand, so one of its objects becomes one
     scene = make_scene(seed=11, side=4, dim=24, n_hands=2, n_objects=3)
-    scene = Scene(scene.grid, scene.hands + scene.objects[:1], scene.objects[1:], scene.caption)
+    scene = Scene(scene.patches, scene.side, scene.hands + scene.objects[:1], scene.objects[1:],
+                  scene.caption)
     path = tmp_path / "scene.json"
     save_scene(scene, str(path))
     assert main(["gradcheck", "--scene", str(path)]) == 2
@@ -343,7 +344,7 @@ def test_scene_at_the_size_bound_loads(tmp_path):
     doc.update(side=256, dim=MAX_SCENE_FLOATS // 256 ** 2)
     path = tmp_path / "scene.json"
     path.write_text(json.dumps(doc))
-    assert load_scene(str(path)).grid.patches.size == MAX_SCENE_FLOATS
+    assert load_scene(str(path)).patches.size == MAX_SCENE_FLOATS
 
 
 @pytest.mark.parametrize("case", ["boxes-over-cap", "caption-over-cap"])

@@ -3,12 +3,12 @@ import json
 
 import pytest
 
-from streamcache import ConfigError, SimConfig, config_from_dict, load_config, validate_config
+from streamcache import ConfigError, SimConfig, config_from_dict, load_config
 
 
 def test_defaults_validate(cfg):
     assert cfg.N_S == 64 and cfg.N_L == 5 and cfg.fps == 4.0
-    assert validate_config(cfg) is cfg
+    assert SimConfig(**dataclasses.asdict(cfg)) == cfg
 
 
 @pytest.mark.parametrize("field,value,needle", [
@@ -26,9 +26,8 @@ def test_defaults_validate(cfg):
     ("vocab_size", 10000000000000000000, "vocab_size"),
 ])
 def test_invalid_field_named_in_error(cfg, field, value, needle):
-    bad = dataclasses.replace(cfg, **{field: value})
     with pytest.raises(ConfigError, match=needle):
-        validate_config(bad)
+        dataclasses.replace(cfg, **{field: value})
 
 
 def test_json_round_trip(tmp_path, cfg):
@@ -81,7 +80,7 @@ def test_config_not_utf8_rejected(tmp_path):
 def test_non_finite_floats_rejected(cfg, field, value):
     import dataclasses
     with pytest.raises(ConfigError, match=f"{field} must be finite"):
-        validate_config(dataclasses.replace(cfg, **{field: value}))
+        dataclasses.replace(cfg, **{field: value})
 
 
 def test_non_finite_json_rejected(tmp_path):

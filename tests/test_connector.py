@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 import streamcache.connector as connector
-from streamcache import (BBox, PatchGrid, Scene, TrainingDivergence, giou, giou_batch, grad_check,
+from streamcache import (BBox, Scene, TrainingDivergence, giou, giou_batch, grad_check,
                          hungarian_match, init_caption_decoder, init_connector, load_scene,
                          loss_lm, loss_total, make_scene, stage1_losses,
                          stage1_value_and_grads, train_toy)
@@ -100,12 +100,12 @@ def test_sigmoid_is_the_masked_form_bit_for_bit():
 
 
 def test_grid_validation(rng):
-    with pytest.raises(ValueError):
-        PatchGrid(rng.standard_normal((100, 8)), 16).validate()
+    with pytest.raises(ValueError, match="expected 256 patches"):
+        Scene(rng.standard_normal((100, 8)), 16, [], [], [])
     bad = rng.standard_normal((256, 8))
     bad[0, 0] = np.nan
-    with pytest.raises(ValueError):
-        PatchGrid(bad, 16).validate()
+    with pytest.raises(ValueError, match="patch features must be finite"):
+        Scene(bad, 16, [], [], [])
 
 
 # -- giou -------------------------------------------------------------------
@@ -398,7 +398,7 @@ def test_assign_matches_scipy_with_feasible_duals():
 
 def predicted_boxes(params, scene):
     """The 2 + k boxes (hands first) and objectness scores that stage 1 scores."""
-    fwd = _forward(scene.grid.patches, params)
+    fwd = _forward(scene.patches, params)
     return [BBox(*map(float, row)) for row in fwd["box_params"]], fwd["obj"]
 
 
@@ -795,7 +795,7 @@ def _kink_check(seed=5):
     scene = make_scene(seed, side=4, dim=24)
     params = init_connector(feat_dim=24, d=16, m=4, k=2, d_mlp=24, seed=seed)
     decoder = init_caption_decoder(16, 64, seed)
-    cx, cy, w, h = _forward(scene.grid.patches, params)["box_params"][2].tolist()
+    cx, cy, w, h = _forward(scene.patches, params)["box_params"][2].tolist()
     kink = BBox(cx - w / 2 + 1e-6 + 0.4 * w, cy + 0.03, 0.8 * w, 1.2 * h)
     other = BBox(kink.cx + 0.05, kink.cy + 0.05, kink.w, kink.h)
     scene = dataclasses.replace(scene, objects=[kink, other])
@@ -867,7 +867,7 @@ def test_scene_round_trip(tmp_path):
     path = tmp_path / "scene.json"
     save_scene(scene, str(path))
     back = load_scene(str(path))
-    np.testing.assert_array_equal(back.grid.patches, scene.grid.patches)
+    np.testing.assert_array_equal(back.patches, scene.patches)
     assert back.hands == scene.hands
     assert back.objects == scene.objects
     assert back.caption == scene.caption
@@ -888,7 +888,7 @@ def test_scene_seed_form_regenerates(tmp_path):
     path = tmp_path / "seeded.json"
     path.write_text(json.dumps(doc))
     back = load_scene(str(path))
-    np.testing.assert_allclose(back.grid.patches, scene.grid.patches)
+    np.testing.assert_allclose(back.patches, scene.patches)
     assert len(back.caption) > 0  # derived deterministically when absent
 
 
@@ -914,14 +914,15 @@ def test_scene_stores_its_box_and_caption_arrays_read_only():
     assert empty.boxes.shape == (0, 4)
 
 
-@pytest.mark.parametrize("bad", [BBox(0.5, 0.5, 0.0, 0.1), BBox(0.5, 0.5, 0.1, -0.2),
-                                 BBox(math.nan, 0.5, 0.1, 0.1), BBox(0.5, 0.5, math.inf, 0.1)])
+# field tuples, not boxes: a bad BBox raises when built, so BBox(*bad) refuses it
+@pytest.mark.parametrize("bad", [(0.5, 0.5, 0.0, 0.1), (0.5, 0.5, 0.1, -0.2),
+                                 (math.nan, 0.5, 0.1, 0.1), (0.5, 0.5, math.inf, 0.1)])
 def test_scene_refuses_a_bad_box_when_built(bad):
     scene = make_scene(seed=3, side=4, dim=FEAT_DIM)
     with pytest.raises(ValueError, match="degenerate box|non-finite box"):
-        Scene(scene.grid, [bad], [], [1, 2])
+        Scene(scene.patches, scene.side, [BBox(*bad)], [], [1, 2])
     with pytest.raises(ValueError, match="degenerate box|non-finite box"):
-        dataclasses.replace(scene, objects=[scene.objects[0], bad])
+        dataclasses.replace(scene, objects=[scene.objects[0], BBox(*bad)])
 
 
 def test_train_toy_overfits_single_scene():
@@ -972,7 +973,7 @@ def test_non_finite_language_path_is_divergence(fn):
     scene = make_scene(7, side=4, dim=FEAT_DIM)
     decoder = init_caption_decoder(QDIM, 64, seed=9)
     with np.errstate(all="ignore"):
-        fwd = _forward(scene.grid.patches, params)
+        fwd = _forward(scene.patches, params)
     assert np.isfinite(fwd["out"]).all() and np.isfinite(fwd["box_params"]).all()
     assert not np.isfinite(fwd["tokens"]).all()
     with pytest.raises(TrainingDivergence, match="non-finite connector activations"):
